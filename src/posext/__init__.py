@@ -25,7 +25,6 @@ from .completion import (
     expanded_pattern,
     partially_positive,
     positive_completion,
-    positive_extension_multiplier,
     rank_one_positive_decomposition,
     restrict_to_pattern,
     verify_extension,

@@ -166,9 +166,6 @@ def _cmd_cexi(args):
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=float, default=None, help="tolerance override")
-    common.add_argument(
-        "--seed", type=int, default=None, help="seed for randomized self-checks"
-    )
     common.add_argument("--pretty", action="store_true", help="indent the output")
 
     ap = argparse.ArgumentParser(

@@ -14,7 +14,6 @@ The block case is reduced to the scalar case by expanding to an
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +27,14 @@ from .errors import (
     NotPSD,
     NotSupported,
 )
-from .pattern import Pattern, clique_tree, is_chordal, maximal_cliques, validate_pattern
+from .pattern import (
+    CliqueTree,
+    Pattern,
+    clique_tree,
+    is_chordal,
+    maximal_cliques,
+    validate_pattern,
+)
 
 _SUPPORT_REL = 1e-10
 
@@ -147,6 +153,26 @@ def partially_positive(
     return True, None
 
 
+def _root_first(tree: CliqueTree) -> list[tuple[int, int | None, tuple[int, ...]]]:
+    """Cliques breadth-first from clique 0, children in ascending index.
+
+    Each entry is (clique, parent, separator shared with the parent); the
+    root has parent None and an empty separator.
+    """
+    neighbors: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in tree.cliques]
+    for (i, j), sep in zip(tree.tree_edges, tree.separators):
+        neighbors[i].append((j, sep))
+        neighbors[j].append((i, sep))
+    walk = [(0, None, ())] if tree.cliques else []
+    seen = {0}
+    for at, _, _ in walk:  # also visits the entries appended below
+        for nxt, sep in sorted(neighbors[at]):
+            if nxt not in seen:
+                seen.add(nxt)
+                walk.append((nxt, at, sep))
+    return walk
+
+
 def positive_completion(
     m: PartialHermitianMatrix, tol: float | None = None
 ) -> CompletionResult:
@@ -167,57 +193,25 @@ def positive_completion(
     tree = clique_tree(m.pattern)
     full = expand(m)
     log: list[tuple[tuple[int, ...], tuple[int, int]]] = []
-    if not tree.cliques:
-        return CompletionResult(full, ())
-
-    sep_of = {}
-    neighbors: dict[int, list[int]] = {k: [] for k in range(len(tree.cliques))}
-    for (i, j), sep in zip(tree.tree_edges, tree.separators):
-        sep_of[(i, j)] = sep
-        sep_of[(j, i)] = sep
-        neighbors[i].append(j)
-        neighbors[j].append(i)
-
     d = m.d
-    seen_vertices = set(tree.cliques[0])
-    visited = {0}
-    queue = deque([0])
-    while queue:
-        at = queue.popleft()
-        for nxt in sorted(neighbors[at]):
-            if nxt in visited:
-                continue
-            visited.add(nxt)
-            queue.append(nxt)
-            sep = sep_of[(at, nxt)]
-            new = sorted(set(tree.cliques[nxt]) - seen_vertices)
-            old = sorted(seen_vertices - set(sep))
-            if new and old:
-                rows = _expand_indices(old, d)
-                mid = _expand_indices(sep, d)
-                cols = _expand_indices(new, d)
-                fill = (
-                    full[np.ix_(rows, mid)]
-                    @ linalg.pseudo_inverse(full[np.ix_(mid, mid)])
-                    @ full[np.ix_(mid, cols)]
-                )
-                full[np.ix_(rows, cols)] = fill
-                full[np.ix_(cols, rows)] = fill.conj().T
-                log.extend((tuple(sep), (u, v)) for u in old for v in new)
-            seen_vertices.update(new)
+    seen_vertices: set[int] = set()
+    for k, _, sep in _root_first(tree):
+        new = sorted(set(tree.cliques[k]) - seen_vertices)
+        old = sorted(seen_vertices - set(sep))
+        if new and old:
+            rows = _expand_indices(old, d)
+            mid = _expand_indices(sep, d)
+            cols = _expand_indices(new, d)
+            fill = (
+                full[np.ix_(rows, mid)]
+                @ linalg.pseudo_inverse(full[np.ix_(mid, mid)])
+                @ full[np.ix_(mid, cols)]
+            )
+            full[np.ix_(rows, cols)] = fill
+            full[np.ix_(cols, rows)] = fill.conj().T
+            log.extend((tuple(sep), (u, v)) for u in old for v in new)
+        seen_vertices.update(new)
     return CompletionResult(full, tuple(log))
-
-
-def positive_extension_multiplier(
-    m: PartialHermitianMatrix, tol: float | None = None
-) -> CompletionResult:
-    """Positive extension of a partially defined multiplier.
-
-    Identical to positive_completion: in finite dimensions a multiplier
-    acts positively exactly when its entry matrix is PSD, so the
-    completed matrix is the extended multiplier on all pairs.
-    """
-    return positive_completion(m, tol)
 
 
 def _check_supported(t: np.ndarray, p: Pattern) -> None:
@@ -251,38 +245,14 @@ def rank_one_positive_decomposition(
     _check_supported(t, p)
 
     tree = clique_tree(p)
-    if not tree.cliques:
-        return []
-
-    sep_of = {}
-    neighbors: dict[int, list[int]] = {k: [] for k in range(len(tree.cliques))}
-    for (i, j), sep in zip(tree.tree_edges, tree.separators):
-        sep_of[(i, j)] = sep
-        sep_of[(j, i)] = sep
-        neighbors[i].append(j)
-        neighbors[j].append(i)
-
-    bfs = [0]
-    visited = {0}
-    parent = {0: None}
-    queue = deque([0])
-    while queue:
-        at = queue.popleft()
-        for nxt in sorted(neighbors[at]):
-            if nxt not in visited:
-                visited.add(nxt)
-                parent[nxt] = at
-                bfs.append(nxt)
-                queue.append(nxt)
-
     residue = t.copy()
     factors: list[linalg.RankOneFactor] = []
-    for k in reversed(bfs):
+    for k, parent, sep in reversed(_root_first(tree)):
         clique = list(tree.cliques[k])
-        if parent[k] is None:
+        if parent is None:
             part = residue[np.ix_(clique, clique)]
         else:
-            sep = list(sep_of[(k, parent[k])])
+            sep = list(sep)
             sep_set = set(sep)
             own = [v for v in clique if v not in sep_set]
             t_bb = residue[np.ix_(own, own)]

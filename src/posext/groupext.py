@@ -30,6 +30,7 @@ from .errors import (
     NotAssociative,
     NotChordalSubset,
     NotLatinSquare,
+    NotPartiallyPositive,
     NotPositiveDefinite,
     TooLarge,
 )
@@ -232,12 +233,17 @@ def n_transform(
     g: FiniteGroup, e: SymmetricSubset, u: GroupFunction
 ) -> PartialHermitianMatrix:
     """Partial matrix on the induced pattern with entry (s, t) = u(t s^{-1})."""
+    return _kernel(g, e, u, star_pattern(g, e))
+
+
+def _kernel(
+    g: FiniteGroup, e: SymmetricSubset, u: GroupFunction, p: Pattern
+) -> PartialHermitianMatrix:
     if u.domain() != e.members:
         raise DomainMismatch(
             f"function domain {sorted(u.domain())} differs from subset "
             f"{sorted(e.members)}"
         )
-    p = star_pattern(g, e)
     blocks = {}
     for i in range(g.order):
         blocks[(i, i)] = np.array([[u(g.identity)]], dtype=complex)
@@ -309,11 +315,11 @@ def positive_definite_extension(
     pattern and the completion is averaged over right translations. The
     result restricts to u exactly and has a PSD kernel.
     """
-    if not is_chordal_subset(g, e):
+    p = star_pattern(g, e)
+    if not is_chordal(p):
         raise NotChordalSubset("subset does not induce a chordal pattern")
-    partial = n_transform(g, e, u)
-    ok, witness = partially_positive(partial, tol)
-    if not ok:
-        raise NotPositiveDefinite(f"kernel fails on the tuple {witness}")
-    completed = positive_completion(partial, tol)
+    try:
+        completed = positive_completion(_kernel(g, e, u, p), tol)
+    except NotPartiallyPositive as exc:
+        raise NotPositiveDefinite(f"kernel fails: {exc}") from exc
     return invariantize(g, completed.matrix)

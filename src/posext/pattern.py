@@ -2,14 +2,17 @@
 
 A pattern is an undirected graph on vertices 0..n-1 whose loops are
 implicit: every diagonal pair is considered present and is never stored.
-This module recognises chordality (maximum cardinality search plus a
-perfect-elimination check), enumerates maximal cliques, builds clique
-trees with the running intersection property, and provides a brute-force
-chordless-cycle oracle for cross-checking.
+One maximum cardinality search per pattern, cached on the pattern, gives
+its elimination order and recognises chordality; on chordal patterns the
+same search also yields the maximal cliques and a clique tree with the
+running intersection property (Tarjan & Yannakakis 1984; Blair & Peyton
+1993). Non-chordal patterns fall back to Bron-Kerbosch for their cliques,
+and a brute-force chordless-cycle oracle is provided for cross-checking.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -45,6 +48,11 @@ class Pattern:
         a, b = (i, j) if i < j else (j, i)
         return (a, b) in self.edges
 
+    @cached_property
+    def structure(self) -> ChordalStructure:
+        """The chordal structure, computed once per pattern."""
+        return _chordal_structure(self)
+
 
 @dataclass(frozen=True)
 class EliminationOrder:
@@ -60,6 +68,20 @@ class CliqueTree:
     cliques: tuple[tuple[int, ...], ...]
     tree_edges: tuple[tuple[int, int], ...]
     separators: tuple[tuple[int, ...], ...]
+
+
+@dataclass(frozen=True)
+class ChordalStructure:
+    """What one maximum cardinality search reveals about a pattern.
+
+    order is the reversed visit order; it is a perfect elimination order
+    exactly when chordal is True. tree is the clique tree of a chordal
+    pattern and None otherwise.
+    """
+
+    order: tuple[int, ...]
+    chordal: bool
+    tree: CliqueTree | None
 
 
 def validate_pattern(n: int, edge_list: Iterable[Sequence[int]]) -> Pattern:
@@ -82,53 +104,90 @@ def validate_pattern(n: int, edge_list: Iterable[Sequence[int]]) -> Pattern:
     return Pattern(n, frozenset(edges))
 
 
-def _mcs_visit_order(p: Pattern) -> list[int]:
-    """Maximum cardinality search visit order.
+def _chordal_structure(p: Pattern) -> ChordalStructure:
+    """One maximum cardinality search and everything read off its visit order.
 
-    Repeatedly visits the unvisited vertex with the most visited
-    neighbours, breaking ties towards the highest index so that the
-    reversed order starts from low indices.
+    The search repeatedly visits the unvisited vertex with the most
+    visited neighbours, breaking ties towards the highest index so that
+    the reversed order starts from low indices. Each vertex's follower is
+    its most recently visited earlier neighbour; the reversed order is a
+    perfect elimination order iff every vertex's other earlier neighbours
+    are earlier neighbours of its follower (Tarjan-Yannakakis). On a
+    chordal pattern a vertex with no more earlier neighbours than its
+    predecessor opens a new maximal clique, which joins the clique of its
+    follower through those neighbours (Blair-Peyton).
     """
     adj = p.adjacency
     weight = [0] * p.n
-    visited = [False] * p.n
-    out = []
-    for _ in range(p.n):
-        best = max(
-            (v for v in range(p.n) if not visited[v]),
-            key=lambda v: (weight[v], v),
-        )
-        visited[best] = True
-        out.append(best)
-        for w in adj[best]:
-            if not visited[w]:
-                weight[w] += 1
-    return out
+    heap = [(0, -v) for v in range(p.n)]
+    heapq.heapify(heap)
+    visit: list[int] = []
+    earlier: list[frozenset[int] | None] = [None] * p.n
+    while heap:
+        w, v = heapq.heappop(heap)
+        v = -v
+        if earlier[v] is not None or -w != weight[v]:
+            continue
+        earlier[v] = frozenset(u for u in adj[v] if earlier[u] is not None)
+        visit.append(v)
+        for u in adj[v]:
+            if earlier[u] is None:
+                weight[u] += 1
+                heapq.heappush(heap, (-weight[u], -u))
+    order = tuple(reversed(visit))
 
+    pos = {v: k for k, v in enumerate(visit)}
+    follower = {v: max(earlier[v], key=pos.__getitem__) for v in visit if earlier[v]}
+    if any(not earlier[v] - {f} <= earlier[f] for v, f in follower.items()):
+        return ChordalStructure(order, False, None)
 
-def _is_elimination_order(p: Pattern, order: Sequence[int]) -> bool:
-    adj = p.adjacency
-    pos = {v: k for k, v in enumerate(order)}
-    for v in order:
-        later = [w for w in adj[v] if pos[w] > pos[v]]
-        for a in range(len(later)):
-            for b in range(a + 1, len(later)):
-                if not p.has_edge(later[a], later[b]):
-                    return False
-    return True
+    cliques: list[list[int]] = []
+    component: list[int] = []
+    links: list[tuple[int, int, frozenset[int]]] = []
+    home = {}
+    roots = 0
+    for k, v in enumerate(visit):
+        if k and len(earlier[v]) > len(earlier[visit[k - 1]]):
+            cliques[-1].append(v)
+        else:
+            if v in follower:
+                links.append((len(cliques), home[follower[v]], earlier[v]))
+            else:
+                roots += 1
+            component.append(roots)
+            cliques.append([*earlier[v], v])
+        home[v] = len(cliques) - 1
+
+    keys = [tuple(sorted(c)) for c in cliques]
+    rank = sorted(range(len(keys)), key=keys.__getitem__)
+    index = {k: r for r, k in enumerate(rank)}
+    lowest: dict[int, int] = {}
+    for k in rank:
+        lowest.setdefault(component[k], index[k])
+    edges = [
+        (min(index[a], index[b]), max(index[a], index[b]), tuple(sorted(sep)))
+        for a, b, sep in links
+    ]
+    edges += [(0, r, ()) for r in sorted(lowest.values())[1:]]
+    edges.sort(key=lambda e: (-len(e[2]), e[0], e[1]))
+    tree = CliqueTree(
+        tuple(keys[k] for k in rank),
+        tuple((i, j) for i, j, _ in edges),
+        tuple(sep for _, _, sep in edges),
+    )
+    return ChordalStructure(order, True, tree)
 
 
 def is_chordal(p: Pattern) -> bool:
     """True iff every cycle of length at least four has a chord."""
-    return _is_elimination_order(p, list(reversed(_mcs_visit_order(p))))
+    return p.structure.chordal
 
 
 def perfect_elimination_order(p: Pattern) -> EliminationOrder:
     """Return a perfect elimination order, or raise NotChordal."""
-    order = list(reversed(_mcs_visit_order(p)))
-    if not _is_elimination_order(p, order):
+    if not p.structure.chordal:
         raise NotChordal("pattern admits no perfect elimination order")
-    return EliminationOrder(tuple(order))
+    return EliminationOrder(p.structure.order)
 
 
 def _bron_kerbosch(p: Pattern) -> list[frozenset[int]]:
@@ -152,65 +211,32 @@ def _bron_kerbosch(p: Pattern) -> list[frozenset[int]]:
 def maximal_cliques(p: Pattern) -> list[tuple[int, ...]]:
     """All inclusion-maximal cliques, each sorted, list sorted lexicographically.
 
-    Chordal patterns are handled through the elimination order; other
+    Chordal patterns read them off the cached chordal structure; other
     patterns fall back to Bron-Kerbosch up to 20 vertices.
     """
-    if is_chordal(p):
-        order = perfect_elimination_order(p).order
-        adj = p.adjacency
-        pos = {v: k for k, v in enumerate(order)}
-        cand = {
-            frozenset({v} | {w for w in adj[v] if pos[w] > pos[v]}) for v in order
-        }
-        cliques = [c for c in cand if not any(c < d for d in cand)]
-    elif p.n <= _BRUTE_FORCE_CLIQUE_CAP:
-        cliques = _bron_kerbosch(p)
-    else:
+    if p.structure.chordal:
+        return list(p.structure.tree.cliques)
+    if p.n > _BRUTE_FORCE_CLIQUE_CAP:
         raise TooLarge(
             f"clique enumeration on a non-chordal pattern is capped at "
             f"n <= {_BRUTE_FORCE_CLIQUE_CAP}, got n = {p.n}"
         )
-    return sorted(tuple(sorted(c)) for c in cliques)
+    return sorted(tuple(sorted(c)) for c in _bron_kerbosch(p))
 
 
 def clique_tree(p: Pattern) -> CliqueTree:
-    """Clique tree built by a maximum-weight spanning tree on separator sizes.
+    """Clique tree read off the maximum cardinality search.
 
-    Disconnected patterns are joined through zero-weight edges with empty
-    separators. Raises NotChordal for non-chordal input.
+    Each clique after the first of its component joins the clique of its
+    follower through its separator; every further component joins clique
+    0 through its lowest clique and an empty separator. Cliques are
+    sorted lexicographically, each tree edge (i, j) has i < j, and edges
+    are listed by decreasing separator size, then by (i, j). Raises
+    NotChordal for non-chordal input.
     """
-    if not is_chordal(p):
+    if not p.structure.chordal:
         raise NotChordal("clique trees exist only for chordal patterns")
-    cliques = maximal_cliques(p)
-    m = len(cliques)
-    if m <= 1:
-        return CliqueTree(tuple(cliques), (), ())
-
-    candidates = sorted(
-        (-len(set(cliques[i]) & set(cliques[j])), i, j)
-        for i in range(m)
-        for j in range(i + 1, m)
-    )
-    root = list(range(m))
-
-    def find(x: int) -> int:
-        while root[x] != x:
-            root[x] = root[root[x]]
-            x = root[x]
-        return x
-
-    edges: list[tuple[int, int]] = []
-    seps: list[tuple[int, ...]] = []
-    for _, i, j in candidates:
-        ri, rj = find(i), find(j)
-        if ri == rj:
-            continue
-        root[ri] = rj
-        edges.append((i, j))
-        seps.append(tuple(sorted(set(cliques[i]) & set(cliques[j]))))
-        if len(edges) == m - 1:
-            break
-    return CliqueTree(tuple(cliques), tuple(edges), tuple(seps))
+    return p.structure.tree
 
 
 def chordless_cycles(p: Pattern, max_len: int) -> list[list[int]]:

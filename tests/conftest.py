@@ -50,12 +50,14 @@ def random_pattern(rng: np.random.Generator, n: int, max_edges: int) -> Pattern:
     return validate_pattern(n, [pairs[int(c)] for c in chosen])
 
 
-def random_chordal_pattern(rng: np.random.Generator, n: int) -> Pattern:
+def random_chordal_pattern(
+    rng: np.random.Generator, n: int, density: float = 0.45
+) -> Pattern:
     """Random chordal pattern: random graph plus its elimination fill-in."""
     adj = [set() for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            if rng.random() < 0.45:
+            if rng.random() < density:
                 adj[i].add(j)
                 adj[j].add(i)
     order = list(rng.permutation(n))
@@ -67,6 +69,22 @@ def random_chordal_pattern(rng: np.random.Generator, n: int) -> Pattern:
             adj[b].add(a)
         eliminated.add(v)
     return validate_pattern(n, [(i, j) for i in range(n) for j in adj[i] if j > i])
+
+
+def random_chordal_components(
+    rng: np.random.Generator, n: int, parts: int, density: float = 0.2
+) -> Pattern:
+    """Disjoint union of up to `parts` random chordal pieces on shuffled vertices.
+
+    Sparse pieces often fall apart further, leaving isolated vertices.
+    """
+    labels = [int(v) for v in rng.permutation(n)]
+    cuts = sorted(rng.choice(np.arange(1, n), size=min(parts, n) - 1, replace=False)) if n else []
+    edges = []
+    for piece in np.split(np.array(labels, dtype=int), cuts):
+        sub = random_chordal_pattern(rng, len(piece), density)
+        edges.extend((int(piece[i]), int(piece[j])) for i, j in sub.edges)
+    return validate_pattern(n, edges)
 
 
 def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -100,6 +118,64 @@ def is_valid_elimination_order(p: Pattern, order) -> bool:
                 if not p.has_edge(later[a], later[b]):
                     return False
     return True
+
+
+def _connected(nodes, edges) -> bool:
+    """True iff the edges among the given nodes connect them all."""
+    nodes = set(nodes)
+    adj = {k: set() for k in nodes}
+    for i, j in edges:
+        if i in nodes and j in nodes:
+            adj[i].add(j)
+            adj[j].add(i)
+    seen = {min(nodes)} if nodes else set()
+    stack = list(seen)
+    while stack:
+        for nxt in adj[stack.pop()] - seen:
+            seen.add(nxt)
+            stack.append(nxt)
+    return seen == nodes
+
+
+def simplicial_cliques(p: Pattern) -> list[tuple[int, ...]]:
+    """Oracle for chordal patterns: maximal cliques by simplicial elimination.
+
+    Repeatedly removes the lowest vertex whose remaining neighbours form
+    a clique; every maximal clique is such a vertex plus those neighbours.
+    """
+    live = set(range(p.n))
+    cand = []
+    while live:
+        for v in sorted(live):
+            nbrs = p.adjacency[v] & live
+            if all(nbrs - {a} <= p.adjacency[a] for a in nbrs):
+                break
+        else:
+            raise AssertionError("pattern has no simplicial vertex, so is not chordal")
+        cand.append(frozenset(nbrs | {v}))
+        live.remove(v)
+    return sorted(tuple(sorted(c)) for c in set(cand) if not any(c < d for d in cand))
+
+
+def assert_valid_clique_tree(p: Pattern, tree) -> None:
+    """Maximal cliques joined by a spanning tree, all in canonical order.
+
+    The cliques must be exactly those of the simplicial-elimination
+    oracle; the tree edges must span them, separators must be the clique
+    intersections, the cliques holding any vertex must form a subtree
+    (running intersection), and edges must be sorted by decreasing
+    separator size, then by (i, j) with i < j.
+    """
+    assert list(tree.cliques) == simplicial_cliques(p)
+    cliques = [set(c) for c in tree.cliques]
+    assert len(tree.tree_edges) == max(len(cliques) - 1, 0)
+    assert _connected(range(len(cliques)), tree.tree_edges)
+    for (i, j), sep in zip(tree.tree_edges, tree.separators):
+        assert i < j and sep == tuple(sorted(cliques[i] & cliques[j]))
+    keys = [(-len(s), i, j) for (i, j), s in zip(tree.tree_edges, tree.separators)]
+    assert keys == sorted(keys)
+    for v in range(p.n):
+        assert _connected([k for k, c in enumerate(cliques) if v in c], tree.tree_edges)
 
 
 def brute_force_maximal_cliques(p: Pattern) -> list[tuple[int, ...]]:

@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import (
+    assert_valid_clique_tree,
     band_pattern,
     complete_pattern,
     cycle_pattern,
     psd_supported_on,
+    random_chordal_components,
     random_chordal_pattern,
     random_psd,
 )
@@ -14,12 +16,12 @@ from posext import (
     PartialHermitianMatrix,
     apply_multiplier,
     cb_norm_positive,
+    clique_tree,
     expand,
     expanded_pattern,
     maximal_cliques,
     partially_positive,
     positive_completion,
-    positive_extension_multiplier,
     rank_one_positive_decomposition,
     restrict_to_pattern,
     validate_pattern,
@@ -204,7 +206,7 @@ def test_extension_multiplier_alias_examples():
     m = scalar_partial(
         p, {(0, 0): 1, (1, 1): 1, (2, 2): 1, (0, 1): 0.5, (1, 2): 0.5}
     )
-    result = positive_extension_multiplier(m)
+    result = positive_completion(m)
     assert abs(result.matrix[0, 2] - 0.25) <= 1e-12
 
     blocks = {(i, i): np.eye(2, dtype=complex) for i in range(3)}
@@ -215,7 +217,7 @@ def test_extension_multiplier_alias_examples():
         (i, j): np.eye(2, dtype=complex) for i in range(3) for j in range(i, 3)
     }
     full = PartialHermitianMatrix(full_p, 2, full_blocks)
-    result = positive_extension_multiplier(full)
+    result = positive_completion(full)
     assert np.array_equal(result.matrix, expand(full))
 
 
@@ -264,6 +266,43 @@ def test_rank_one_decomposition_random(seed):
     recon = sum(
         (np.outer(f.vector, f.vector.conj()) for f in factors),
         np.zeros((p.n, p.n), dtype=complex),
+    )
+    assert np.abs(recon - t).max() <= 1e-8 * (1 + np.abs(t).max())
+    cliques = [set(c) for c in maximal_cliques(p)]
+    for f in factors:
+        assert any(set(f.support) <= c for c in cliques)
+
+
+def test_completion_and_decomposition_on_empty_pattern():
+    p = validate_pattern(0, [])
+    result = positive_completion(PartialHermitianMatrix(p, 1, {}))
+    assert result.matrix.shape == (0, 0) and result.fill_log == ()
+    assert rank_one_positive_decomposition(np.zeros((0, 0)), p) == []
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_completion_and_decomposition_on_several_components(seed):
+    rng = np.random.default_rng(700 + seed)
+    n = int(rng.integers(1, 25))
+    p = random_chordal_components(rng, n, 3 + seed % 4)
+    assert_valid_clique_tree(p, clique_tree(p))
+
+    m = restrict_to_pattern(random_psd(rng, n), p)
+    result = positive_completion(m)
+    assert verify_extension(m, result.matrix)
+    scale = 1 + max(result.matrix[i, i].real for i in range(n))
+    assert np.linalg.eigvalsh(result.matrix).min() >= -1e-9 * scale
+    filled = sorted(tuple(sorted(pair)) for _, pair in result.fill_log)
+    unspecified = [
+        (i, j) for i in range(n) for j in range(i + 1, n) if not p.has_edge(i, j)
+    ]
+    assert filled == unspecified
+
+    t = psd_supported_on(rng, p)
+    factors = rank_one_positive_decomposition(t, p)
+    recon = sum(
+        (np.outer(f.vector, f.vector.conj()) for f in factors),
+        np.zeros((n, n), dtype=complex),
     )
     assert np.abs(recon - t).max() <= 1e-8 * (1 + np.abs(t).max())
     cliques = [set(c) for c in maximal_cliques(p)]

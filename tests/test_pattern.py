@@ -3,14 +3,18 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import (
+    assert_valid_clique_tree,
     band_pattern,
     brute_force_maximal_cliques,
     complete_pattern,
     cycle_pattern,
     is_valid_elimination_order,
+    random_chordal_components,
+    random_chordal_pattern,
     random_pattern,
 )
 from posext import (
+    CliqueTree,
     chordless_cycles,
     clique_tree,
     is_chordal,
@@ -93,36 +97,6 @@ def test_maximal_cliques_size_cap():
     big = cycle_pattern(21)
     with pytest.raises(TooLarge):
         maximal_cliques(big)
-
-
-def _subtree_connected(tree, v) -> bool:
-    holding = [k for k, c in enumerate(tree.cliques) if v in c]
-    if len(holding) <= 1:
-        return True
-    adj = {k: set() for k in holding}
-    for i, j in tree.tree_edges:
-        if i in adj and j in adj:
-            adj[i].add(j)
-            adj[j].add(i)
-    seen = {holding[0]}
-    stack = [holding[0]]
-    while stack:
-        for nxt in adj[stack.pop()]:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return seen == set(holding)
-
-
-def assert_valid_clique_tree(p, tree):
-    assert sorted(tree.cliques) == maximal_cliques(p)
-    assert len(tree.tree_edges) == max(len(tree.cliques) - 1, 0)
-    for (i, j), sep in zip(tree.tree_edges, tree.separators):
-        assert sep == tuple(sorted(set(tree.cliques[i]) & set(tree.cliques[j])))
-    covered = {e for c in tree.cliques for e in _pairs(c)}
-    assert p.edges <= covered
-    for v in range(p.n):
-        assert _subtree_connected(tree, v)
 
 
 def _pairs(clique):
@@ -224,7 +198,42 @@ def test_maximal_cliques_invariants(seed):
 @given(st.integers(0, 10 ** 6))
 def test_clique_tree_running_intersection_random(seed):
     rng = np.random.default_rng(seed)
-    from conftest import random_chordal_pattern
-
-    p = random_chordal_pattern(rng, int(rng.integers(1, 9)))
+    n = int(rng.integers(0, 41))
+    p = random_chordal_pattern(rng, n, float(rng.uniform(0.0, 0.45)))
     assert_valid_clique_tree(p, clique_tree(p))
+
+
+def test_clique_tree_empty_pattern():
+    p = validate_pattern(0, [])
+    assert clique_tree(p) == CliqueTree((), (), ())
+    assert maximal_cliques(p) == []
+    assert perfect_elimination_order(p).order == ()
+
+
+def test_clique_tree_components_join_clique_zero_in_order():
+    # components {0}, {1, 4}, {2, 5, 6}, {3}: two isolated vertices
+    p = validate_pattern(7, [(1, 4), (2, 5), (5, 6), (2, 6)])
+    tree = clique_tree(p)
+    assert tree == CliqueTree(
+        ((0,), (1, 4), (2, 5, 6), (3,)), ((0, 1), (0, 2), (0, 3)), ((), (), ())
+    )
+    assert_valid_clique_tree(p, tree)
+
+
+def test_clique_tree_edges_sorted_by_separator_size():
+    # two triangles sharing an edge, a pendant edge on each side
+    p = validate_pattern(6, [(0, 1), (1, 2), (1, 3), (2, 3), (2, 4), (3, 4), (4, 5)])
+    tree = clique_tree(p)
+    assert tree.cliques == ((0, 1), (1, 2, 3), (2, 3, 4), (4, 5))
+    assert tree.tree_edges == ((1, 2), (0, 1), (2, 3))
+    assert tree.separators == ((2, 3), (1,), (4,))
+
+
+@given(st.integers(0, 10 ** 6))
+def test_clique_tree_on_several_components(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(0, 41))
+    p = random_chordal_components(rng, n, int(rng.integers(3, 7)))
+    tree = clique_tree(p)
+    assert_valid_clique_tree(p, tree)
+    assert is_valid_elimination_order(p, perfect_elimination_order(p).order)
