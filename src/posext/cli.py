@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -163,9 +164,16 @@ def _cmd_cexi(args):
     return ser.circleset_to_json(circ.cexi_truncation(args.depth, seq))
 
 
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=None, help="tolerance override")
+    common.add_argument("--tol", type=_tolerance, default=None, help="tolerance override")
     common.add_argument("--pretty", action="store_true", help="indent the output")
 
     ap = argparse.ArgumentParser(

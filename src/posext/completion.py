@@ -45,8 +45,8 @@ class PartialHermitianMatrix:
 
     blocks maps each ordered pair (i, j) with i <= j of the pattern
     (diagonal pairs and edges) to a d x d complex block; the (j, i)
-    block is implicitly the conjugate transpose. Diagonal blocks must be
-    Hermitian. Instances are treated as immutable.
+    block is implicitly the conjugate transpose. Entries must be finite
+    and diagonal blocks Hermitian. Instances are treated as immutable.
     """
 
     pattern: Pattern
@@ -72,6 +72,8 @@ class PartialHermitianMatrix:
                 raise DimensionMismatch(
                     f"block {key} has shape {block.shape}, expected ({self.d},{self.d})"
                 )
+            if not np.isfinite(block).all():
+                raise InputError(f"block {key} has a non-finite entry")
             if key[0] == key[1] and not np.array_equal(block, block.conj().T):
                 raise InputError(f"diagonal block {key} is not Hermitian")
             clean[key] = block
@@ -314,9 +316,7 @@ def cb_norm_positive(phi: np.ndarray, d: int = 1, tol: float | None = None) -> f
     best = 0.0
     for i in range(n // d):
         block = phi[i * d : (i + 1) * d, i * d : (i + 1) * d]
-        w, _ = linalg.eigh(block)
-        if len(w):
-            best = max(best, float(w[-1]))
+        best = max(best, float(np.linalg.eigvalsh(block)[-1]))
     return best
 
 

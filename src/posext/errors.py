@@ -74,9 +74,5 @@ class NotSupported(InfeasibleError):
     pass
 
 
-class NoConvergence(InfeasibleError):
-    pass
-
-
 class TooLarge(Exception):
     """A brute-force fallback was requested beyond its size cap."""

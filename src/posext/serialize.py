@@ -6,6 +6,7 @@ significant digits so that every number round-trips bit-faithfully.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from fractions import Fraction
@@ -86,7 +87,10 @@ def _complex_to_doc(z: complex) -> dict:
 
 
 def _complex_from_doc(doc) -> complex:
-    return complex(float(doc["re"]), float(doc["im"]))
+    z = complex(float(doc["re"]), float(doc["im"]))
+    if not cmath.isfinite(z):
+        raise InputError(f"non-finite number re={doc['re']!r}, im={doc['im']!r}")
+    return z
 
 
 # -- patterns ---------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -127,11 +128,77 @@ def test_pretty_flag_changes_layout_not_content(capsys):
 
 
 def test_tol_flag_is_accepted(capsys):
-    code, out = run_cli(
-        capsys, "partially-positive", fx("partial_band09_n3.json"), "--tol", "1e-6"
+    for tol in ("1e-6", "0"):
+        code, out = run_cli(
+            capsys, "partially-positive", fx("partial_band09_n3.json"), "--tol", tol
+        )
+        assert code == 0
+        assert json.loads(out)["partially_positive"] is True
+
+
+def _with_number(tmp_path, name, path, value):
+    """Copy of a fixture with the number at the given key path replaced."""
+    doc = json.loads((FIXTURES / name).read_text())
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    out = tmp_path / name
+    out.write_text(json.dumps(doc))  # writes the Infinity / NaN tokens
+    return str(out)
+
+
+@pytest.mark.parametrize(
+    "argv, path, value",
+    [
+        pytest.param(
+            ("decompose", "!matrix_tband1_n3.json", "pattern_complete3.json"),
+            ("entries", 1, "re"), math.inf, id="decompose-inf",
+        ),
+        pytest.param(
+            ("cb-norm", "!matrix_identity4.json"),
+            ("entries", 1, "re"), math.inf, id="cb-norm-inf",
+        ),
+        pytest.param(
+            ("complete", "!partial_band09_n3.json"),
+            ("blocks", 0, "block", 0, 0, "re"), math.inf, id="complete-inf-diagonal",
+        ),
+        pytest.param(
+            ("partially-positive", "!partial_band09_n3.json"),
+            ("blocks", 1, "block", 0, 0, "re"), math.nan, id="partially-positive-nan",
+        ),
+        pytest.param(
+            ("verify", "partial_band09_n3.json", "!matrix_band09_completed.json"),
+            ("entries", 2, "im"), -math.inf, id="verify-minus-inf",
+        ),
+        pytest.param(
+            ("group-extend", "group_z4.json", "subset_z4_02.json", "!fn_z4.json"),
+            ("values", 1, "re"), math.inf, id="group-extend-inf",
+        ),
+    ],
+)
+def test_non_finite_input_exits_2(tmp_path, capsys, argv, path, value):
+    """The fixture marked "!" gets a non-finite number at `path`."""
+    files = [
+        _with_number(tmp_path, name[1:], path, value) if name[0] == "!" else fx(name)
+        for name in argv[1:]
+    ]
+    code = main([argv[0], *files])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: InputError: non-finite number")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("tol", ["nan", "-5", "inf", "-inf"])
+def test_tol_must_be_finite_and_nonnegative(capsys, tol):
+    with pytest.raises(SystemExit) as exc:
+        main(["partially-positive", fx("partial_band09_n3.json"), f"--tol={tol}"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert captured.err.splitlines()[-1].endswith(
+        f"argument --tol: expected a finite number >= 0, got '{tol}'"
     )
-    assert code == 0
-    assert json.loads(out)["partially_positive"] is True
 
 
 ALL_COMMANDS = [

@@ -69,6 +69,17 @@ def test_partial_matrix_requires_all_pattern_blocks():
         )
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [((0, 0), np.inf), ((0, 1), np.nan), ((1, 1), -np.inf), ((0, 1), complex(0, np.inf))],
+)
+def test_partial_matrix_rejects_non_finite_entries(key, value):
+    entries = {(0, 0): 1, (1, 1): 1, (2, 2): 1, (0, 1): 0.9, (1, 2): 0.9}
+    entries[key] = value
+    with pytest.raises(InputError, match="non-finite"):
+        scalar_partial(validate_pattern(3, [(0, 1), (1, 2)]), entries)
+
+
 def test_partially_positive_examples():
     p = validate_pattern(3, [(0, 1), (1, 2)])
     ok, witness = partially_positive(
