@@ -71,10 +71,7 @@ def _cmd_complete(args):
     result = comp.positive_completion(_load_partial(args.partial), args.tol)
     return {
         "matrix": ser.matrix_to_json(result.matrix),
-        "fill_log": [
-            {"separator": list(sep), "pair": list(pair)}
-            for sep, pair in result.fill_log
-        ],
+        "fill_log": ser.fill_log_to_json(result.fill_log),
     }
 
 
@@ -171,6 +168,13 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _block_size(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=_tolerance, default=None, help="tolerance override")
@@ -222,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
         _cmd_cb_norm,
         "norm of the map induced by a positive multiplier",
         "matrix",
-        extra=lambda sp: sp.add_argument("--block-size", type=int, default=1),
+        extra=lambda sp: sp.add_argument("--block-size", type=_block_size, default=1),
     )
     add("verify", _cmd_verify, "agreement plus positivity check", "partial", "matrix")
     add("group-validate", _cmd_group_validate, "validate a multiplication table", "group")
@@ -290,7 +294,6 @@ def main(argv=None) -> int:
         KeyError,
         TypeError,
         ValueError,
-        ZeroDivisionError,
     ) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -305,6 +305,8 @@ def cb_norm_positive(phi: np.ndarray, d: int = 1, tol: float | None = None) -> f
     For a PSD multiplier this equals the largest diagonal block norm
     (the largest diagonal entry when d = 1). Raises NotPSD otherwise.
     """
+    if d < 1:
+        raise DimensionMismatch(f"block size must be positive, got {d}")
     phi = np.asarray(phi, dtype=complex)
     if not linalg.is_psd(phi, tol):
         raise NotPSD("cb norm by diagonal inspection needs a PSD multiplier")

@@ -11,8 +11,8 @@ extension of u to all of G.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -104,8 +104,12 @@ def validate_group(table, identity: int) -> FiniteGroup:
         if rows[t][s] != e:
             raise NoInverse(f"element {s} has no two-sided inverse")
         inverse[s] = t
-    for a, b, c in product(range(n), repeat=3):
-        if rows[rows[a][b]][c] != rows[a][rows[b][c]]:
+    mul = np.array(rows)
+    for a in range(n):
+        # (a*b)*c and a*(b*c) over all (b, c): one n x n slab per left factor.
+        bad = np.argwhere(mul[mul[a]] != mul[a][mul])
+        if len(bad):
+            b, c = bad[0].tolist()
             raise NotAssociative(f"({a}*{b})*{c} != {a}*({b}*{c})")
     return FiniteGroup(n, tuple(rows), e, tuple(inverse))
 
@@ -167,6 +171,8 @@ def group_function(g: FiniteGroup, values: dict[int, complex]) -> GroupFunction:
     if any(k < 0 or k >= g.order for k in vals):
         raise DomainMismatch(f"function arguments outside [0,{g.order})")
     for k, v in vals.items():
+        if not cmath.isfinite(v):
+            raise InputError(f"non-finite function value {v!r} at element {k}")
         ki = g.inverse[k]
         if ki not in vals or vals[ki] != v.conjugate():
             raise InputError(

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotPSD
+from .errors import InputError, NotPSD
 
 _PINV_REL = 1e-12
 _SUPPORT_REL = 1e-12
@@ -25,6 +25,8 @@ def _as_matrix(a) -> np.ndarray:
     m = np.array(a, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise InputError("matrix has a non-finite entry")
     return m
 
 

@@ -2,6 +2,11 @@
 
 Emission goes through a small dumper that renders floats with 17
 significant digits so that every number round-trips bit-faithfully.
+Small and irregular documents are walked value by value. The two large
+homogeneous lists, a dense matrix's entries and a completion's fill log,
+are held as columns (`_Table`) and rendered one %-template per row,
+byte for byte as the value-by-value walk would render the same list of
+objects.
 """
 
 from __future__ import annotations
@@ -9,6 +14,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -56,6 +62,8 @@ def _emit(value, out: list[str], indent: int | None) -> None:
         )
     elif isinstance(value, (list, tuple)):
         _emit_items(value, out, indent, "[", "]", key=False)
+    elif isinstance(value, _Table):
+        _emit_table(value, out, indent)
     else:
         raise TypeError(f"cannot serialize value of type {type(value).__name__}")
 
@@ -80,6 +88,66 @@ def _emit_items(items, out, indent, open_ch, close_ch, key: bool) -> None:
     if indent is not None:
         out.append("\n" + "  " * indent)
     out.append(close_ch)
+
+
+@dataclass(frozen=True, eq=False)
+class _Table:
+    """A list of objects that share one key order, held as columns.
+
+    Each column holds only ints, only floats, or only tuples of ints.
+    Iterating yields the objects as dicts.
+    """
+
+    keys: tuple[str, ...]
+    columns: tuple[list, ...]
+
+    def __iter__(self):
+        return (dict(zip(self.keys, row)) for row in zip(*self.columns))
+
+
+def _pad(indent: int | None, depth: int) -> str:
+    return "" if indent is None else "\n" + "  " * (indent + depth)
+
+
+def _emit_table(table: _Table, out: list[str], indent: int | None) -> None:
+    if not table.columns[0]:
+        out.append("[]")
+        return
+    value_indent = None if indent is None else indent + 2
+    specs, columns = zip(*(_column_format(c, value_indent) for c in table.columns))
+    colon = ":" if indent is None else ": "
+    fields = (
+        _pad(indent, 2) + json.dumps(key).replace("%", "%%") + colon + spec
+        for key, spec in zip(table.keys, specs)
+    )
+    template = "{" + ",".join(fields) + _pad(indent, 1) + "}"
+    out.append("[" + _pad(indent, 1))
+    out.append(("," + _pad(indent, 1)).join([template % row for row in zip(*columns)]))
+    out.append(_pad(indent, 0) + "]")
+
+
+def _column_format(column: list, indent: int | None) -> tuple[str, list]:
+    """The %-spec and the values that render a column as `_emit` renders its items."""
+    kinds = set(map(type, column))
+    if kinds == {int}:
+        return "%d", column
+    if kinds == {float}:
+        if not all(map(math.isfinite, column)):
+            raise ValueError("non-finite numbers are not serializable")
+        return "%.17g", column
+    if kinds == {tuple}:
+        distinct = set(column)
+        if {type(x) for v in distinct for x in v} - {int}:
+            raise TypeError("a column of tuples must hold ints only")
+        sep = "," + _pad(indent, 1)
+        formats = {
+            k: "[" + _pad(indent, 1) + sep.join(["%d"] * k) + _pad(indent, 0) + "]"
+            for k in set(map(len, distinct))
+        }
+        formats[0] = "[]"
+        encoded = {v: formats[len(v)] % v for v in distinct}
+        return "%s", [encoded[v] for v in column]
+    raise TypeError(f"cannot serialize a column of {sorted(k.__name__ for k in kinds)}")
 
 
 def _complex_to_doc(z: complex) -> dict:
@@ -116,12 +184,10 @@ def clique_tree_to_json(t: CliqueTree) -> dict:
 def matrix_to_json(a: np.ndarray) -> dict:
     a = np.asarray(a, dtype=complex)
     n = a.shape[0]
-    entries = [
-        {"i": i, "j": j, **_complex_to_doc(a[i, j])}
-        for i in range(n)
-        for j in range(i, n)
-    ]
-    return {"n": n, "entries": entries}
+    i, j = np.triu_indices(n)
+    upper = a[i, j]
+    columns = (i.tolist(), j.tolist(), upper.real.tolist(), upper.imag.tolist())
+    return {"n": n, "entries": _Table(("i", "j", "re", "im"), columns)}
 
 
 def matrix_from_json(doc) -> np.ndarray:
@@ -143,6 +209,14 @@ def matrix_from_json(doc) -> np.ndarray:
         out[i, j] = z
         out[j, i] = z.conjugate()
     return out
+
+
+def fill_log_to_json(log) -> _Table:
+    """The fill log of a completion as a list of {separator, pair} objects."""
+    return _Table(
+        ("separator", "pair"),
+        ([sep for sep, _ in log], [pair for _, pair in log]),
+    )
 
 
 # -- partial matrices ---------------------------------------------------------

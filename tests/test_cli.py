@@ -201,6 +201,15 @@ def test_tol_must_be_finite_and_nonnegative(capsys, tol):
     )
 
 
+@pytest.mark.parametrize("size", ["0", "-2", "two"])
+def test_block_size_must_be_a_positive_integer(capsys, size):
+    with pytest.raises(SystemExit) as exc:
+        main(["cb-norm", fx("matrix_identity4.json"), f"--block-size={size}"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert captured.err.splitlines()[-1].startswith("posext cb-norm: error: argument --block-size")
+
+
 ALL_COMMANDS = [
     ("chordal", "pattern_band1_n4.json"),
     ("chordal", "pattern_cycle4.json"),

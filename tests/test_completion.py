@@ -28,6 +28,7 @@ from posext import (
     verify_extension,
 )
 from posext.errors import (
+    DimensionMismatch,
     InputError,
     NotChordal,
     NotPartiallyPositive,
@@ -369,6 +370,17 @@ def test_cb_norm_block_case():
     blocks[:2, :2] = [[2, 1], [1, 2]]
     blocks[2:, 2:] = [[1, 0], [0, 0.5]]
     assert abs(cb_norm_positive(blocks, d=2) - 3.0) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [0, -2])
+def test_cb_norm_rejects_nonpositive_block_size(d):
+    with pytest.raises(DimensionMismatch, match="block size must be positive"):
+        cb_norm_positive(np.eye(4), d=d)
+
+
+def test_cb_norm_rejects_non_finite_multiplier():
+    with pytest.raises(InputError, match="non-finite"):
+        cb_norm_positive(np.array([[np.inf]]))
 
 
 def test_verify_extension_detects_perturbation():

@@ -29,6 +29,7 @@ from posext import (
 from posext.errors import (
     DimensionMismatch,
     DomainMismatch,
+    InputError,
     NoIdentity,
     NotAssociative,
     NotChordalSubset,
@@ -58,8 +59,44 @@ def test_validate_group_rejects_broken_tables():
         [3, 2, 4, 0, 1],
         [4, 3, 1, 2, 0],
     ]
-    with pytest.raises((NotAssociative, NoIdentity)):
+    with pytest.raises(NotAssociative) as exc:
         validate_group(table, 0)
+    assert str(exc.value) == "(1*1)*2 != 1*(1*2)"
+
+
+def _switched_table(rng: np.random.Generator, n: int) -> list[list[int]]:
+    """The table x*y = x XOR y of (Z_2)^k, n = 2^k, with one intercalate switched.
+
+    With b2 = b ^ a ^ a2 the cells (a, b), (a, b2), (a2, b), (a2, b2) hold
+    x, y over y, x; swapping them keeps a Latin square, and identity 0
+    when a, a2, b, b2 are all nonzero.
+    """
+    table = [[x ^ y for y in range(n)] for x in range(n)]
+    a, a2, b = (int(x) for x in rng.choice(np.arange(1, n), 3, replace=False))
+    if b == a ^ a2:
+        b = a
+    b2 = b ^ a ^ a2
+    for row in (a, a2):
+        table[row][b], table[row][b2] = table[row][b2], table[row][b]
+    return table
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_validate_group_reports_first_nonassociative_triple(seed):
+    """The scan reports the lexicographically first failing (a, b, c)."""
+    rng = np.random.default_rng(seed)
+    table = _switched_table(rng, int(rng.choice([8, 16])))
+    n = len(table)
+    a, b, c = next(
+        (a, b, c)
+        for a in range(n)
+        for b in range(n)
+        for c in range(n)
+        if table[table[a][b]][c] != table[a][table[b][c]]
+    )
+    with pytest.raises(NotAssociative) as exc:
+        validate_group(table, 0)
+    assert str(exc.value) == f"({a}*{b})*{c} != {a}*({b}*{c})"
 
 
 def test_klein_four_group_table():
@@ -189,6 +226,15 @@ def test_extension_full_subset_is_identity():
     u = group_function(z2, {0: 1.0, 1: 0.3})
     v = positive_definite_extension(z2, validate_subset(z2, {0, 1}), u)
     assert v(0) == 1.0 and v(1) == 0.3
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan, complex(0.5, -np.inf)])
+def test_group_function_rejects_non_finite_values(value):
+    z3 = cyclic_group(3)
+    with pytest.raises(InputError, match="non-finite"):
+        group_function(z3, {0: 1.0, 1: value, 2: np.conj(value)})
+    with pytest.raises(InputError, match="non-finite"):
+        group_function(z3, {0: value, 1: 0.5, 2: 0.5})
 
 
 def test_extension_klein_pair():

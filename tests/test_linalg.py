@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 
 from conftest import random_hermitian, random_psd
 from posext import linalg
-from posext.errors import NotPSD
+from posext.errors import InputError, NotPSD
 
 
 def test_eigh_examples():
@@ -120,3 +120,14 @@ def test_rank_one_factors_examples():
 def test_rank_one_factors_rejects_indefinite():
     with pytest.raises(NotPSD):
         linalg.rank_one_factors(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+
+@pytest.mark.parametrize(
+    "call", [linalg.eigh, linalg.is_psd, linalg.pseudo_inverse, linalg.rank_one_factors]
+)
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0, np.inf)])
+def test_non_finite_matrix_is_rejected(call, value):
+    a = np.eye(2, dtype=complex)
+    a[0, 1] = value
+    with pytest.raises(InputError, match="non-finite"):
+        call(a)

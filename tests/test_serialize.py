@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import random_chordal_pattern, random_psd
 from posext import (
@@ -43,6 +44,66 @@ def test_matrix_roundtrip():
     a = random_psd(rng, 5)
     back = ser.matrix_from_json(json.loads(ser.dumps(ser.matrix_to_json(a))))
     assert np.array_equal(back, a)
+
+
+@st.composite
+def hermitian_matrices(draw):
+    n = draw(st.integers(0, 12))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    a = np.zeros((n, n), dtype=complex)
+    for i in range(n):
+        for j in range(i, n):
+            z = complex(draw(finite), draw(finite) if i < j else 0.0)
+            a[i, j], a[j, i] = z, z.conjugate()
+    return a
+
+
+def explicit_matrix_doc(a) -> dict:
+    """The matrix document as the generic emitter walks it: one dict per entry."""
+    n = a.shape[0]
+    entries = [
+        {"i": i, "j": j, "re": float(a[i, j].real), "im": float(a[i, j].imag)}
+        for i in range(n)
+        for j in range(i, n)
+    ]
+    return {"n": n, "entries": entries}
+
+
+@given(hermitian_matrices(), st.booleans())
+def test_matrix_columns_emit_like_the_generic_walk(a, pretty):
+    got = ser.dumps({"matrix": ser.matrix_to_json(a)}, pretty)
+    assert got == ser.dumps({"matrix": explicit_matrix_doc(a)}, pretty)
+    assert np.array_equal(ser.matrix_from_json(ser.matrix_to_json(a)), a)
+
+
+@pytest.mark.parametrize("pretty", [False, True])
+@pytest.mark.parametrize(
+    "log",
+    [
+        (),
+        (((1,), (0, 2)),),
+        (((), (0, 3)), ((1, 2), (0, 4)), ((1,), (2, 5)), ((1, 2), (3, 4))),
+    ],
+)
+def test_fill_log_columns_emit_like_the_generic_walk(log, pretty):
+    explicit = [{"separator": list(sep), "pair": list(pair)} for sep, pair in log]
+    got = ser.dumps({"fill_log": ser.fill_log_to_json(log)}, pretty)
+    assert got == ser.dumps({"fill_log": explicit}, pretty)
+
+
+@pytest.mark.parametrize("pretty", [False, True])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0.5, np.nan)])
+def test_non_finite_matrix_entry_is_not_serializable(value, pretty):
+    a = np.eye(3, dtype=complex)
+    a[0, 2] = value
+    with pytest.raises(ValueError, match="non-finite"):
+        ser.dumps(ser.matrix_to_json(a), pretty)
+
+
+def test_empty_matrix_emits_no_entries():
+    doc = ser.matrix_to_json(np.zeros((0, 0)))
+    assert ser.dumps(doc) == '{"n":0,"entries":[]}'
+    assert ser.dumps(doc, pretty=True) == '{\n  "n": 0,\n  "entries": []\n}'
 
 
 def test_matrix_from_json_rejects_bad_entries():
