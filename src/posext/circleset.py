@@ -41,9 +41,17 @@ class CircleSet:
         return not any(iv.left_open or iv.right_open for iv in self.intervals)
 
 
+def _rational(x) -> Fraction:
+    """Fraction(x); a zero denominator or an infinite float is malformed input."""
+    try:
+        return Fraction(x)
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise InputError(f"not a finite rational: {x!r}") from exc
+
+
 def wrap(x) -> Fraction:
     """Reduce a rational modulo 2 into (-1, 1]."""
-    r = Fraction(x) % 2
+    r = _rational(x) % 2
     return r if r <= 1 else r - 2
 
 
@@ -59,7 +67,7 @@ def normalize(raw_intervals: Iterable[Sequence], raw_points: Iterable = ()) -> C
     segments: list[tuple[Fraction, Fraction]] = []
     points: set[Fraction] = set()
     for pair in raw_intervals:
-        a, b = Fraction(pair[0]), Fraction(pair[1])
+        a, b = _rational(pair[0]), _rational(pair[1])
         if a > b:
             raise EmptyIntervalWithReversedEndpoints(
                 f"interval [{a},{b}] has reversed endpoints; wrap by extending b past 1"
@@ -207,7 +215,7 @@ def cexi_truncation(depth: int, t: Sequence | None = None) -> CircleSet:
     if t is None:
         seq = [Fraction(1, k) for k in range(1, 2 * depth + 1)]
     else:
-        seq = [Fraction(x) for x in t]
+        seq = [_rational(x) for x in t]
         if len(seq) < 2 * depth:
             raise InputError(
                 f"need at least {2 * depth} sequence terms, got {len(seq)}"

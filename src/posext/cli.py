@@ -12,7 +12,6 @@ import argparse
 import json
 import math
 import sys
-from fractions import Fraction
 
 from . import circleset as circ
 from . import completion as comp
@@ -155,21 +154,25 @@ def _cmd_circle_predicates(args):
 
 
 def _cmd_cexi(args):
-    seq = None
-    if args.t is not None:
-        seq = [Fraction(term) for term in args.t.split(",")]
+    seq = None if args.t is None else args.t.split(",")
     return ser.circleset_to_json(circ.cexi_truncation(args.depth, seq))
 
 
 def _tolerance(text: str) -> float:
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
     if not 0.0 <= value < math.inf:
         raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
     return value
 
 
 def _block_size(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return value

@@ -15,7 +15,6 @@ import cmath
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -68,26 +67,27 @@ def _emit(value, out: list[str], indent: int | None) -> None:
         raise TypeError(f"cannot serialize value of type {type(value).__name__}")
 
 
+def _pad(indent: int | None, depth: int) -> str:
+    return "" if indent is None else "\n" + "  " * (indent + depth)
+
+
 def _emit_items(items, out, indent, open_ch, close_ch, key: bool) -> None:
     items = list(items)
     if not items:
         out.append(open_ch + close_ch)
         return
-    out.append(open_ch)
     nested = None if indent is None else indent + 1
-    for k, item in enumerate(items):
-        if k:
-            out.append("," if indent is None else ",")
-        if nested is not None:
-            out.append("\n" + "  " * nested)
+    pad = _pad(indent, 1)
+    sep = "," + pad
+    colon = ":" if indent is None else ": "
+    out.append(open_ch + pad)
+    for item in items:
         if key:
             name, item = item
-            out.append(json.dumps(str(name)))
-            out.append(": " if indent is not None else ":")
+            out.append(json.dumps(str(name)) + colon)
         _emit(item, out, nested)
-    if indent is not None:
-        out.append("\n" + "  " * indent)
-    out.append(close_ch)
+        out.append(sep)
+    out[-1] = _pad(indent, 0) + close_ch  # the last separator closes the list
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,10 +105,6 @@ class _Table:
         return (dict(zip(self.keys, row)) for row in zip(*self.columns))
 
 
-def _pad(indent: int | None, depth: int) -> str:
-    return "" if indent is None else "\n" + "  " * (indent + depth)
-
-
 def _emit_table(table: _Table, out: list[str], indent: int | None) -> None:
     if not table.columns[0]:
         out.append("[]")
@@ -117,7 +113,7 @@ def _emit_table(table: _Table, out: list[str], indent: int | None) -> None:
     specs, columns = zip(*(_column_format(c, value_indent) for c in table.columns))
     colon = ":" if indent is None else ": "
     fields = (
-        _pad(indent, 2) + json.dumps(key).replace("%", "%%") + colon + spec
+        _pad(indent, 2) + json.dumps(key) + colon + spec
         for key, spec in zip(table.keys, specs)
     )
     template = "{" + ",".join(fields) + _pad(indent, 1) + "}"
@@ -312,6 +308,5 @@ def circleset_to_json(e: CircleSet) -> dict:
 
 
 def circleset_from_json(doc) -> CircleSet:
-    intervals = [(Fraction(a), Fraction(b)) for a, b in doc["intervals"]]
-    points = [Fraction(p) for p in doc["points"]]
-    return normalize(intervals, points)
+    intervals = [(a, b) for a, b in doc["intervals"]]
+    return normalize(intervals, doc["points"])

@@ -181,6 +181,16 @@ def test_cexi_truncation_errors():
         cexi_truncation(0)
 
 
+@pytest.mark.parametrize("bad", ["1/0", "0/0", float("inf"), float("-inf")])
+def test_non_finite_rationals_are_input_errors(bad):
+    with pytest.raises(InputError, match="not a finite rational"):
+        normalize([(F(0), bad)])
+    with pytest.raises(InputError, match="not a finite rational"):
+        normalize([], [bad])
+    with pytest.raises(InputError, match="not a finite rational"):
+        cexi_truncation(1, [F(1, 2), bad])
+
+
 @pytest.mark.parametrize("depth", range(1, 11))
 def test_cexi_predicates_at_every_depth(depth):
     e = cexi_truncation(depth)

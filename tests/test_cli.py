@@ -190,7 +190,7 @@ def test_non_finite_input_exits_2(tmp_path, capsys, argv, path, value):
     assert captured.err.count("\n") == 1
 
 
-@pytest.mark.parametrize("tol", ["nan", "-5", "inf", "-inf"])
+@pytest.mark.parametrize("tol", ["nan", "-5", "inf", "-inf", "abc", ""])
 def test_tol_must_be_finite_and_nonnegative(capsys, tol):
     with pytest.raises(SystemExit) as exc:
         main(["partially-positive", fx("partial_band09_n3.json"), f"--tol={tol}"])
@@ -207,7 +207,32 @@ def test_block_size_must_be_a_positive_integer(capsys, size):
         main(["cb-norm", fx("matrix_identity4.json"), f"--block-size={size}"])
     captured = capsys.readouterr()
     assert exc.value.code == 2 and captured.out == ""
-    assert captured.err.splitlines()[-1].startswith("posext cb-norm: error: argument --block-size")
+    assert captured.err.splitlines()[-1] == (
+        "posext cb-norm: error: argument --block-size: "
+        f"expected a positive integer, got '{size}'"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, doc",
+    [
+        (["cexi", "3", "--t", "1/0"], None),
+        (["cexi", "1", "--t", "1/2,0/0"], None),
+        (["circle-predicates"], {"intervals": [["1/5", "1/0"]], "points": []}),
+        (["circle-predicates"], {"intervals": [], "points": ["0/0"]}),
+        (["circle-predicates"], {"intervals": [[0, math.inf]], "points": []}),
+    ],
+)
+def test_non_finite_rational_exits_2(tmp_path, capsys, argv, doc):
+    if doc is not None:
+        path = tmp_path / "circle.json"
+        path.write_text(json.dumps(doc))
+        argv = [*argv, str(path)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: InputError: not a finite rational")
+    assert captured.err.count("\n") == 1
 
 
 ALL_COMMANDS = [
