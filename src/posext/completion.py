@@ -8,8 +8,8 @@ clique along a clique tree with the zero-Schur-complement one-step fill
 
     X = M[A \\ S, S] (M[S, S])^+ M[S, B].
 
-The block case is reduced to the scalar case by expanding to an
-(n d) x (n d) matrix whose pattern replaces every vertex by d copies.
+Block-valued data is worked on as the dense (n d) x (n d) matrix of
+`expand`, whose support is the mask of `expanded_pattern`.
 """
 
 from __future__ import annotations
@@ -147,7 +147,11 @@ def partially_positive(
     Every specified square sits inside a maximal clique, so checking the
     maximal cliques alone is equivalent and cheaper.
     """
-    full = expand(m)
+    return _partially_positive(m, expand(m), tol)
+
+
+def _partially_positive(m: PartialHermitianMatrix, full: np.ndarray, tol):
+    """partially_positive(m, tol) with full = expand(m) already built."""
     for clique in maximal_cliques(m.pattern):
         idx = _expand_indices(clique, m.d)
         if not linalg.is_psd(full[np.ix_(idx, idx)], tol):
@@ -188,12 +192,12 @@ def positive_completion(
     """
     if not is_chordal(m.pattern):
         raise NotChordal("positive completion requires a chordal pattern")
-    ok, witness = partially_positive(m, tol)
+    full = expand(m)
+    ok, witness = _partially_positive(m, full, tol)
     if not ok:
         raise NotPartiallyPositive(f"clique {witness} has a non-PSD block")
 
     tree = clique_tree(m.pattern)
-    full = expand(m)
     log: list[tuple[tuple[int, ...], tuple[int, int]]] = []
     d = m.d
     seen_vertices: set[int] = set()
@@ -217,12 +221,11 @@ def positive_completion(
 
 
 def _check_supported(t: np.ndarray, p: Pattern) -> None:
-    scale = float(np.max(np.abs(t))) if t.size else 0.0
-    cut = _SUPPORT_REL * scale
-    for i in range(p.n):
-        for j in range(i + 1, p.n):
-            if not p.has_edge(i, j) and abs(t[i, j]) > cut:
-                raise NotSupported(f"entry ({i},{j}) lies outside the pattern")
+    mag = np.abs(t)
+    outside = np.argwhere(np.triu(mag > _SUPPORT_REL * mag.max(initial=0.0)) & ~p.mask)
+    if len(outside):
+        i, j = outside[0].tolist()
+        raise NotSupported(f"entry ({i},{j}) lies outside the pattern")
 
 
 def rank_one_positive_decomposition(
@@ -286,17 +289,11 @@ def apply_multiplier(m: PartialHermitianMatrix, t: np.ndarray) -> np.ndarray:
     The input matrix must be supported on the pattern; unspecified pairs
     map to zero blocks.
     """
-    t = np.asarray(t, dtype=complex)
-    if t.shape != (m.n, m.n):
-        raise DimensionMismatch(f"matrix has shape {t.shape}, expected {(m.n, m.n)}")
+    t = linalg.as_finite_matrix(t, m.n)
     _check_supported(t, m.pattern)
-    d = m.d
-    out = np.zeros((m.n * d, m.n * d), dtype=complex)
-    for i in range(m.n):
-        for j in range(m.n):
-            if m.pattern.has_edge(i, j):
-                out[i * d : (i + 1) * d, j * d : (j + 1) * d] = t[i, j] * m.block(i, j)
-    return out
+    scale = np.repeat(np.repeat(t, m.d, axis=0), m.d, axis=1)
+    # zeros are written, not multiplied in: 0 * t would leave -0 where t < 0
+    return np.where(expanded_pattern(m.pattern, m.d).mask, scale * expand(m), 0)
 
 
 def cb_norm_positive(phi: np.ndarray, d: int = 1, tol: float | None = None) -> float:
@@ -326,17 +323,6 @@ def verify_extension(
     m: PartialHermitianMatrix, phi: np.ndarray, tol: float | None = None
 ) -> bool:
     """True iff phi agrees with the partial matrix exactly and is PSD."""
-    phi = np.asarray(phi, dtype=complex)
-    d = m.d
-    if phi.shape != (m.n * d, m.n * d):
-        raise DimensionMismatch(
-            f"matrix has shape {phi.shape}, expected {(m.n * d, m.n * d)}"
-        )
-    for (i, j), block in m.blocks.items():
-        if not np.array_equal(phi[i * d : (i + 1) * d, j * d : (j + 1) * d], block):
-            return False
-        if i != j and not np.array_equal(
-            phi[j * d : (j + 1) * d, i * d : (i + 1) * d], block.conj().T
-        ):
-            return False
-    return linalg.is_psd(phi, tol)
+    phi = linalg.as_finite_matrix(phi, m.n * m.d)
+    support = expanded_pattern(m.pattern, m.d).mask
+    return np.array_equal(phi[support], expand(m)[support]) and linalg.is_psd(phi, tol)

@@ -7,12 +7,16 @@ to u(t s^{-1}); u is positive definite on E exactly when that partial
 matrix is partially positive. When E is a chordal subset, the completed
 kernel averaged over right translations yields a positive definite
 extension of u to all of G.
+
+Each group caches one quotient table Q[s, t] = t s^{-1}; the pattern of
+E and the kernels of functions on E or on G are lookups into it.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -20,9 +24,9 @@ from .completion import (
     PartialHermitianMatrix,
     partially_positive,
     positive_completion,
+    restrict_to_pattern,
 )
 from .errors import (
-    DimensionMismatch,
     DomainMismatch,
     InputError,
     NoIdentity,
@@ -34,7 +38,8 @@ from .errors import (
     NotPositiveDefinite,
     TooLarge,
 )
-from .pattern import Pattern, is_chordal, validate_pattern
+from .linalg import as_finite_matrix
+from .pattern import Pattern, is_chordal
 
 _WORD_ORACLE_CAP = 8
 
@@ -51,8 +56,12 @@ class FiniteGroup:
     def mul(self, s: int, t: int) -> int:
         return self.table[s][t]
 
-    def inv(self, s: int) -> int:
-        return self.inverse[s]
+    @cached_property
+    def quotient(self) -> np.ndarray:
+        """Read-only table Q[s, t] = t s^{-1}."""
+        q = np.array(self.table)[:, self.inverse].T
+        q.flags.writeable = False
+        return q
 
 
 @dataclass(frozen=True)
@@ -75,78 +84,75 @@ class GroupFunction:
         return frozenset(self.values)
 
 
+def _integers(values) -> tuple[int, ...]:
+    """The values as ints; InputError for a value that is not a whole number."""
+    try:
+        ints = tuple(map(int, values))
+    except (TypeError, ValueError, OverflowError):
+        ints = None
+    if ints is None or ints != tuple(values):
+        raise InputError(f"expected integers, got {values!r}")
+    return ints
+
+
 def validate_group(table, identity: int) -> FiniteGroup:
     """Check a multiplication table and compute the inverse map.
 
-    Raises NotLatinSquare, NoIdentity, NoInverse or NotAssociative as
-    appropriate.
+    Raises InputError for a non-integer entry or identity, NotLatinSquare,
+    NoIdentity, NoInverse or NotAssociative as appropriate.
     """
-    rows = [tuple(int(x) for x in row) for row in table]
+    rows = [_integers(row) for row in table]
     n = len(rows)
     if n == 0:
         raise NoIdentity("empty multiplication table")
     if any(len(row) != n for row in rows):
         raise NotLatinSquare("multiplication table is not square")
-    full = set(range(n))
-    if any(set(row) != full for row in rows):
+    mul = np.array(rows)  # dtype object if an entry exceeds int64
+    elements = np.arange(n)
+    if (np.sort(mul, axis=1) != elements).any():
         raise NotLatinSquare("some row is not a permutation")
-    for j in range(n):
-        if {rows[i][j] for i in range(n)} != full:
-            raise NotLatinSquare("some column is not a permutation")
-    e = int(identity)
+    if (np.sort(mul, axis=0) != elements[:, None]).any():
+        raise NotLatinSquare("some column is not a permutation")
+    (e,) = _integers([identity])
     if not 0 <= e < n:
         raise NoIdentity(f"identity index {e} outside [0,{n})")
-    if any(rows[e][s] != s or rows[s][e] != s for s in range(n)):
+    if (mul[e] != elements).any() or (mul[:, e] != elements).any():
         raise NoIdentity(f"element {e} is not a two-sided identity")
-    inverse = [-1] * n
-    for s in range(n):
-        t = rows[s].index(e)
-        if rows[t][s] != e:
-            raise NoInverse(f"element {s} has no two-sided inverse")
-        inverse[s] = t
-    mul = np.array(rows)
+    _, inverse = np.nonzero(mul == e)  # s * inverse[s] = e, one per row
+    (one_sided,) = np.nonzero(mul[inverse, elements] != e)
+    if len(one_sided):
+        raise NoInverse(f"element {one_sided[0]} has no two-sided inverse")
     for a in range(n):
         # (a*b)*c and a*(b*c) over all (b, c): one n x n slab per left factor.
         bad = np.argwhere(mul[mul[a]] != mul[a][mul])
         if len(bad):
             b, c = bad[0].tolist()
             raise NotAssociative(f"({a}*{b})*{c} != {a}*({b}*{c})")
-    return FiniteGroup(n, tuple(rows), e, tuple(inverse))
+    return FiniteGroup(n, tuple(rows), e, tuple(inverse.tolist()))
 
 
 def cyclic_group(n: int) -> FiniteGroup:
     """Additive group of integers modulo n."""
-    table = [[(a + b) % n for b in range(n)] for a in range(n)]
-    return validate_group(table, 0)
+    a = np.arange(n)
+    return validate_group(((a[:, None] + a) % n).tolist(), 0)
 
 
 def dihedral_group(n: int) -> FiniteGroup:
     """Symmetries of a regular n-gon, order 2n; indices 0..n-1 are rotations."""
     if n < 1:
         raise InputError(f"dihedral group needs n >= 1, got {n}")
-
-    def mul(x: int, y: int) -> int:
-        f1, a = divmod(x, n)
-        f2, b = divmod(y, n)
-        if f1 == 0:
-            return f2 * n + ((b - a) % n if f2 else (a + b) % n)
-        return (1 - f2) * n + ((a + b) % n if f2 == 0 else (b - a) % n)
-
-    table = [[mul(x, y) for y in range(2 * n)] for x in range(2 * n)]
-    return validate_group(table, 0)
+    # x = (f, a) is s^f r^a, and x * (g, b) = (f xor g, b + a if g == 0 else b - a)
+    flip, rot = np.divmod(np.arange(2 * n), n)
+    table = (flip[:, None] ^ flip) * n + (rot + (1 - 2 * flip) * rot[:, None]) % n
+    return validate_group(table.tolist(), 0)
 
 
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     """Direct product with element (a, b) encoded as a * |H| + b."""
     n, m = g.order, h.order
-    table = [
-        [
-            g.table[x // m][y // m] * m + h.table[x % m][y % m]
-            for y in range(n * m)
-        ]
-        for x in range(n * m)
-    ]
-    return validate_group(table, g.identity * m + h.identity)
+    gt, ht = np.array(g.table), np.array(h.table)
+    table = (gt[:, None, :, None] * m + ht[None, :, None, :]).reshape(n * m, n * m)
+    return validate_group(table.tolist(), g.identity * m + h.identity)
 
 
 def klein_four_group() -> FiniteGroup:
@@ -183,13 +189,8 @@ def group_function(g: FiniteGroup, values: dict[int, complex]) -> GroupFunction:
 
 def star_pattern(g: FiniteGroup, e: SymmetricSubset) -> Pattern:
     """Pattern with an edge between s and t whenever t s^{-1} lies in E."""
-    edges = [
-        (s, t)
-        for s in range(g.order)
-        for t in range(s + 1, g.order)
-        if g.mul(t, g.inverse[s]) in e.members
-    ]
-    return validate_pattern(g.order, edges)
+    s, t = np.nonzero(np.triu(np.isin(g.quotient, list(e.members)), 1))
+    return Pattern(g.order, frozenset(zip(s.tolist(), t.tolist())))
 
 
 def is_chordal_subset(g: FiniteGroup, e: SymmetricSubset) -> bool:
@@ -212,12 +213,9 @@ def word_chordality_oracle(g: FiniteGroup, e: SymmetricSubset) -> bool:
     steps = sorted(e.members - {g.identity})
 
     def has_chord(points: list[int]) -> bool:
-        n = len(points)
-        for i in range(n):
-            for k in range(i + 2, min(i + n - 1, n)):
-                if g.mul(points[k], g.inverse[points[i]]) in e.members:
-                    return True
-        return False
+        chords = np.triu(np.isin(g.quotient[np.ix_(points, points)], list(e.members)), 2)
+        chords[0, -1] = False  # the first and last point are neighbours on the walk
+        return bool(chords.any())
 
     def search(points: list[int]) -> bool:
         # points are the partial products, starting at the identity
@@ -250,12 +248,12 @@ def _kernel(
             f"function domain {sorted(u.domain())} differs from subset "
             f"{sorted(e.members)}"
         )
-    blocks = {}
-    for i in range(g.order):
-        blocks[(i, i)] = np.array([[u(g.identity)]], dtype=complex)
-    for i, j in p.edges:
-        blocks[(i, j)] = np.array([[u(g.mul(j, g.inverse[i]))]], dtype=complex)
-    return PartialHermitianMatrix(p, 1, blocks)
+    return restrict_to_pattern(_lookup(g, u)[g.quotient], p)
+
+
+def _lookup(g: FiniteGroup, u: GroupFunction) -> np.ndarray:
+    """u as an array over G, zero off its domain."""
+    return np.array([u.values.get(x, 0) for x in range(g.order)], dtype=complex)
 
 
 def is_positive_definite_on(
@@ -279,19 +277,13 @@ def invariantize(g: FiniteGroup, m: np.ndarray) -> GroupFunction:
     copies of M, hence PSD. Runs of identical entries short-circuit the
     mean so that already invariant kernels are reproduced exactly.
     """
-    m = np.asarray(m, dtype=complex)
-    if m.shape != (g.order, g.order):
-        raise DimensionMismatch(
-            f"matrix has shape {m.shape}, expected {(g.order, g.order)}"
-        )
+    m = as_finite_matrix(m, g.order)
+    # terms[x, r] = M(r, x r); Python's sum keeps the left-to-right rounding.
+    terms = m[np.arange(g.order), np.array(g.table)]
+    constant = (terms == terms[:, :1]).all(axis=1)
     vals: dict[int, complex] = {}
-    for x in range(g.order):
-        terms = [complex(m[r, g.mul(x, r)]) for r in range(g.order)]
-        first = terms[0]
-        if all(t == first for t in terms):
-            vals[x] = first
-        else:
-            vals[x] = sum(terms) / g.order
+    for x, row in enumerate(terms.tolist()):
+        vals[x] = row[0] if constant[x] else sum(row) / g.order
     for x in range(g.order):
         xi = g.inverse[x]
         if x < xi:
@@ -305,11 +297,7 @@ def invariant_kernel(g: FiniteGroup, f: GroupFunction) -> np.ndarray:
     """Kernel K(s, t) = f(t s^{-1}) of a function defined on all of G."""
     if f.domain() != frozenset(range(g.order)):
         raise DomainMismatch("kernel construction needs a function on all of G")
-    out = np.zeros((g.order, g.order), dtype=complex)
-    for s in range(g.order):
-        for t in range(g.order):
-            out[s, t] = f(g.mul(t, g.inverse[s]))
-    return out
+    return _lookup(g, f)[g.quotient]
 
 
 def positive_definite_extension(

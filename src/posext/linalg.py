@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NotPSD
+from .errors import DimensionMismatch, InputError, NotPSD
 
 _PINV_REL = 1e-12
 _SUPPORT_REL = 1e-12
@@ -28,6 +28,14 @@ def _as_matrix(a) -> np.ndarray:
     if not np.isfinite(m).all():
         raise InputError("matrix has a non-finite entry")
     return m
+
+
+def as_finite_matrix(a, n: int) -> np.ndarray:
+    """A complex n x n copy of a; DimensionMismatch or InputError otherwise."""
+    m = np.asarray(a, dtype=complex)
+    if m.shape != (n, n):
+        raise DimensionMismatch(f"matrix has shape {m.shape}, expected {(n, n)}")
+    return _as_matrix(m)
 
 
 def _max_diag(m: np.ndarray) -> float:

@@ -17,7 +17,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .errors import IndexOutOfRange, NotChordal, TooLarge
+import numpy as np
+
+from .errors import IndexOutOfRange, InputError, NotChordal, TooLarge
 
 _BRUTE_FORCE_CLIQUE_CAP = 20
 _CYCLE_ORACLE_CAP = 12
@@ -40,6 +42,15 @@ class Pattern:
             nbrs[i].add(j)
             nbrs[j].add(i)
         return tuple(frozenset(s) for s in nbrs)
+
+    @cached_property
+    def mask(self) -> np.ndarray:
+        """Read-only n x n support: the diagonal and both orientations of every edge."""
+        out = np.eye(self.n, dtype=bool)
+        i, j = np.array(list(self.edges), dtype=int).reshape(-1, 2).T
+        out[i, j] = out[j, i] = True
+        out.flags.writeable = False
+        return out
 
     def has_edge(self, i: int, j: int) -> bool:
         """True for every diagonal pair and for stored edges."""
@@ -88,14 +99,20 @@ def validate_pattern(n: int, edge_list: Iterable[Sequence[int]]) -> Pattern:
     """Build a normalized pattern from a raw edge list.
 
     Duplicate and reversed pairs are merged; loops are dropped (the
-    diagonal is implicit). Raises IndexOutOfRange for endpoints outside
-    [0, n).
+    diagonal is implicit). Raises InputError unless every edge is two
+    integers, and IndexOutOfRange for endpoints outside [0, n).
     """
     if n < 0:
         raise IndexOutOfRange(f"vertex count must be nonnegative, got {n}")
     edges = set()
     for pair in edge_list:
-        i, j = int(pair[0]), int(pair[1])
+        try:
+            a, b = pair
+            i, j = int(a), int(b)
+        except (TypeError, ValueError, OverflowError):
+            i = j = None
+        if i is None or i != a or j != b:
+            raise InputError(f"edge {pair!r} is not a pair of integers")
         if not (0 <= i < n) or not (0 <= j < n):
             raise IndexOutOfRange(f"edge ({i},{j}) outside [0,{n})")
         if i == j:

@@ -267,7 +267,7 @@ def group_to_json(g: FiniteGroup) -> dict:
 
 
 def group_from_json(doc) -> FiniteGroup:
-    return validate_group(doc["table"], int(doc["identity"]))
+    return validate_group(doc["table"], doc["identity"])
 
 
 def subset_to_json(e: SymmetricSubset) -> dict:

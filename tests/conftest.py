@@ -243,3 +243,143 @@ def random_pd_function(rng: np.random.Generator, g: FiniteGroup, e: SymmetricSub
         else:
             vals[x] = full[x]
     return group_function(g, vals)
+
+
+# -- reference loops ----------------------------------------------------------
+# Element-by-element versions of the table and support code in groupext and
+# completion. Tests compare the library against them exactly.
+
+def bits(values) -> bytes:
+    """Raw bytes of complex values: tells -0.0 from 0.0."""
+    return np.asarray(values, dtype=complex).tobytes()
+
+
+def ref_validate_group(table, identity: int):
+    """Reference for validate_group: (order, rows, identity, inverse) or raises."""
+    from posext.errors import NoIdentity, NoInverse, NotAssociative, NotLatinSquare
+
+    rows = [tuple(int(x) for x in row) for row in table]
+    n = len(rows)
+    if n == 0:
+        raise NoIdentity("empty multiplication table")
+    if any(len(row) != n for row in rows):
+        raise NotLatinSquare("multiplication table is not square")
+    full = set(range(n))
+    if any(set(row) != full for row in rows):
+        raise NotLatinSquare("some row is not a permutation")
+    for j in range(n):
+        if {rows[i][j] for i in range(n)} != full:
+            raise NotLatinSquare("some column is not a permutation")
+    e = int(identity)
+    if not 0 <= e < n:
+        raise NoIdentity(f"identity index {e} outside [0,{n})")
+    if any(rows[e][s] != s or rows[s][e] != s for s in range(n)):
+        raise NoIdentity(f"element {e} is not a two-sided identity")
+    inverse = [-1] * n
+    for s in range(n):
+        t = rows[s].index(e)
+        if rows[t][s] != e:
+            raise NoInverse(f"element {s} has no two-sided inverse")
+        inverse[s] = t
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if rows[rows[a][b]][c] != rows[a][rows[b][c]]:
+                    raise NotAssociative(f"({a}*{b})*{c} != {a}*({b}*{c})")
+    return n, tuple(rows), e, tuple(inverse)
+
+
+def ref_dihedral_table(n: int) -> list[list[int]]:
+    def mul(x: int, y: int) -> int:
+        f1, a = divmod(x, n)
+        f2, b = divmod(y, n)
+        if f1 == 0:
+            return f2 * n + ((b - a) % n if f2 else (a + b) % n)
+        return (1 - f2) * n + ((a + b) % n if f2 == 0 else (b - a) % n)
+
+    return [[mul(x, y) for y in range(2 * n)] for x in range(2 * n)]
+
+
+def ref_direct_product_table(g: FiniteGroup, h: FiniteGroup) -> list[list[int]]:
+    n, m = g.order, h.order
+    return [
+        [g.table[x // m][y // m] * m + h.table[x % m][y % m] for y in range(n * m)]
+        for x in range(n * m)
+    ]
+
+
+def ref_star_edges(g: FiniteGroup, e: SymmetricSubset) -> set[tuple[int, int]]:
+    return {
+        (s, t)
+        for s in range(g.order)
+        for t in range(s + 1, g.order)
+        if g.mul(t, g.inverse[s]) in e.members
+    }
+
+
+def ref_kernel_blocks(g: FiniteGroup, u, p: Pattern) -> dict:
+    blocks = {}
+    for i in range(g.order):
+        blocks[(i, i)] = np.array([[u(g.identity)]], dtype=complex)
+    for i, j in p.edges:
+        blocks[(i, j)] = np.array([[u(g.mul(j, g.inverse[i]))]], dtype=complex)
+    return blocks
+
+
+def ref_invariant_kernel(g: FiniteGroup, f) -> np.ndarray:
+    out = np.zeros((g.order, g.order), dtype=complex)
+    for s in range(g.order):
+        for t in range(g.order):
+            out[s, t] = f(g.mul(t, g.inverse[s]))
+    return out
+
+
+def ref_invariantize(g: FiniteGroup, m: np.ndarray) -> dict[int, complex]:
+    m = np.asarray(m, dtype=complex)
+    vals: dict[int, complex] = {}
+    for x in range(g.order):
+        terms = [complex(m[r, g.mul(x, r)]) for r in range(g.order)]
+        first = terms[0]
+        if all(t == first for t in terms):
+            vals[x] = first
+        else:
+            vals[x] = sum(terms) / g.order
+    for x in range(g.order):
+        xi = g.inverse[x]
+        if x < xi:
+            vals[xi] = vals[x].conjugate()
+        elif x == xi:
+            vals[x] = complex(vals[x].real, 0.0)
+    return vals
+
+
+def ref_first_unsupported(t: np.ndarray, p: Pattern, rel: float):
+    """First (i, j), i < j, off the pattern with |t[i, j]| above rel * max |t|."""
+    cut = rel * (float(np.max(np.abs(t))) if t.size else 0.0)
+    for i in range(p.n):
+        for j in range(i + 1, p.n):
+            if not p.has_edge(i, j) and abs(t[i, j]) > cut:
+                return i, j
+    return None
+
+
+def ref_apply_multiplier(m, t: np.ndarray) -> np.ndarray:
+    d = m.d
+    out = np.zeros((m.n * d, m.n * d), dtype=complex)
+    for i in range(m.n):
+        for j in range(m.n):
+            if m.pattern.has_edge(i, j):
+                out[i * d : (i + 1) * d, j * d : (j + 1) * d] = t[i, j] * m.block(i, j)
+    return out
+
+
+def ref_agrees_on_pattern(m, phi: np.ndarray) -> bool:
+    d = m.d
+    for (i, j), block in m.blocks.items():
+        if not np.array_equal(phi[i * d : (i + 1) * d, j * d : (j + 1) * d], block):
+            return False
+        if i != j and not np.array_equal(
+            phi[j * d : (j + 1) * d, i * d : (i + 1) * d], block.conj().T
+        ):
+            return False
+    return True

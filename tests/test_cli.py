@@ -66,6 +66,27 @@ def test_malformed_input_exits_2(tmp_path, capsys):
     assert run_cli(capsys, "chordal", str(wrong))[0] == 2
 
 
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("chordal", {"n": 3, "edges": [[0]]}),
+        ("chordal", {"n": 3, "edges": [[0, 1, 2]]}),
+        ("chordal", {"n": 3, "edges": [[0.5, 1]]}),
+        ("chordal", {"n": 3, "edges": [["0", 1]]}),
+        ("group-validate", {"table": [[0, 1], [1, 0.5]], "identity": 0}),
+        ("group-validate", {"table": [[0, 1], [1, 0]], "identity": 0.7}),
+    ],
+)
+def test_malformed_integers_exit_2(tmp_path, capsys, command, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code = main([command, str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: InputError: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_size_limit_exits_4(tmp_path, capsys):
     n = 22
     edges = [[i, (i + 1) % n] for i in range(n)]
@@ -258,6 +279,9 @@ ALL_COMMANDS = [
     ("group-extend", "group_z6.json", "subset_z6_evens.json", "fn_z6_evens.json"),
     ("group-extend", "group_z4.json", "subset_z4_02.json", "fn_z4.json"),
     ("group-extend", "group_klein.json", "subset_klein_pair.json", "fn_klein.json"),
+    ("star-pattern", "group_s3.json", "subset_s3_reflection.json"),
+    ("pd-check", "group_s3.json", "subset_s3_reflection.json", "fn_s3_reflection.json"),
+    ("group-extend", "group_s3.json", "subset_s3_reflection.json", "fn_s3_reflection.json"),
     ("circle-predicates", "circle_symmetric.json"),
     ("circle-predicates", "circle_asym.json"),
 ]

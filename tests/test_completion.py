@@ -5,20 +5,28 @@ from hypothesis import given, strategies as st
 from conftest import (
     assert_valid_clique_tree,
     band_pattern,
+    bits,
     complete_pattern,
     cycle_pattern,
     psd_supported_on,
     random_chordal_components,
     random_chordal_pattern,
+    random_pattern,
     random_psd,
+    ref_agrees_on_pattern,
+    ref_apply_multiplier,
+    ref_first_unsupported,
 )
 from posext import (
     PartialHermitianMatrix,
     apply_multiplier,
     cb_norm_positive,
     clique_tree,
+    cyclic_group,
     expand,
     expanded_pattern,
+    invariantize,
+    is_psd,
     maximal_cliques,
     partially_positive,
     positive_completion,
@@ -394,3 +402,91 @@ def test_verify_extension_detects_perturbation():
     not_psd = good.copy()
     not_psd[0, 2] = not_psd[2, 0] = -5.0
     assert not verify_extension(m, not_psd)
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_unsupported_entry_is_the_first_the_reference_loop_finds(seed):
+    """Off-pattern entries at or below 1e-10 of the largest pass; the first larger one is named."""
+    rng = np.random.default_rng(900 + seed)
+    n = int(rng.integers(2, 9))
+    p = random_pattern(rng, n, n)
+    t = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if not p.has_edge(i, j):
+                size = rng.choice([0.0, -0.0, 1e-11, 1e-10, 1e-9], p=[0.3, 0.3, 0.15, 0.15, 0.1])
+                t[i, j] = size * np.abs(t).max()
+    m = restrict_to_pattern(random_psd(rng, n), p)
+    first = ref_first_unsupported(t, p, 1e-10)
+    if first is None:
+        assert bits(apply_multiplier(m, t)) == bits(ref_apply_multiplier(m, t))
+    else:
+        with pytest.raises(NotSupported, match=r"^entry \(%d,%d\) " % first):
+            apply_multiplier(m, t)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("seed", range(8))
+def test_multiplier_and_verification_match_reference_loops(d, seed):
+    """Signed zeros survive in the blocks and never appear off the pattern."""
+    rng = np.random.default_rng(40 * d + seed)
+    n = int(rng.integers(1, 7))
+    p = random_pattern(rng, n, 2 * n)
+    a = random_psd(rng, n * d)
+    side = rng.random(n * d) < 0.5
+    a[side[:, None] != side[None, :]] = -0.0  # still PSD: a compression
+    m = restrict_to_pattern(a, p, d)
+
+    t = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    t[rng.random((n, n)) < 0.3] = -0.0
+    for i in range(n):
+        for j in range(n):
+            if not p.has_edge(i, j):
+                t[i, j] = 0.0
+    assert bits(apply_multiplier(m, t)) == bits(ref_apply_multiplier(m, t))
+
+    unsigned = a + 0.0  # -0.0 + 0.0 is +0.0
+    nudged_on = a.copy()
+    nudged_off = a.copy()
+    if p.edges:
+        i, j = min(p.edges)
+        nudged_on[i * d, j * d] += 1e-3
+    if len(p.edges) < n * (n - 1) // 2:
+        i, j = next((i, j) for i in range(n) for j in range(i + 1, n) if not p.has_edge(i, j))
+        nudged_off[i * d, j * d] += 1e-3
+        nudged_off[j * d, i * d] += 1e-3
+    for phi in [a, unsigned, nudged_on, nudged_off, expand(m)]:
+        expected = ref_agrees_on_pattern(m, phi) and is_psd(phi)
+        assert verify_extension(m, phi) == expected
+    assert verify_extension(m, unsigned)
+
+
+def _nan_off_diagonal():
+    phi = positive_completion(band09_example()).matrix.copy()
+    phi[0, 1] = phi[1, 0] = np.nan
+    return phi
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(
+            lambda: apply_multiplier(
+                restrict_to_pattern(np.eye(2), validate_pattern(2, [(0, 1)])),
+                np.array([[1, np.inf], [np.inf, 1]]),
+            ),
+            id="apply-multiplier-inf",
+        ),
+        pytest.param(
+            lambda: verify_extension(band09_example(), _nan_off_diagonal()),
+            id="verify-extension-nan",
+        ),
+        pytest.param(
+            lambda: invariantize(cyclic_group(3), np.full((3, 3), np.inf)),
+            id="invariantize-inf",
+        ),
+    ],
+)
+def test_library_calls_reject_non_finite_arrays(call):
+    with pytest.raises(InputError, match="non-finite"):
+        call()

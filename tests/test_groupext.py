@@ -4,8 +4,16 @@ from hypothesis import given, strategies as st
 
 from conftest import (
     all_small_groups,
+    bits,
     random_pd_function,
     random_psd,
+    ref_dihedral_table,
+    ref_direct_product_table,
+    ref_invariant_kernel,
+    ref_invariantize,
+    ref_kernel_blocks,
+    ref_star_edges,
+    ref_validate_group,
     symmetric_subsets,
 )
 from posext import (
@@ -305,3 +313,95 @@ def test_extension_correctness_random_functions(name, g):
             scale = 1 + abs(u(g.identity))
             assert np.linalg.eigvalsh(kernel).min() >= -1e-9 * scale
             assert abs(cb_norm_positive(kernel) - u(g.identity).real) <= 1e-10
+
+
+# Every small group plus two non-abelian ones, where t s^-1 and s^-1 t differ.
+GROUPS = all_small_groups() + [
+    ("D4", dihedral_group(4)),
+    ("Z2xS3", direct_product(cyclic_group(2), dihedral_group(3))),
+]
+
+
+@pytest.mark.parametrize("name,g", GROUPS)
+def test_quotient_lookups_match_reference_loops(name, g):
+    rng = np.random.default_rng(len(name) * 1000 + g.order)
+    for e in symmetric_subsets(g):
+        p = star_pattern(g, e)
+        assert p.edges == ref_star_edges(g, e)
+        u = random_pd_function(rng, g, e)
+        blocks = n_transform(g, e, u).blocks
+        expected = ref_kernel_blocks(g, u, p)
+        assert blocks.keys() == expected.keys()
+        assert all(bits(blocks[k]) == bits(expected[k]) for k in blocks)
+    f = random_pd_function(rng, g, validate_subset(g, range(g.order)))
+    assert bits(invariant_kernel(g, f)) == bits(ref_invariant_kernel(g, f))
+
+
+@pytest.mark.parametrize("name,g", GROUPS)
+def test_invariantize_matches_reference_bitwise(name, g):
+    rng = np.random.default_rng(g.order)
+    f = random_pd_function(rng, g, validate_subset(g, range(g.order)))
+    signed_zeros = np.where(rng.random((g.order, g.order)) < 0.5, -0.0, 0.0)
+    for m in [
+        random_psd(rng, g.order),
+        invariant_kernel(g, f),  # already invariant: reproduced exactly
+        signed_zeros + 1j * signed_zeros.T,
+    ]:
+        got = invariantize(g, m).values
+        expected = ref_invariantize(g, m)
+        assert got.keys() == expected.keys()
+        assert bits([got[x] for x in range(g.order)]) == bits(
+            [expected[x] for x in range(g.order)]
+        )
+    assert invariantize(g, invariant_kernel(g, f)).values == f.values
+
+
+def test_dihedral_and_direct_product_tables_match_reference_loops():
+    for n in range(1, 7):
+        assert dihedral_group(n).table == tuple(map(tuple, ref_dihedral_table(n)))
+    for (_, g), (_, h) in zip(GROUPS, GROUPS[3:] + GROUPS[:3]):
+        got = direct_product(g, h)
+        assert got.table == tuple(map(tuple, ref_direct_product_table(g, h)))
+        assert got.identity == g.identity * h.order + h.identity
+
+
+_Z3 = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+
+
+@pytest.mark.parametrize(
+    "table, identity",
+    [
+        pytest.param([], 0, id="empty"),
+        pytest.param([[0, 1], [1]], 0, id="ragged"),
+        pytest.param([[0, 1, 2], [1, 2, 0]], 0, id="not-square"),
+        pytest.param([[0, 1, 2], [1, 2, 0], [2, 0, -1]], 0, id="negative"),
+        pytest.param([[0, 1, 2], [1, 2, 0], [2, 0, 10**30]], 0, id="huge"),
+        pytest.param([[0, 1, 2], [1, 2, 0], [1, 0, 2]], 0, id="column"),
+        pytest.param(_Z3, 3, id="identity-out-of-range"),
+        pytest.param(_Z3, 1, id="no-identity"),
+        pytest.param(
+            [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 3, 4, 0, 1], [3, 4, 1, 2, 0], [4, 2, 0, 1, 3]],
+            0,
+            id="loop-without-inverses",
+        ),
+        pytest.param(
+            [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]],
+            0,
+            id="non-associative",
+        ),
+        pytest.param(_switched_table(np.random.default_rng(5), 8), 0, id="switched"),
+    ],
+)
+def test_validate_group_rejections_match_reference(table, identity):
+    with pytest.raises(InputError) as expected:
+        ref_validate_group(table, identity)
+    with pytest.raises(InputError) as got:
+        validate_group(table, identity)
+    assert type(got.value) is type(expected.value)
+    assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("name,g", GROUPS)
+def test_validate_group_accepts_what_the_reference_accepts(name, g):
+    rows = [list(row) for row in g.table]
+    assert (g.order, g.table, g.identity, g.inverse) == ref_validate_group(rows, g.identity)
