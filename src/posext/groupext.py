@@ -4,12 +4,25 @@ A symmetric subset E of a finite group G induces the translation
 invariant pattern with an edge between s and t whenever t s^{-1} lies in
 E. A function u on E turns into a partial matrix with entry (s, t) equal
 to u(t s^{-1}); u is positive definite on E exactly when that partial
-matrix is partially positive. When E is a chordal subset, the completed
-kernel averaged over right translations yields a positive definite
-extension of u to all of G.
+matrix is partially positive.
 
-Each group caches one quotient table Q[s, t] = t s^{-1}; the pattern of
-E and the kernels of functions on E or on G are lookups into it.
+E is a chordal subset, meaning its induced pattern is chordal, exactly
+when E is a subgroup H. If H is a subgroup, s and t are joined iff t lies
+in the right coset H s, so the pattern is a disjoint union of cliques.
+Conversely, right translation (s, t) -> (s r, t r) preserves t s^{-1}, so
+the pattern is vertex-transitive; a chordal graph has a simplicial
+vertex (Dirac 1961), hence every vertex is simplicial, and the closed
+neighbourhood E of the identity is a clique: t s^{-1} lies in E for all
+s, t in E, which makes E a subgroup. The clique tree of a subgroup's
+pattern has the right cosets as cliques and only empty separators, so
+the completion of the kernel of u is zero off the cosets, and averaging
+it over right translations gives back u extended by zero (Rudin 1963).
+The extension therefore checks each coset block for positivity and
+extends by zero, without building the pattern or the completion.
+
+Each group caches its multiplication table as one array and one
+quotient table Q[s, t] = t s^{-1}; the pattern of E, the subgroup test
+and the kernels of functions on E or on G are lookups into them.
 """
 
 from __future__ import annotations
@@ -20,12 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .completion import (
-    PartialHermitianMatrix,
-    partially_positive,
-    positive_completion,
-    restrict_to_pattern,
-)
+from .completion import PartialHermitianMatrix, partially_positive, restrict_to_pattern
 from .errors import (
     DomainMismatch,
     InputError,
@@ -34,12 +42,11 @@ from .errors import (
     NotAssociative,
     NotChordalSubset,
     NotLatinSquare,
-    NotPartiallyPositive,
     NotPositiveDefinite,
     TooLarge,
 )
-from .linalg import as_finite_matrix
-from .pattern import Pattern, is_chordal
+from .linalg import as_finite_matrix, is_psd
+from .pattern import Pattern
 
 _WORD_ORACLE_CAP = 8
 
@@ -57,9 +64,16 @@ class FiniteGroup:
         return self.table[s][t]
 
     @cached_property
+    def table_array(self) -> np.ndarray:
+        """Read-only array of the table, M[s, t] = s t."""
+        m = np.array(self.table)
+        m.flags.writeable = False
+        return m
+
+    @cached_property
     def quotient(self) -> np.ndarray:
         """Read-only table Q[s, t] = t s^{-1}."""
-        q = np.array(self.table)[:, self.inverse].T
+        q = self.table_array[:, self.inverse].T
         q.flags.writeable = False
         return q
 
@@ -98,6 +112,12 @@ def _integers(values) -> tuple[int, ...]:
 def validate_group(table, identity: int) -> FiniteGroup:
     """Check a multiplication table and compute the inverse map.
 
+    Associativity is decided by Light's test: the elements b with
+    (x b) y = x (b y) for all x, y form a set closed under the product,
+    so the law holds everywhere once it holds for a generating set, and
+    a greedy one has at most log2(n) elements. Only when it fails is the
+    table scanned for the lexicographically first failing triple.
+
     Raises InputError for a non-integer entry or identity, NotLatinSquare,
     NoIdentity, NoInverse or NotAssociative as appropriate.
     """
@@ -122,13 +142,41 @@ def validate_group(table, identity: int) -> FiniteGroup:
     (one_sided,) = np.nonzero(mul[inverse, elements] != e)
     if len(one_sided):
         raise NoInverse(f"element {one_sided[0]} has no two-sided inverse")
-    for a in range(n):
-        # (a*b)*c and a*(b*c) over all (b, c): one n x n slab per left factor.
-        bad = np.argwhere(mul[mul[a]] != mul[a][mul])
-        if len(bad):
-            b, c = bad[0].tolist()
-            raise NotAssociative(f"({a}*{b})*{c} != {a}*({b}*{c})")
-    return FiniteGroup(n, tuple(rows), e, tuple(inverse.tolist()))
+    # Light's test: (x b) y against x (b y) over all (x, y), b a generator.
+    if not all((mul[mul[:, b]] == mul[:, mul[b]]).all() for b in _generators(mul, e)):
+        for a in range(n):
+            # (a*b)*c and a*(b*c) over all (b, c): one n x n slab per left factor.
+            bad = np.argwhere(mul[mul[a]] != mul[a][mul])
+            if len(bad):
+                b, c = bad[0].tolist()
+                raise NotAssociative(f"({a}*{b})*{c} != {a}*({b}*{c})")
+    g = FiniteGroup(n, tuple(rows), e, tuple(inverse.tolist()))
+    mul.flags.writeable = False
+    vars(g)["table_array"] = mul  # the checked array seeds the cached property
+    return g
+
+
+def _generators(mul: np.ndarray, e: int) -> list[int]:
+    """Greedy generating set of a finite loop: each element not yet generated joins.
+
+    The generated set is the closure under the product. Each new generator
+    lies outside a subloop L, so its coset x L is disjoint from L and the
+    generated set at least doubles.
+    """
+    inside = np.zeros(len(mul), dtype=bool)
+    inside[e] = True
+    gens = []
+    for x in range(len(mul)):
+        if inside[x]:
+            continue
+        gens.append(x)
+        inside[x] = True
+        size = 0
+        while size < inside.sum():
+            size = inside.sum()
+            members = np.flatnonzero(inside)
+            inside[mul[np.ix_(members, members)]] = True
+    return gens
 
 
 def cyclic_group(n: int) -> FiniteGroup:
@@ -150,7 +198,7 @@ def dihedral_group(n: int) -> FiniteGroup:
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     """Direct product with element (a, b) encoded as a * |H| + b."""
     n, m = g.order, h.order
-    gt, ht = np.array(g.table), np.array(h.table)
+    gt, ht = g.table_array, h.table_array
     table = (gt[:, None, :, None] * m + ht[None, :, None, :]).reshape(n * m, n * m)
     return validate_group(table.tolist(), g.identity * m + h.identity)
 
@@ -161,7 +209,7 @@ def klein_four_group() -> FiniteGroup:
 
 def validate_subset(g: FiniteGroup, members) -> SymmetricSubset:
     """Check that a subset contains the identity and is inverse-closed."""
-    got = frozenset(int(x) for x in members)
+    got = frozenset(_integers(tuple(members)))
     if any(x < 0 or x >= g.order for x in got):
         raise DomainMismatch(f"subset members outside [0,{g.order})")
     if g.identity not in got:
@@ -194,8 +242,27 @@ def star_pattern(g: FiniteGroup, e: SymmetricSubset) -> Pattern:
 
 
 def is_chordal_subset(g: FiniteGroup, e: SymmetricSubset) -> bool:
-    """True iff the induced pattern is chordal."""
-    return is_chordal(star_pattern(g, e))
+    """True iff the induced pattern is chordal, that is iff E is a subgroup.
+
+    E is inverse-closed and holds the identity, so it is a subgroup iff
+    t s^{-1} lies in E for all s, t in E: |E|^2 lookups into the quotient
+    table.
+    """
+    members = sorted(e.members)
+    inside = np.zeros(g.order, dtype=bool)
+    inside[members] = True
+    return bool(inside[g.quotient[np.ix_(members, members)]].all())
+
+
+def _right_cosets(g: FiniteGroup, h: SymmetricSubset) -> np.ndarray:
+    """The right cosets H s of a subgroup as sorted rows, by least element.
+
+    Disjoint sorted rows ordered by their first entry are in
+    lexicographic order, the order in which maximal_cliques lists the
+    cliques of the induced pattern.
+    """
+    columns = np.sort(g.table_array[sorted(h.members)], axis=0)  # column s: H s
+    return columns[:, columns[0] == np.arange(g.order)].T
 
 
 def word_chordality_oracle(g: FiniteGroup, e: SymmetricSubset) -> bool:
@@ -237,18 +304,17 @@ def n_transform(
     g: FiniteGroup, e: SymmetricSubset, u: GroupFunction
 ) -> PartialHermitianMatrix:
     """Partial matrix on the induced pattern with entry (s, t) = u(t s^{-1})."""
-    return _kernel(g, e, u, star_pattern(g, e))
+    p = star_pattern(g, e)
+    _check_domain(e, u)
+    return restrict_to_pattern(_lookup(g, u)[g.quotient], p)
 
 
-def _kernel(
-    g: FiniteGroup, e: SymmetricSubset, u: GroupFunction, p: Pattern
-) -> PartialHermitianMatrix:
+def _check_domain(e: SymmetricSubset, u: GroupFunction) -> None:
     if u.domain() != e.members:
         raise DomainMismatch(
             f"function domain {sorted(u.domain())} differs from subset "
             f"{sorted(e.members)}"
         )
-    return restrict_to_pattern(_lookup(g, u)[g.quotient], p)
 
 
 def _lookup(g: FiniteGroup, u: GroupFunction) -> np.ndarray:
@@ -279,11 +345,16 @@ def invariantize(g: FiniteGroup, m: np.ndarray) -> GroupFunction:
     """
     m = as_finite_matrix(m, g.order)
     # terms[x, r] = M(r, x r); Python's sum keeps the left-to-right rounding.
-    terms = m[np.arange(g.order), np.array(g.table)]
+    terms = m[np.arange(g.order), g.table_array]
     constant = (terms == terms[:, :1]).all(axis=1)
     vals: dict[int, complex] = {}
     for x, row in enumerate(terms.tolist()):
         vals[x] = row[0] if constant[x] else sum(row) / g.order
+    return _hermitian(g, vals)
+
+
+def _hermitian(g: FiniteGroup, vals: dict[int, complex]) -> GroupFunction:
+    """vals made Hermitian-symmetric: conjugates at the larger index of each inverse pair."""
     for x in range(g.order):
         xi = g.inverse[x]
         if x < xi:
@@ -305,15 +376,24 @@ def positive_definite_extension(
 ) -> GroupFunction:
     """Extend a positive definite function on a chordal subset to all of G.
 
-    The kernel of u is completed along the clique tree of the induced
-    pattern and the completion is averaged over right translations. The
-    result restricts to u exactly and has a PSD kernel.
+    A chordal subset is a subgroup H (see the module docstring), whose
+    kernel is block diagonal over the right cosets. u is positive
+    definite iff each coset's |H| x |H| block is PSD. The extension is u
+    extended by zero and made Hermitian as invariantize does, which is
+    bit for bit what completing the kernel along its clique tree and
+    averaging over right translations gives. It restricts to u exactly
+    and has a PSD kernel.
     """
-    p = star_pattern(g, e)
-    if not is_chordal(p):
+    if not is_chordal_subset(g, e):
         raise NotChordalSubset("subset does not induce a chordal pattern")
-    try:
-        completed = positive_completion(_kernel(g, e, u, p), tol)
-    except NotPartiallyPositive as exc:
-        raise NotPositiveDefinite(f"kernel fails: {exc}") from exc
-    return invariantize(g, completed.matrix)
+    _check_domain(e, u)
+    cosets = _right_cosets(g, e)
+    blocks = _lookup(g, u)[g.quotient[cosets[:, :, None], cosets[:, None, :]]]
+    upper = np.triu(np.ones(blocks.shape[1:], dtype=bool))
+    for coset, block in zip(cosets.tolist(), blocks):
+        # the lower triangle mirrors the upper one, as completion.expand builds it
+        if not is_psd(np.where(upper, block, block.conj().T), tol):
+            raise NotPositiveDefinite(
+                f"kernel fails: clique {tuple(coset)} has a non-PSD block"
+            )
+    return _hermitian(g, {x: u.values.get(x, 0j) for x in range(g.order)})

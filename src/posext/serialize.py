@@ -26,6 +26,7 @@ from .groupext import (
     FiniteGroup,
     GroupFunction,
     SymmetricSubset,
+    _integers,
     group_function,
     validate_group,
     validate_subset,
@@ -164,7 +165,8 @@ def pattern_to_json(p: Pattern) -> dict:
 
 
 def pattern_from_json(doc) -> Pattern:
-    return validate_pattern(int(doc["n"]), doc["edges"])
+    (n,) = _integers([doc["n"]])
+    return validate_pattern(n, doc["edges"])
 
 
 def clique_tree_to_json(t: CliqueTree) -> dict:
@@ -187,13 +189,13 @@ def matrix_to_json(a: np.ndarray) -> dict:
 
 
 def matrix_from_json(doc) -> np.ndarray:
-    n = int(doc["n"])
+    (n,) = _integers([doc["n"]])
     if n < 0:
         raise InputError(f"matrix dimension must be nonnegative, got {n}")
     out = np.zeros((n, n), dtype=complex)
     seen = set()
     for entry in doc["entries"]:
-        i, j = int(entry["i"]), int(entry["j"])
+        i, j = _integers((entry["i"], entry["j"]))
         if not (0 <= i <= j < n):
             raise InputError(f"entry ({i},{j}) must satisfy 0 <= i <= j < {n}")
         if (i, j) in seen:
@@ -239,12 +241,12 @@ def partial_to_json(m: PartialHermitianMatrix) -> dict:
 
 def partial_from_json(doc) -> PartialHermitianMatrix:
     p = pattern_from_json(doc["pattern"])
-    if int(doc["n"]) != p.n:
+    (n, d) = _integers((doc["n"], doc["d"]))
+    if n != p.n:
         raise InputError(f"n = {doc['n']} disagrees with the pattern's {p.n}")
-    d = int(doc["d"])
     blocks = {}
     for item in doc["blocks"]:
-        i, j = int(item["i"]), int(item["j"])
+        i, j = _integers((item["i"], item["j"]))
         if i > j:
             raise InputError(f"blocks list (i,j) with i <= j only, got ({i},{j})")
         if (i, j) in blocks:
@@ -289,7 +291,7 @@ def function_to_json(f: GroupFunction) -> dict:
 def function_from_json(doc, g: FiniteGroup) -> GroupFunction:
     vals = {}
     for item in doc["values"]:
-        k = int(item["g"])
+        (k,) = _integers([item["g"]])
         if k in vals:
             raise InputError(f"duplicate value for element {k}")
         vals[k] = _complex_from_doc(item)

@@ -14,7 +14,12 @@ from posext import (
     cyclic_group,
     dihedral_group,
     group_function,
+    invariantize,
+    is_chordal,
     klein_four_group,
+    n_transform,
+    positive_completion,
+    star_pattern,
     validate_pattern,
     validate_subset,
 )
@@ -315,6 +320,28 @@ def ref_star_edges(g: FiniteGroup, e: SymmetricSubset) -> set[tuple[int, int]]:
         for t in range(s + 1, g.order)
         if g.mul(t, g.inverse[s]) in e.members
     }
+
+
+def ref_is_chordal_subset(g: FiniteGroup, e: SymmetricSubset) -> bool:
+    """Reference for is_chordal_subset: chordality of the induced pattern."""
+    return is_chordal(star_pattern(g, e))
+
+
+def ref_positive_definite_extension(g: FiniteGroup, e: SymmetricSubset, u, tol=None):
+    """Reference for positive_definite_extension: the completion route.
+
+    Completes the kernel of u along the clique tree of the induced
+    pattern and averages the completion over right translations.
+    """
+    from posext.errors import NotChordalSubset, NotPartiallyPositive, NotPositiveDefinite
+
+    if not ref_is_chordal_subset(g, e):
+        raise NotChordalSubset("subset does not induce a chordal pattern")
+    try:
+        completed = positive_completion(n_transform(g, e, u), tol)
+    except NotPartiallyPositive as exc:
+        raise NotPositiveDefinite(f"kernel fails: {exc}") from exc
+    return invariantize(g, completed.matrix)
 
 
 def ref_kernel_blocks(g: FiniteGroup, u, p: Pattern) -> dict:

@@ -55,6 +55,31 @@ def test_group_extend_nonchordal_exits_3(capsys):
     assert code == 3 and out == ""
 
 
+@pytest.mark.parametrize(
+    "group, subset, function",
+    [
+        ("group_z6.json", "subset_z6_evens.json", "fn_z6_evens.json"),
+        ("group_s3.json", "subset_s3_reflection.json", "fn_s3_reflection.json"),
+        ("group_z5.json", "subset_z5_cycle.json", "fn_z5_cycle.json"),
+    ],
+)
+def test_group_extend_builds_no_pattern_and_no_completion(
+    monkeypatch, capsys, group, subset, function
+):
+    """group-extend answers without the induced pattern or a chordal completion."""
+    argv = ("group-extend", fx(group), fx(subset), fx(function))
+    expected = run_cli(capsys, *argv)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("group-extend went through the dense completion route")
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("posext.")]:
+        for name in ("star_pattern", "positive_completion"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    assert run_cli(capsys, *argv) == expected
+
+
 def test_malformed_input_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -66,6 +91,32 @@ def test_malformed_input_exits_2(tmp_path, capsys):
     assert run_cli(capsys, "chordal", str(wrong))[0] == 2
 
 
+def _partial(n=2, d=1, i=1, j=1) -> dict:
+    """A 2 x 2 diagonal partial matrix with one field replaced."""
+    one = [[{"re": 1, "im": 0}]]
+    return {
+        "n": n,
+        "d": d,
+        "pattern": {"n": 2, "edges": []},
+        "blocks": [{"i": 0, "j": 0, "block": one}, {"i": i, "j": j, "block": one}],
+    }
+
+
+def _matrix(n=2, i=0, j=1) -> dict:
+    return {"n": n, "entries": [{"i": i, "j": j, "re": 0, "im": 0}]}
+
+
+def _function(g) -> dict:
+    return {"values": [{"g": 0, "re": 1, "im": 0}, {"g": g, "re": 0.5, "im": 0}]}
+
+
+# Fixture files that precede the malformed document on the command line.
+_LEAD = {
+    "star-pattern": ("group_z4.json",),
+    "group-extend": ("group_z4.json", "subset_z4_02.json"),
+}
+
+
 @pytest.mark.parametrize(
     "command, doc",
     [
@@ -75,16 +126,42 @@ def test_malformed_input_exits_2(tmp_path, capsys):
         ("chordal", {"n": 3, "edges": [["0", 1]]}),
         ("group-validate", {"table": [[0, 1], [1, 0.5]], "identity": 0}),
         ("group-validate", {"table": [[0, 1], [1, 0]], "identity": 0.7}),
+        # integer fields that a bare int() used to truncate
+        ("chordal", {"n": 3.7, "edges": [[0, 1]]}),
+        ("chordal", {"n": math.inf, "edges": []}),
+        ("chordal", {"n": "3", "edges": []}),
+        ("star-pattern", {"members": [0, 2.5]}),
+        ("star-pattern", {"members": [0, None]}),
+        ("cb-norm", _matrix(n=2.5)),
+        ("cb-norm", _matrix(i=0.5)),
+        ("cb-norm", _matrix(j=1.5)),
+        ("cb-norm", _matrix(j=-math.inf)),
+        ("partially-positive", _partial(n=2.5)),
+        ("partially-positive", _partial(d=1.5)),
+        ("partially-positive", _partial(d="1")),
+        ("partially-positive", _partial(i=1.2)),
+        ("partially-positive", _partial(j=1.9)),
+        ("partially-positive", _partial(j=math.inf)),
+        ("group-extend", _function(2.5)),
+        ("group-extend", _function("2")),
     ],
 )
 def test_malformed_integers_exit_2(tmp_path, capsys, command, doc):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
-    code = main([command, str(path)])
+    code = main([command, *map(fx, _LEAD.get(command, ())), str(path)])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error: InputError: ")
     assert captured.err.count("\n") == 1
+
+
+def test_whole_number_floats_still_read_as_integers(tmp_path, capsys):
+    """A JSON 2.0 is the integer 2, as it was."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(_partial(n=2.0, d=1.0, i=1.0, j=1)))
+    code, out = run_cli(capsys, "partially-positive", str(path))
+    assert code == 0 and json.loads(out)["partially_positive"] is True
 
 
 def test_size_limit_exits_4(tmp_path, capsys):

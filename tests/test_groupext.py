@@ -11,7 +11,9 @@ from conftest import (
     ref_direct_product_table,
     ref_invariant_kernel,
     ref_invariantize,
+    ref_is_chordal_subset,
     ref_kernel_blocks,
+    ref_positive_definite_extension,
     ref_star_edges,
     ref_validate_group,
     symmetric_subsets,
@@ -27,6 +29,7 @@ from posext import (
     is_chordal_subset,
     is_positive_definite_on,
     klein_four_group,
+    maximal_cliques,
     n_transform,
     positive_definite_extension,
     star_pattern,
@@ -37,6 +40,7 @@ from posext import (
 from posext.errors import (
     DimensionMismatch,
     DomainMismatch,
+    InfeasibleError,
     InputError,
     NoIdentity,
     NotAssociative,
@@ -45,6 +49,7 @@ from posext.errors import (
     NotPositiveDefinite,
     TooLarge,
 )
+from posext.groupext import _generators, _right_cosets
 
 
 def test_validate_group_accepts_z3():
@@ -405,3 +410,223 @@ def test_validate_group_rejections_match_reference(table, identity):
 def test_validate_group_accepts_what_the_reference_accepts(name, g):
     rows = [list(row) for row in g.table]
     assert (g.order, g.table, g.identity, g.inverse) == ref_validate_group(rows, g.identity)
+
+
+# -- the subgroup test and the extension by zero ------------------------------
+
+ORACLE_GROUPS = all_small_groups() + [
+    ("Z12", cyclic_group(12)),
+    ("D6", dihedral_group(6)),
+    ("Z2xZ6", direct_product(cyclic_group(2), cyclic_group(6))),
+    ("Z3xS3", direct_product(cyclic_group(3), dihedral_group(3))),
+]
+
+
+def _outcome(extend, g, e, u):
+    """The extension's values as raw bytes, or the class and message it raised."""
+    try:
+        v = extend(g, e, u)
+    except (InputError, InfeasibleError) as exc:
+        return type(exc), str(exc)
+    assert v.domain() == frozenset(range(g.order))
+    return bits([v(x) for x in range(g.order)])
+
+
+def _real_part(rng, g, u):
+    """Re u with a random sign on every zero imaginary part; positive definite with u."""
+    signs = rng.choice([-0.0, 0.0], size=g.order)
+    return group_function(g, {x: complex(z.real, signs[x]) for x, z in u.values.items()})
+
+
+def _random_hermitian(rng, g, e):
+    """A Hermitian-symmetric function on E that is often not positive definite."""
+    vals = {}
+    for x in sorted(e.members):
+        xi = g.inverse[x]
+        if xi in vals:
+            vals[x] = vals[xi].conjugate()
+        else:
+            z = complex(*rng.normal(size=2))
+            vals[x] = complex(z.real, 0.0) if x == xi else z
+    vals[g.identity] = complex(abs(vals[g.identity].real) + 0.5, 0.0)
+    return group_function(g, vals)
+
+
+@pytest.mark.parametrize("name,g", ORACLE_GROUPS)
+def test_subgroup_test_and_extension_match_the_completion_route(name, g):
+    """Chordal verdicts, extension bits and errors agree with the reference route."""
+    rng = np.random.default_rng(g.order * 7 + len(name))
+    for e in symmetric_subsets(g):
+        chordal = is_chordal_subset(g, e)
+        assert chordal == ref_is_chordal_subset(g, e), sorted(e.members)
+        if not chordal:
+            continue
+        pd = random_pd_function(rng, g, e)
+        for u in [pd, _real_part(rng, g, pd), _random_hermitian(rng, g, e)]:
+            got = _outcome(positive_definite_extension, g, e, u)
+            assert got == _outcome(ref_positive_definite_extension, g, e, u), sorted(e.members)
+
+
+def test_extension_errors_match_the_completion_route():
+    s3 = dihedral_group(3)
+    reflection = validate_subset(s3, {0, 3})  # a subgroup that is not normal
+    rotations = validate_subset(s3, {0, 1, 2})
+    cases = [
+        # a non-subgroup with the wrong domain fails the subgroup test first
+        (validate_subset(s3, {0, 3, 4}), group_function(s3, {0: 1.0})),
+        # a subgroup with the wrong domain
+        (reflection, group_function(s3, {0: 1.0, 1: 0.5, 2: 0.5})),
+        # not positive definite on a non-normal subgroup
+        (reflection, group_function(s3, {0: 1.0, 3: 2.0})),
+        (rotations, group_function(s3, {0: 1.0, 1: -0.8, 2: -0.8})),
+    ]
+    expected = [
+        (NotChordalSubset, "subset does not induce a chordal pattern"),
+        (DomainMismatch, "function domain [0, 1, 2] differs from subset [0, 3]"),
+        (NotPositiveDefinite, "kernel fails: clique (0, 3) has a non-PSD block"),
+        (NotPositiveDefinite, "kernel fails: clique (0, 1, 2) has a non-PSD block"),
+    ]
+    for (e, u), want in zip(cases, expected):
+        assert _outcome(positive_definite_extension, s3, e, u) == want
+        assert _outcome(ref_positive_definite_extension, s3, e, u) == want
+
+
+def test_right_cosets_are_the_cliques_in_order():
+    """The cosets come out as maximal_cliques lists the cliques of the pattern."""
+    for _, g in ORACLE_GROUPS:
+        for e in symmetric_subsets(g):
+            if is_chordal_subset(g, e):
+                cosets = [tuple(c) for c in _right_cosets(g, e).tolist()]
+                assert cosets == maximal_cliques(star_pattern(g, e))
+
+
+# -- Light's associativity test ---------------------------------------------------
+
+
+def _row_cycle_switch(table, r1: int, r2: int, c: int, keep=None) -> bool:
+    """Swap rows r1 and r2 on the cycle of columns through c; the square stays Latin.
+
+    With keep = e, a cycle touching row e, column e or the symbol e is left
+    alone, so e stays the identity and every two-sided inverse survives.
+    Returns whether the table changed.
+    """
+    cycle = [c]
+    while (nxt := table[r1].index(table[r2][cycle[-1]])) != c:
+        cycle.append(nxt)
+    if keep is not None and any(
+        keep in (r1, r2, k, table[r1][k], table[r2][k]) for k in cycle
+    ):
+        return False
+    for k in cycle:
+        table[r1][k], table[r2][k] = table[r2][k], table[r1][k]
+    return True
+
+
+def _random_latin_square(rng, n: int) -> list[list[int]]:
+    """Row by row, each row a random perfect matching of columns to unused symbols."""
+    rows: list[list[int]] = []
+    for _ in range(n):
+        allowed = [set(range(n)) - {row[c] for row in rows} for c in range(n)]
+        column_of: dict[int, int] = {}
+
+        def augment(c: int, seen: set) -> bool:
+            for s in rng.permutation(sorted(allowed[c])).tolist():
+                if s not in seen:
+                    seen.add(s)
+                    if s not in column_of or augment(column_of[s], seen):
+                        column_of[s] = c
+                        return True
+            return False
+
+        for c in rng.permutation(n).tolist():
+            augment(c, set())
+        row = [0] * n
+        for s, c in column_of.items():
+            row[c] = s
+        rows.append(row)
+    return rows
+
+
+def _random_loop(rng, n: int):
+    """(table, identity) of a random loop of order n, often not a group.
+
+    Even draws switch a relabelled cyclic or dihedral table away from the
+    identity, so only associativity can fail. Odd draws take a random
+    Latin square to a loop by a principal isotopy,
+    x o y = L(row with x in column b, column with y in row a),
+    whose identity is L(a, b); these mostly lack two-sided inverses.
+    """
+    if rng.random() < 0.5:
+        g = dihedral_group(n // 2) if n % 2 == 0 and rng.random() < 0.5 else cyclic_group(n)
+        label = rng.permutation(n).tolist()
+        table = [[0] * n for _ in range(n)]
+        for x in range(n):
+            for y in range(n):
+                table[label[x]][label[y]] = label[g.mul(x, y)]
+        e = label[g.identity]
+        switches = int(rng.integers(0, 4))
+        for _ in range(20 * n):
+            if switches == 0:
+                break
+            r1, r2, c = rng.integers(n, size=3).tolist()
+            if r1 != r2:
+                switches -= _row_cycle_switch(table, r1, r2, c, keep=e)
+        return table, e
+    square = _random_latin_square(rng, n)
+    a, b = rng.integers(n, size=2).tolist()
+    row_of = {square[r][b]: r for r in range(n)}
+    col_of = {square[a][c]: c for c in range(n)}
+    return [[square[row_of[x]][col_of[y]] for y in range(n)] for x in range(n)], square[a][b]
+
+
+def _validation_outcome(validate, table, identity):
+    try:
+        return validate(table, identity)
+    except InputError as exc:
+        return type(exc), str(exc)
+
+
+def test_light_test_agrees_with_the_full_scan_on_random_loops():
+    outcomes = []
+    for seed in range(300):
+        rng = np.random.default_rng([seed, 6])
+        table, e = _random_loop(rng, int(rng.integers(2, 13)))
+        want = _validation_outcome(ref_validate_group, table, e)
+        got = _validation_outcome(validate_group, table, e)
+        if isinstance(got, tuple):
+            assert got == want, seed
+        else:
+            assert (got.order, got.table, got.identity, got.inverse) == want, seed
+        outcomes.append(want[0] if isinstance(want[0], type) else "group")
+    counts = {kind: outcomes.count(kind) for kind in set(outcomes)}
+    assert counts[NotAssociative] >= 50 and counts["group"] >= 50, counts
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_elementary_abelian_group_needs_k_generators(k):
+    g = cyclic_group(2)
+    for _ in range(k - 1):
+        g = direct_product(g, cyclic_group(2))
+    assert len(_generators(g.table_array, g.identity)) == k
+    rows = [list(row) for row in g.table]
+    assert (g.order, g.table, g.identity, g.inverse) == ref_validate_group(rows, g.identity)
+
+
+def test_generating_sets_stay_logarithmic():
+    for _, g in ORACLE_GROUPS + GROUPS:
+        assert len(_generators(g.table_array, g.identity)) <= max(g.order - 1, 0).bit_length()
+
+
+def test_light_test_on_a_non_abelian_direct_product():
+    g = direct_product(dihedral_group(3), dihedral_group(4))
+    rows = [list(row) for row in g.table]
+    assert (g.order, g.table, g.identity, g.inverse) == ref_validate_group(rows, g.identity)
+    rng = np.random.default_rng(48)
+    broken = 0
+    while broken < 3:
+        r1, r2, c = rng.integers(g.order, size=3).tolist()
+        if r1 != r2 and _row_cycle_switch(rows, r1, r2, c, keep=g.identity):
+            broken += 1
+            want = _validation_outcome(ref_validate_group, rows, g.identity)
+            assert want[0] is NotAssociative
+            assert _validation_outcome(validate_group, rows, g.identity) == want
