@@ -54,9 +54,8 @@ from .linalg import (
     eigh,
     is_psd,
     pseudo_inverse,
-    psd_cholesky,
     rank_one_factors,
-    schur_complement,
+    smallest_eigenvalues,
 )
 from .pattern import (
     CliqueTree,

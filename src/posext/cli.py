@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 
 from . import circleset as circ
 from . import completion as comp
@@ -60,17 +61,14 @@ def _cmd_square_partition(args):
 
 def _cmd_partially_positive(args):
     ok, witness = comp.partially_positive(_load_partial(args.partial), args.tol)
-    return {
-        "partially_positive": ok,
-        "witness": None if witness is None else list(witness),
-    }
+    return {"partially_positive": ok, "witness": witness}  # a tuple emits as a list
 
 
 def _cmd_complete(args):
     result = comp.positive_completion(_load_partial(args.partial), args.tol)
     return {
         "matrix": ser.matrix_to_json(result.matrix),
-        "fill_log": ser.fill_log_to_json(result.fill_log),
+        "fill_log": ser.fill_log_to_json(result.fills),
     }
 
 
@@ -113,44 +111,38 @@ def _cmd_group_validate(args):
     return {"valid": True, "order": g.order, "identity": g.identity}
 
 
-def _cmd_star_pattern(args):
+def _load_subset(args):
     g = _load_group(args.group)
-    e = ser.subset_from_json(ser.load_json(args.subset), g)
-    return ser.pattern_to_json(grp.star_pattern(g, e))
+    return g, ser.subset_from_json(ser.load_json(args.subset), g)
+
+
+def _load_function(args):
+    g, e = _load_subset(args)
+    return g, e, ser.function_from_json(ser.load_json(args.function), g)
+
+
+def _cmd_star_pattern(args):
+    return ser.pattern_to_json(grp.star_pattern(*_load_subset(args)))
 
 
 def _cmd_chordal_subset(args):
-    g = _load_group(args.group)
-    e = ser.subset_from_json(ser.load_json(args.subset), g)
-    if args.word_oracle:
-        return {"chordal_subset": grp.word_chordality_oracle(g, e)}
-    return {"chordal_subset": grp.is_chordal_subset(g, e)}
+    check = grp.word_chordality_oracle if args.word_oracle else grp.is_chordal_subset
+    return {"chordal_subset": check(*_load_subset(args))}
 
 
 def _cmd_pd_check(args):
-    g = _load_group(args.group)
-    e = ser.subset_from_json(ser.load_json(args.subset), g)
-    u = ser.function_from_json(ser.load_json(args.function), g)
-    return {"positive_definite": grp.is_positive_definite_on(g, e, u, args.tol)}
+    ok = grp.is_positive_definite_on(*_load_function(args), args.tol)
+    return {"positive_definite": ok}
 
 
 def _cmd_group_extend(args):
-    g = _load_group(args.group)
-    e = ser.subset_from_json(ser.load_json(args.subset), g)
-    u = ser.function_from_json(ser.load_json(args.function), g)
-    v = grp.positive_definite_extension(g, e, u, args.tol)
+    v = grp.positive_definite_extension(*_load_function(args), args.tol)
     return ser.function_to_json(v)
 
 
 def _cmd_circle_predicates(args):
     e = ser.circleset_from_json(ser.load_json(args.circleset))
-    flags = circ.is_positivity_domain_star(e)
-    return {
-        "symmetric": flags.symmetric,
-        "contains_zero": flags.contains_zero,
-        "closure_of_interior": flags.closure_of_interior,
-        "generated_by_squares": flags.generated_by_squares,
-    }
+    return asdict(circ.is_positivity_domain_star(e))
 
 
 def _cmd_cexi(args):

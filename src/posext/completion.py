@@ -27,14 +27,7 @@ from .errors import (
     NotPSD,
     NotSupported,
 )
-from .pattern import (
-    CliqueTree,
-    Pattern,
-    clique_tree,
-    is_chordal,
-    maximal_cliques,
-    validate_pattern,
-)
+from .pattern import CliqueTree, Pattern, clique_tree, is_chordal, maximal_cliques
 
 _SUPPORT_REL = 1e-10
 
@@ -91,33 +84,36 @@ class PartialHermitianMatrix:
 
 @dataclass(frozen=True, eq=False)
 class CompletionResult:
-    """A completed (n d) x (n d) matrix plus the log of filled pairs."""
+    """A completed (n d) x (n d) matrix and its fills, one per clique tree step.
+
+    Step (separator, old, new) filled the pairs in old x new.
+    """
 
     matrix: np.ndarray
-    fill_log: tuple[tuple[tuple[int, ...], tuple[int, int]], ...]
+    fills: tuple[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]], ...]
+
+    @property
+    def fill_log(self):
+        """The filled pairs in fill order, each as (separator, (u, v))."""
+        return tuple((s, (u, v)) for s, old, new in self.fills for u in old for v in new)
 
 
 def expanded_pattern(p: Pattern, d: int) -> Pattern:
     """Pattern on n*d vertices with every vertex replaced by d copies."""
     if d == 1:
         return p
-    edges = []
-    for i, j in p.edges:
-        edges.extend((i * d + a, j * d + b) for a in range(d) for b in range(d))
-    for i in range(p.n):
-        edges.extend((i * d + a, i * d + b) for a in range(d) for b in range(a + 1, d))
-    return validate_pattern(p.n * d, edges)
+    s, t = np.nonzero(np.triu(np.kron(p.mask, np.ones((d, d), dtype=bool)), 1))
+    return Pattern(p.n * d, frozenset(zip(s.tolist(), t.tolist())))
 
 
 def expand(m: PartialHermitianMatrix) -> np.ndarray:
     """Dense (n d) x (n d) matrix with zeros on the unspecified pairs."""
-    d = m.d
-    out = np.zeros((m.n * d, m.n * d), dtype=complex)
-    for (i, j), block in m.blocks.items():
-        out[i * d : (i + 1) * d, j * d : (j + 1) * d] = block
-        if i != j:
-            out[j * d : (j + 1) * d, i * d : (i + 1) * d] = block.conj().T
-    return out
+    i, j = np.array(list(m.blocks), dtype=int).reshape(-1, 2).T
+    blocks = np.array(list(m.blocks.values())).reshape(-1, m.d, m.d)
+    out = np.zeros((m.n, m.d, m.n, m.d), dtype=complex)
+    out[j, :, i] = blocks.conj().swapaxes(1, 2)
+    out[i, :, j] = blocks  # last, so that diagonal blocks are kept as given
+    return out.reshape(m.n * m.d, m.n * m.d)
 
 
 def restrict_to_pattern(a: np.ndarray, p: Pattern, d: int = 1) -> PartialHermitianMatrix:
@@ -128,14 +124,18 @@ def restrict_to_pattern(a: np.ndarray, p: Pattern, d: int = 1) -> PartialHermiti
             f"matrix has shape {a.shape}, expected {(p.n * d, p.n * d)}"
         )
     pairs = [(i, i) for i in range(p.n)] + sorted(p.edges)
-    blocks = {
-        (i, j): a[i * d : (i + 1) * d, j * d : (j + 1) * d].copy() for i, j in pairs
-    }
-    return PartialHermitianMatrix(p, d, blocks)
+    a = a.reshape(p.n, d, p.n, d)
+    return PartialHermitianMatrix(p, d, {(i, j): a[i, :, j] for i, j in pairs})
 
 
-def _expand_indices(vertices, d: int) -> list[int]:
-    return [v * d + a for v in vertices for a in range(d)]
+def _blocks_by_size(full: np.ndarray, vertex_sets, d: int):
+    """(positions, principal blocks of full) for the vertex sets of each size."""
+    rows = np.arange(len(full)).reshape(-1, d)
+    sizes = np.fromiter(map(len, vertex_sets), int)
+    for size in set(sizes.tolist()):
+        ids = np.flatnonzero(sizes == size)
+        idx = rows[np.array([vertex_sets[i] for i in ids], dtype=int)].reshape(len(ids), -1)
+        yield ids, full[idx[:, :, None], idx[:, None, :]]
 
 
 def partially_positive(
@@ -151,12 +151,13 @@ def partially_positive(
 
 
 def _partially_positive(m: PartialHermitianMatrix, full: np.ndarray, tol):
-    """partially_positive(m, tol) with full = expand(m) already built."""
-    for clique in maximal_cliques(m.pattern):
-        idx = _expand_indices(clique, m.d)
-        if not linalg.is_psd(full[np.ix_(idx, idx)], tol):
-            return False, clique
-    return True, None
+    """partially_positive(m, tol) on full = expand(m), one LAPACK call per clique size."""
+    cliques = maximal_cliques(m.pattern)
+    ok = np.ones(len(cliques), dtype=bool)
+    for ids, blocks in _blocks_by_size(full, cliques, m.d):
+        ok[ids] = linalg.is_psd(blocks, tol)
+    bad = np.flatnonzero(~ok)
+    return (True, None) if len(bad) == 0 else (False, cliques[bad[0]])
 
 
 def _root_first(tree: CliqueTree) -> list[tuple[int, int | None, tuple[int, ...]]]:
@@ -186,9 +187,11 @@ def positive_completion(
 
     Cliques are processed breadth-first from the lowest-index clique of
     the clique tree; each tree edge with separator S contributes the
-    one-step fill that zeroes the corresponding Schur complement. The
-    result is PSD up to roundoff and agrees with the input exactly on the
-    pattern.
+    one-step fill that zeroes the corresponding Schur complement. Fills
+    write only unspecified (old - S) x new pairs and S lies in a maximal
+    clique, so all M[S, S] are pseudo-inverted up front, one stacked call
+    per size. The result is PSD up to roundoff and agrees with the input
+    exactly on the pattern.
     """
     if not is_chordal(m.pattern):
         raise NotChordal("positive completion requires a chordal pattern")
@@ -198,26 +201,27 @@ def positive_completion(
         raise NotPartiallyPositive(f"clique {witness} has a non-PSD block")
 
     tree = clique_tree(m.pattern)
-    log: list[tuple[tuple[int, ...], tuple[int, int]]] = []
-    d = m.d
-    seen_vertices: set[int] = set()
-    for k, _, sep in _root_first(tree):
-        new = sorted(set(tree.cliques[k]) - seen_vertices)
-        old = sorted(seen_vertices - set(sep))
-        if new and old:
-            rows = _expand_indices(old, d)
-            mid = _expand_indices(sep, d)
-            cols = _expand_indices(new, d)
-            fill = (
-                full[np.ix_(rows, mid)]
-                @ linalg.pseudo_inverse(full[np.ix_(mid, mid)])
-                @ full[np.ix_(mid, cols)]
-            )
+    walk = _root_first(tree)
+    inverses = {}
+    for ids, blocks in _blocks_by_size(full, [sep for _, _, sep in walk[1:]], m.d):
+        inverses.update(zip((ids + 1).tolist(), linalg.pseudo_inverse(blocks)))
+    fills = []
+    seen = np.zeros(m.n, dtype=bool)
+    rows_of = np.arange(len(full)).reshape(m.n, m.d)
+    for step, (k, _, sep) in enumerate(walk):
+        clique = np.array(tree.cliques[k])
+        new = clique[~seen[clique]]
+        sep = list(sep)
+        seen[sep] = False  # the separator lies inside the seen vertices
+        old = np.flatnonzero(seen)
+        seen[sep] = seen[new] = True
+        if len(new) and len(old):
+            rows, mid, cols = (rows_of[x].ravel() for x in (old, sep, new))
+            fill = full[np.ix_(rows, mid)] @ inverses[step] @ full[np.ix_(mid, cols)]
             full[np.ix_(rows, cols)] = fill
             full[np.ix_(cols, rows)] = fill.conj().T
-            log.extend((tuple(sep), (u, v)) for u in old for v in new)
-        seen_vertices.update(new)
-    return CompletionResult(full, tuple(log))
+            fills.append((tuple(sep), tuple(old.tolist()), tuple(new.tolist())))
+    return CompletionResult(full, tuple(fills))
 
 
 def _check_supported(t: np.ndarray, p: Pattern) -> None:
@@ -257,21 +261,14 @@ def rank_one_positive_decomposition(
         if parent is None:
             part = residue[np.ix_(clique, clique)]
         else:
-            sep = list(sep)
-            sep_set = set(sep)
-            own = [v for v in clique if v not in sep_set]
-            t_bb = residue[np.ix_(own, own)]
+            inner = np.isin(clique, sep)  # sorted cliques: sep keeps its order in clique
+            own, sep = [v for v in clique if v not in sep], list(sep)
             t_bs = residue[np.ix_(own, sep)]
             t_sb = t_bs.conj().T
-            r_ss = t_sb @ linalg.pseudo_inverse(t_bb) @ t_bs
-            part = np.zeros((len(clique), len(clique)), dtype=complex)
-            local = {v: a for a, v in enumerate(clique)}
-            own_l = [local[v] for v in own]
-            sep_l = [local[v] for v in sep]
-            part[np.ix_(own_l, own_l)] = t_bb
-            part[np.ix_(own_l, sep_l)] = t_bs
-            part[np.ix_(sep_l, own_l)] = t_sb
-            part[np.ix_(sep_l, sep_l)] = r_ss
+            r_ss = t_sb @ linalg.pseudo_inverse(residue[np.ix_(own, own)]) @ t_bs
+            part = residue[np.ix_(clique, clique)]
+            part[np.ix_(inner, ~inner)] = t_sb
+            part[np.ix_(inner, inner)] = r_ss
             residue[np.ix_(sep, sep)] -= r_ss
             residue[own, :] = 0.0
             residue[:, own] = 0.0
@@ -312,11 +309,9 @@ def cb_norm_positive(phi: np.ndarray, d: int = 1, tol: float | None = None) -> f
         return max((phi[i, i].real for i in range(n)), default=0.0)
     if n % d != 0:
         raise DimensionMismatch(f"dimension {n} is not a multiple of block size {d}")
-    best = 0.0
-    for i in range(n // d):
-        block = phi[i * d : (i + 1) * d, i * d : (i + 1) * d]
-        best = max(best, float(np.linalg.eigvalsh(block)[-1]))
-    return best
+    k = np.arange(n // d)
+    blocks = phi.reshape(len(k), d, len(k), d)[k, :, k]
+    return max([0.0, *np.linalg.eigvalsh(blocks)[:, -1].tolist()])
 
 
 def verify_extension(

@@ -46,7 +46,7 @@ from .errors import (
     TooLarge,
 )
 from .linalg import as_finite_matrix, is_psd
-from .pattern import Pattern
+from .pattern import Pattern, _integers
 
 _WORD_ORACLE_CAP = 8
 
@@ -96,17 +96,6 @@ class GroupFunction:
 
     def domain(self) -> frozenset[int]:
         return frozenset(self.values)
-
-
-def _integers(values) -> tuple[int, ...]:
-    """The values as ints; InputError for a value that is not a whole number."""
-    try:
-        ints = tuple(map(int, values))
-    except (TypeError, ValueError, OverflowError):
-        ints = None
-    if ints is None or ints != tuple(values):
-        raise InputError(f"expected integers, got {values!r}")
-    return ints
 
 
 def validate_group(table, identity: int) -> FiniteGroup:
@@ -237,8 +226,13 @@ def group_function(g: FiniteGroup, values: dict[int, complex]) -> GroupFunction:
 
 def star_pattern(g: FiniteGroup, e: SymmetricSubset) -> Pattern:
     """Pattern with an edge between s and t whenever t s^{-1} lies in E."""
-    s, t = np.nonzero(np.triu(np.isin(g.quotient, list(e.members)), 1))
-    return Pattern(g.order, frozenset(zip(s.tolist(), t.tolist())))
+    return _quotient_pattern(g.quotient, e)
+
+
+def _quotient_pattern(q: np.ndarray, e: SymmetricSubset) -> Pattern:
+    """Pattern joining a < b whenever q[a, b] lies in E."""
+    s, t = np.nonzero(np.triu(np.isin(q, list(e.members)), 1))
+    return Pattern(len(q), frozenset(zip(s.tolist(), t.tolist())))
 
 
 def is_chordal_subset(g: FiniteGroup, e: SymmetricSubset) -> bool:
@@ -329,10 +323,14 @@ def is_positive_definite_on(
 
     Any tuple with pairwise quotients in E selects a clique of the
     induced pattern, so checking clique submatrices is equivalent to the
-    all-tuples condition.
+    all-tuples condition. Right translation keeps kernel entries, so the
+    cliques through the identity, those of the pattern on E, suffice.
     """
-    ok, _ = partially_positive(n_transform(g, e, u), tol)
-    return ok
+    _check_domain(e, u)
+    members = sorted(e.members)
+    q = g.quotient[np.ix_(members, members)]
+    kernel = restrict_to_pattern(_lookup(g, u)[q], _quotient_pattern(q, e))
+    return partially_positive(kernel, tol)[0]
 
 
 def invariantize(g: FiniteGroup, m: np.ndarray) -> GroupFunction:

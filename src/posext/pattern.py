@@ -52,13 +52,6 @@ class Pattern:
         out.flags.writeable = False
         return out
 
-    def has_edge(self, i: int, j: int) -> bool:
-        """True for every diagonal pair and for stored edges."""
-        if i == j:
-            return 0 <= i < self.n
-        a, b = (i, j) if i < j else (j, i)
-        return (a, b) in self.edges
-
     @cached_property
     def structure(self) -> ChordalStructure:
         """The chordal structure, computed once per pattern."""
@@ -95,6 +88,20 @@ class ChordalStructure:
     tree: CliqueTree | None
 
 
+def _integers(values) -> tuple[int, ...]:
+    """The values as ints; InputError for one that is not a whole number or is a bool."""
+    got = tuple(values)
+    if set(map(type, got)) <= {int}:
+        return got
+    try:
+        ints = tuple(map(int, got))
+    except (TypeError, ValueError, OverflowError):
+        ints = None
+    if ints != got or any(isinstance(v, (bool, np.bool_)) for v in got):
+        raise InputError(f"expected integers, got {values!r}")
+    return ints
+
+
 def validate_pattern(n: int, edge_list: Iterable[Sequence[int]]) -> Pattern:
     """Build a normalized pattern from a raw edge list.
 
@@ -107,12 +114,11 @@ def validate_pattern(n: int, edge_list: Iterable[Sequence[int]]) -> Pattern:
     edges = set()
     for pair in edge_list:
         try:
-            a, b = pair
-            i, j = int(a), int(b)
-        except (TypeError, ValueError, OverflowError):
-            i = j = None
-        if i is None or i != a or j != b:
-            raise InputError(f"edge {pair!r} is not a pair of integers")
+            i, j = pair
+            if type(i) is not int or type(j) is not int:
+                i, j = _integers(pair)
+        except (TypeError, ValueError, InputError):
+            raise InputError(f"edge {pair!r} is not a pair of integers") from None
         if not (0 <= i < n) or not (0 <= j < n):
             raise IndexOutOfRange(f"edge ({i},{j}) outside [0,{n})")
         if i == j:
@@ -301,7 +307,7 @@ def square_partition(p: Pattern) -> list[tuple[int, ...]]:
     while remaining:
         block = [remaining[0]]
         for w in remaining[1:]:
-            if all(p.has_edge(w, b) for b in block):
+            if p.mask[w, block].all():
                 block.append(w)
         blocks.append(tuple(block))
         taken = set(block)

@@ -4,7 +4,7 @@ Emission goes through a small dumper that renders floats with 17
 significant digits so that every number round-trips bit-faithfully.
 Small and irregular documents are walked value by value. The two large
 homogeneous lists, a dense matrix's entries and a completion's fill log,
-are held as columns (`_Table`) and rendered one %-template per row,
+are held as columns (`_Table`) and rendered with one % per chunk of rows,
 byte for byte as the value-by-value walk would render the same list of
 objects.
 """
@@ -15,7 +15,7 @@ import cmath
 import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
+from itertools import chain, islice
 
 import numpy as np
 
@@ -26,16 +26,15 @@ from .groupext import (
     FiniteGroup,
     GroupFunction,
     SymmetricSubset,
-    _integers,
     group_function,
     validate_group,
     validate_subset,
 )
-from .pattern import CliqueTree, Pattern, validate_pattern
+from .pattern import CliqueTree, Pattern, _integers, validate_pattern
 
 
 def load_json(path) -> dict:
-    with open(Path(path), "r", encoding="utf-8") as fh:
+    with open(path, encoding="utf-8") as fh:
         return json.load(fh)
 
 
@@ -57,9 +56,7 @@ def _emit(value, out: list[str], indent: int | None) -> None:
             raise ValueError("non-finite numbers are not serializable")
         out.append(format(x, ".17g"))
     elif isinstance(value, dict):
-        _emit_items(
-            value.items(), out, indent, "{", "}", key=True
-        )
+        _emit_items(value.items(), out, indent, "{", "}", key=True)
     elif isinstance(value, (list, tuple)):
         _emit_items(value, out, indent, "[", "]", key=False)
     elif isinstance(value, _Table):
@@ -95,19 +92,25 @@ def _emit_items(items, out, indent, open_ch, close_ch, key: bool) -> None:
 class _Table:
     """A list of objects that share one key order, held as columns.
 
-    Each column holds only ints, only floats, or only tuples of ints.
+    A column is a list of ints, floats or int tuples, or, after the first,
+    a tuple of int lists: int tuples of one length held by position.
     Iterating yields the objects as dicts.
     """
 
     keys: tuple[str, ...]
-    columns: tuple[list, ...]
+    columns: tuple
 
     def __iter__(self):
-        return (dict(zip(self.keys, row)) for row in zip(*self.columns))
+        columns = (zip(*c) if isinstance(c, tuple) else c for c in self.columns)
+        return (dict(zip(self.keys, row)) for row in zip(*columns))
+
+
+_CHUNK_ROWS = 256
 
 
 def _emit_table(table: _Table, out: list[str], indent: int | None) -> None:
-    if not table.columns[0]:
+    rows = len(table.columns[0])
+    if not rows:
         out.append("[]")
         return
     value_indent = None if indent is None else indent + 2
@@ -118,33 +121,41 @@ def _emit_table(table: _Table, out: list[str], indent: int | None) -> None:
         for key, spec in zip(table.keys, specs)
     )
     template = "{" + ",".join(fields) + _pad(indent, 1) + "}"
+    sep = "," + _pad(indent, 1)
+    values = zip(*chain.from_iterable(columns))
     out.append("[" + _pad(indent, 1))
-    out.append(("," + _pad(indent, 1)).join([template % row for row in zip(*columns)]))
-    out.append(_pad(indent, 0) + "]")
+    for start in range(0, rows, _CHUNK_ROWS):
+        count = min(_CHUNK_ROWS, rows - start)
+        flat = tuple(chain.from_iterable(islice(values, count)))
+        out.append(sep.join([template] * count) % flat)
+        out.append(sep)
+    out[-1] = _pad(indent, 0) + "]"  # the last separator closes the list
 
 
-def _column_format(column: list, indent: int | None) -> tuple[str, list]:
-    """The %-spec and the values that render a column as `_emit` renders its items."""
+def _column_format(column, indent: int | None) -> tuple[str, list]:
+    """The %-spec of a column and the value columns that fill it, as `_emit` renders."""
+    if isinstance(column, tuple):
+        return _tuple_spec(len(column), indent), list(column)
     kinds = set(map(type, column))
     if kinds == {int}:
-        return "%d", column
+        return "%d", [column]
     if kinds == {float}:
         if not all(map(math.isfinite, column)):
             raise ValueError("non-finite numbers are not serializable")
-        return "%.17g", column
+        return "%.17g", [column]
     if kinds == {tuple}:
-        distinct = set(column)
-        if {type(x) for v in distinct for x in v} - {int}:
+        if set(map(type, chain.from_iterable(column))) - {int}:
             raise TypeError("a column of tuples must hold ints only")
-        sep = "," + _pad(indent, 1)
-        formats = {
-            k: "[" + _pad(indent, 1) + sep.join(["%d"] * k) + _pad(indent, 0) + "]"
-            for k in set(map(len, distinct))
-        }
-        formats[0] = "[]"
-        encoded = {v: formats[len(v)] % v for v in distinct}
-        return "%s", [encoded[v] for v in column]
+        if len(set(map(len, column))) == 1:
+            return _column_format(tuple(zip(*column)), indent)
+        encoded = {v: _tuple_spec(len(v), indent) % v for v in set(column)}
+        return "%s", [list(map(encoded.__getitem__, column))]
     raise TypeError(f"cannot serialize a column of {sorted(k.__name__ for k in kinds)}")
+
+
+def _tuple_spec(k: int, indent: int | None) -> str:
+    sep = "," + _pad(indent, 1)
+    return f"[{_pad(indent, 1)}{sep.join(['%d'] * k)}{_pad(indent, 0)}]" if k else "[]"
 
 
 def _complex_to_doc(z: complex) -> dict:
@@ -170,11 +181,7 @@ def pattern_from_json(doc) -> Pattern:
 
 
 def clique_tree_to_json(t: CliqueTree) -> dict:
-    return {
-        "cliques": [list(c) for c in t.cliques],
-        "tree_edges": [list(e) for e in t.tree_edges],
-        "separators": [list(s) for s in t.separators],
-    }
+    return {"cliques": t.cliques, "tree_edges": t.tree_edges, "separators": t.separators}
 
 
 # -- dense Hermitian matrices -------------------------------------------------
@@ -209,12 +216,14 @@ def matrix_from_json(doc) -> np.ndarray:
     return out
 
 
-def fill_log_to_json(log) -> _Table:
-    """The fill log of a completion as a list of {separator, pair} objects."""
-    return _Table(
-        ("separator", "pair"),
-        ([sep for sep, _ in log], [pair for _, pair in log]),
-    )
+def fill_log_to_json(fills) -> _Table:
+    """A completion's fills as {separator, pair} objects, one per filled pair."""
+    seps, us, vs = [], [], []
+    for sep, old, new in fills:
+        us += np.repeat(old, len(new)).tolist()
+        vs += np.tile(new, len(old)).tolist()
+        seps += [sep] * (len(us) - len(seps))
+    return _Table(("separator", "pair"), (seps, (us, vs)))
 
 
 # -- partial matrices ---------------------------------------------------------
@@ -224,10 +233,7 @@ def partial_to_json(m: PartialHermitianMatrix) -> dict:
         {
             "i": i,
             "j": j,
-            "block": [
-                [_complex_to_doc(block[r, c]) for c in range(m.d)]
-                for r in range(m.d)
-            ],
+            "block": [list(map(_complex_to_doc, row)) for row in block],
         }
         for (i, j), block in sorted(m.blocks.items())
     ]
@@ -251,10 +257,8 @@ def partial_from_json(doc) -> PartialHermitianMatrix:
             raise InputError(f"blocks list (i,j) with i <= j only, got ({i},{j})")
         if (i, j) in blocks:
             raise InputError(f"duplicate block ({i},{j})")
-        rows = item["block"]
-        blocks[(i, j)] = np.array(
-            [[_complex_from_doc(z) for z in row] for row in rows], dtype=complex
-        )
+        rows = [list(map(_complex_from_doc, row)) for row in item["block"]]
+        blocks[(i, j)] = np.array(rows, dtype=complex)
     return PartialHermitianMatrix(p, d, blocks)
 
 

@@ -120,7 +120,7 @@ def is_valid_elimination_order(p: Pattern, order) -> bool:
         later = [w for w in p.adjacency[v] if pos[w] > pos[v]]
         for a in range(len(later)):
             for b in range(a + 1, len(later)):
-                if not p.has_edge(later[a], later[b]):
+                if not p.mask[later[a], later[b]]:
                     return False
     return True
 
@@ -189,7 +189,7 @@ def brute_force_maximal_cliques(p: Pattern) -> list[tuple[int, ...]]:
     verts = list(range(p.n))
     for r in range(1, p.n + 1):
         for sub in itertools.combinations(verts, r):
-            if all(p.has_edge(a, b) for a, b in itertools.combinations(sub, 2)):
+            if all(p.mask[a, b] for a, b in itertools.combinations(sub, 2)):
                 cliques.append(set(sub))
     maximal = [c for c in cliques if not any(c < d for d in cliques)]
     return sorted(tuple(sorted(c)) for c in maximal)
@@ -385,7 +385,7 @@ def ref_first_unsupported(t: np.ndarray, p: Pattern, rel: float):
     cut = rel * (float(np.max(np.abs(t))) if t.size else 0.0)
     for i in range(p.n):
         for j in range(i + 1, p.n):
-            if not p.has_edge(i, j) and abs(t[i, j]) > cut:
+            if not p.mask[i, j] and abs(t[i, j]) > cut:
                 return i, j
     return None
 
@@ -395,7 +395,7 @@ def ref_apply_multiplier(m, t: np.ndarray) -> np.ndarray:
     out = np.zeros((m.n * d, m.n * d), dtype=complex)
     for i in range(m.n):
         for j in range(m.n):
-            if m.pattern.has_edge(i, j):
+            if m.pattern.mask[i, j]:
                 out[i * d : (i + 1) * d, j * d : (j + 1) * d] = t[i, j] * m.block(i, j)
     return out
 
@@ -410,3 +410,65 @@ def ref_agrees_on_pattern(m, phi: np.ndarray) -> bool:
         ):
             return False
     return True
+
+
+def ref_partially_positive(m, tol=None):
+    """Reference for partially_positive: one PSD test per maximal clique, in order."""
+    from posext import expand, linalg, maximal_cliques
+
+    full = expand(m)
+    for clique in maximal_cliques(m.pattern):
+        idx = [v * m.d + a for v in clique for a in range(m.d)]
+        if not linalg.is_psd(full[np.ix_(idx, idx)], tol):
+            return False, clique
+    return True, None
+
+
+def ref_positive_completion(m, tol=None):
+    """Reference for positive_completion: (matrix, fill_log) or raises.
+
+    Walks the clique tree one clique at a time, inverting each separator
+    block when its step comes and logging every filled pair.
+    """
+    from posext import clique_tree, expand, linalg
+    from posext.completion import _root_first
+    from posext.errors import NotChordal, NotPartiallyPositive
+
+    if not is_chordal(m.pattern):
+        raise NotChordal("positive completion requires a chordal pattern")
+    full = expand(m)
+    ok, witness = ref_partially_positive(m, tol)
+    if not ok:
+        raise NotPartiallyPositive(f"clique {witness} has a non-PSD block")
+
+    def expand_indices(vertices, d):
+        return [v * d + a for v in vertices for a in range(d)]
+
+    tree = clique_tree(m.pattern)
+    log = []
+    d = m.d
+    seen_vertices = set()
+    for k, _, sep in _root_first(tree):
+        new = sorted(set(tree.cliques[k]) - seen_vertices)
+        old = sorted(seen_vertices - set(sep))
+        if new and old:
+            rows = expand_indices(old, d)
+            mid = expand_indices(sep, d)
+            cols = expand_indices(new, d)
+            fill = (
+                full[np.ix_(rows, mid)]
+                @ linalg.pseudo_inverse(full[np.ix_(mid, mid)])
+                @ full[np.ix_(mid, cols)]
+            )
+            full[np.ix_(rows, cols)] = fill
+            full[np.ix_(cols, rows)] = fill.conj().T
+            log.extend((tuple(sep), (u, v)) for u in old for v in new)
+        seen_vertices.update(new)
+    return full, tuple(log)
+
+
+def ref_is_positive_definite_on(g: FiniteGroup, e: SymmetricSubset, u, tol=None) -> bool:
+    """Reference for is_positive_definite_on: every maximal clique of the whole pattern."""
+    from posext import partially_positive
+
+    return partially_positive(n_transform(g, e, u), tol)[0]

@@ -156,6 +156,58 @@ def test_malformed_integers_exit_2(tmp_path, capsys, command, doc):
     assert captured.err.count("\n") == 1
 
 
+_ONE = [[{"re": 1, "im": 0}]]
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("chordal", {"n": 3, "edges": [[True, 2]]}),
+        ("chordal", {"n": True, "edges": []}),
+        ("group-validate", {"table": [[0, 1], [1, False]], "identity": 0}),
+        ("group-validate", {"table": [[0, 1], [1, 0]], "identity": False}),
+        ("star-pattern", {"members": [False, 2]}),
+        ("cb-norm", {"n": True, "entries": [{"i": 0, "j": 0, "re": 1, "im": 0}]}),
+        ("cb-norm", _matrix(i=False)),
+        ("cb-norm", _matrix(j=True)),
+        ("partially-positive", _partial(d=True)),
+        ("partially-positive", _partial(i=True)),
+        ("partially-positive", _partial(j=True)),
+        (
+            "partially-positive",
+            {"n": True, "d": 1, "pattern": {"n": 1, "edges": []},
+             "blocks": [{"i": 0, "j": 0, "block": _ONE}]},
+        ),
+        ("group-extend", {"values": [{"g": False, "re": 1, "im": 0}, {"g": 2, "re": 0.5, "im": 0}]}),
+    ],
+    ids=[
+        "edge", "pattern-n", "table", "identity", "members", "matrix-n", "entry-i",
+        "entry-j", "partial-d", "block-i", "block-j", "partial-n", "function-g",
+    ],
+)
+def test_booleans_are_not_integers(tmp_path, capsys, command, doc):
+    """Each of these documents was read with true as 1 and false as 0."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code = main([command, *map(fx, _LEAD.get(command, ())), str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: InputError: ")
+
+
+def test_pd_check_on_a_non_chordal_subset_of_a_large_group(tmp_path, capsys):
+    """Only the cliques inside E = {0, 1, 20} are enumerated, not those of Z_21."""
+    n = 21
+    table = {"order": n, "table": [[(a + b) % n for b in range(n)] for a in range(n)], "identity": 0}
+    values = [{"g": g, "re": re, "im": 0} for g, re in ((0, 1), (1, 0.1), (20, 0.1))]
+    files = []
+    for name, doc in (("g", table), ("e", {"members": [0, 1, 20]}), ("u", {"values": values})):
+        files.append(tmp_path / f"{name}.json")
+        files[-1].write_text(json.dumps(doc))
+    code, out = run_cli(capsys, "pd-check", *map(str, files))
+    assert code == 0 and json.loads(out) == {"positive_definite": True}
+
+
 def test_whole_number_floats_still_read_as_integers(tmp_path, capsys):
     """A JSON 2.0 is the integer 2, as it was."""
     path = tmp_path / "doc.json"

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -11,11 +13,14 @@ from conftest import (
     psd_supported_on,
     random_chordal_components,
     random_chordal_pattern,
+    random_hermitian,
     random_pattern,
     random_psd,
     ref_agrees_on_pattern,
     ref_apply_multiplier,
     ref_first_unsupported,
+    ref_partially_positive,
+    ref_positive_completion,
 )
 from posext import (
     PartialHermitianMatrix,
@@ -37,6 +42,7 @@ from posext import (
 )
 from posext.errors import (
     DimensionMismatch,
+    InfeasibleError,
     InputError,
     NotChordal,
     NotPartiallyPositive,
@@ -314,7 +320,7 @@ def test_completion_and_decomposition_on_several_components(seed):
     assert np.linalg.eigvalsh(result.matrix).min() >= -1e-9 * scale
     filled = sorted(tuple(sorted(pair)) for _, pair in result.fill_log)
     unspecified = [
-        (i, j) for i in range(n) for j in range(i + 1, n) if not p.has_edge(i, j)
+        (i, j) for i in range(n) for j in range(i + 1, n) if not p.mask[i, j]
     ]
     assert filled == unspecified
 
@@ -413,7 +419,7 @@ def test_unsupported_entry_is_the_first_the_reference_loop_finds(seed):
     t = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     for i in range(n):
         for j in range(i + 1, n):
-            if not p.has_edge(i, j):
+            if not p.mask[i, j]:
                 size = rng.choice([0.0, -0.0, 1e-11, 1e-10, 1e-9], p=[0.3, 0.3, 0.15, 0.15, 0.1])
                 t[i, j] = size * np.abs(t).max()
     m = restrict_to_pattern(random_psd(rng, n), p)
@@ -441,7 +447,7 @@ def test_multiplier_and_verification_match_reference_loops(d, seed):
     t[rng.random((n, n)) < 0.3] = -0.0
     for i in range(n):
         for j in range(n):
-            if not p.has_edge(i, j):
+            if not p.mask[i, j]:
                 t[i, j] = 0.0
     assert bits(apply_multiplier(m, t)) == bits(ref_apply_multiplier(m, t))
 
@@ -452,7 +458,7 @@ def test_multiplier_and_verification_match_reference_loops(d, seed):
         i, j = min(p.edges)
         nudged_on[i * d, j * d] += 1e-3
     if len(p.edges) < n * (n - 1) // 2:
-        i, j = next((i, j) for i in range(n) for j in range(i + 1, n) if not p.has_edge(i, j))
+        i, j = next((i, j) for i in range(n) for j in range(i + 1, n) if not p.mask[i, j])
         nudged_off[i * d, j * d] += 1e-3
         nudged_off[j * d, i * d] += 1e-3
     for phi in [a, unsigned, nudged_on, nudged_off, expand(m)]:
@@ -490,3 +496,49 @@ def _nan_off_diagonal():
 def test_library_calls_reject_non_finite_arrays(call):
     with pytest.raises(InputError, match="non-finite"):
         call()
+
+
+def random_partial(rng: np.random.Generator, p, d: int, kind: int):
+    """Partial data on p: 0 PSD, 1 singular PSD, 2 some diagonal entries shrunk
+    (non-PSD cliques), 3 one negative diagonal entry, 4 indefinite."""
+    size = p.n * d
+    a = random_psd(rng, size, rank=max(1, size // 3) if kind == 1 else None)
+    if kind == 2:
+        a[np.diag_indices(size)] *= np.where(rng.random(size) < 0.2, 1e-3, 1.0)
+    elif kind == 3:
+        v = int(rng.integers(size))
+        a[v, v] = -abs(a[v, v].real)
+    elif kind == 4:
+        a = random_hermitian(rng, size)
+    return restrict_to_pattern(a, p, d)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("seed", range(20))
+def test_completion_matches_the_clique_by_clique_loops(d, seed):
+    """Bitwise matrix, fill log, witness and error as the per-clique reference loops."""
+    rng = np.random.default_rng(1300 + 40 * d + seed)
+    n = int(rng.integers(1, 41))
+    p = random_chordal_components(rng, n, int(rng.integers(1, 5)), density=0.3)
+    m = random_partial(rng, p, d, seed % 5)
+    tol = [None, None, 0.0, 1e-3][seed % 4]
+    assert partially_positive(m, tol) == ref_partially_positive(m, tol)
+    try:
+        matrix, log = ref_positive_completion(m, tol)
+    except InfeasibleError as exc:
+        with pytest.raises(type(exc), match="^" + re.escape(str(exc)) + "$"):
+            positive_completion(m, tol)
+        return
+    got = positive_completion(m, tol)
+    assert bits(got.matrix) == bits(matrix)
+    assert got.fill_log == log
+    assert len(got.fills) == max(len(clique_tree(p).cliques) - 1, 0)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("seed", range(12))
+def test_partial_positivity_on_non_chordal_patterns_matches_the_loop(d, seed):
+    rng = np.random.default_rng(1500 + 20 * d + seed)
+    n = int(rng.integers(1, 13))
+    m = random_partial(rng, random_pattern(rng, n, 2 * n), d, seed % 5)
+    assert partially_positive(m) == ref_partially_positive(m)

@@ -22,11 +22,13 @@ GOLDEN = Path(__file__).parent / "fixtures" / "golden_stdout.json"
 CASES = ALL_COMMANDS + [
     ("clique-tree", "pattern_band2_n6.json"),
     ("clique-tree", "pattern_two_blocks.json"),
+    ("complete", "partial_mixed_separators.json"),
 ] + [
     (*argv, "--pretty")
     for argv in [
         ("complete", "partial_band09_n3.json"),
         ("complete", "partial_block_d2_n3.json"),
+        ("complete", "partial_mixed_separators.json"),
         ("apply-mult", "partial_band09_n3.json", "matrix_tband1_n3.json"),
         ("decompose", "matrix_tband1_n3.json", "pattern_complete3.json"),
         ("group-extend", "group_z6.json", "subset_z6_evens.json", "fn_z6_evens.json"),

@@ -12,6 +12,7 @@ from conftest import (
     ref_invariant_kernel,
     ref_invariantize,
     ref_is_chordal_subset,
+    ref_is_positive_definite_on,
     ref_kernel_blocks,
     ref_positive_definite_extension,
     ref_star_edges,
@@ -184,9 +185,7 @@ def test_star_pattern_is_right_translation_invariant():
                 for s in range(g.order):
                     for t in range(g.order):
                         if s != t:
-                            assert p.has_edge(s, t) == p.has_edge(
-                                g.mul(s, r), g.mul(t, r)
-                            )
+                            assert p.mask[s, t] == p.mask[g.mul(s, r), g.mul(t, r)]
 
 
 def test_n_transform_examples():
@@ -222,6 +221,47 @@ def test_positive_definiteness_examples():
     assert not is_positive_definite_on(
         z3, full, group_function(z3, {0: 1.0, 1: -0.8, 2: -0.8})
     )
+
+
+def random_hermitian_function(rng: np.random.Generator, g, e, diag: float):
+    """u(e) = diag and random values elsewhere with u(x^-1) = conj(u(x))."""
+    vals = {g.identity: complex(diag)}
+    for x in sorted(e.members - {g.identity}):
+        xi = g.inverse[x]
+        if xi in vals:
+            vals[x] = vals[xi].conjugate()
+        else:
+            vals[x] = complex(rng.normal(), rng.normal() if xi != x else 0.0)
+    return group_function(g, vals)
+
+
+@pytest.mark.parametrize("name,g", all_small_groups())
+def test_positive_definiteness_checks_cliques_through_the_identity_only(name, g):
+    """Same verdict as checking every maximal clique of the whole pattern."""
+    rng = np.random.default_rng(sum(map(ord, name)))
+    verdicts = set()
+    for e in symmetric_subsets(g):
+        functions = [random_pd_function(rng, g, e)]
+        functions += [random_hermitian_function(rng, g, e, diag) for diag in (0.5, 2.0, 4.0)]
+        for u in functions:
+            for tol in (None, 0.5):
+                want = ref_is_positive_definite_on(g, e, u, tol)
+                assert is_positive_definite_on(g, e, u, tol) == want
+                verdicts.add(want)
+    assert len(g.table) == 1 or verdicts == {True, False}
+
+
+def test_positive_definiteness_cap_applies_to_the_subset():
+    z21 = cyclic_group(21)
+    e = validate_subset(z21, {0, 1, 20})
+    assert not is_chordal_subset(z21, e)
+    assert is_positive_definite_on(z21, e, group_function(z21, {0: 1.0, 1: 0.1, 20: 0.1}))
+    assert not is_positive_definite_on(z21, e, group_function(z21, {0: 1.0, 1: 1.2, 20: 1.2}))
+    z23 = cyclic_group(23)
+    big = validate_subset(z23, set(range(23)) - {5, 18})  # 21 members, not a subgroup
+    u = group_function(z23, {x: 1.0 if x == 0 else 0.01 for x in big.members})
+    with pytest.raises(TooLarge):
+        is_positive_definite_on(z23, big, u)
 
 
 def test_extension_z4_pair_subset():

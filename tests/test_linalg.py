@@ -44,23 +44,6 @@ def test_is_psd_examples():
     assert linalg.is_psd(np.array([[2, 1], [1, 2]], dtype=complex))
 
 
-def test_psd_cholesky_examples():
-    assert np.array_equal(linalg.psd_cholesky(np.eye(2)), np.eye(2))
-    low = linalg.psd_cholesky(np.array([[4.0, 2.0], [2.0, 1.0]]))
-    assert np.allclose(low, [[2, 0], [1, 0]], atol=1e-14)
-    assert np.allclose(low @ low.conj().T, [[4, 2], [2, 1]], atol=1e-12)
-    with pytest.raises(NotPSD):
-        linalg.psd_cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
-
-
-@given(st.integers(0, 10 ** 6), st.integers(1, 12))
-def test_psd_cholesky_gram_roundtrip(seed, n):
-    a = random_psd(np.random.default_rng(seed), n)
-    assert linalg.is_psd(a)
-    low = linalg.psd_cholesky(a)
-    assert np.abs(low @ low.conj().T - a).max() <= 1e-8 * (1 + np.abs(a).max())
-
-
 def test_pseudo_inverse_examples():
     assert np.allclose(linalg.pseudo_inverse(np.diag([2.0, 0.0])), np.diag([0.5, 0.0]))
     assert np.allclose(linalg.pseudo_inverse(np.eye(3)), np.eye(3))
@@ -79,24 +62,37 @@ def test_pseudo_inverse_moore_penrose_identities(seed, n):
     assert np.abs((pinv @ a) - (pinv @ a).conj().T).max() <= 1e-9
 
 
-def test_schur_complement_examples():
-    out = linalg.schur_complement(np.array([[1.0, 0.9], [0.9, 1.0]]), [1])
-    assert np.allclose(out, [[0.19]], atol=1e-12)
-    assert np.allclose(linalg.schur_complement(np.eye(3), [0]), np.eye(2))
-    singular = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    assert np.allclose(
-        linalg.schur_complement(singular, [1]), [[0, 0], [0, 1]], atol=1e-12
-    )
+def random_stack(rng: np.random.Generator, k: int, s: int) -> np.ndarray:
+    """k Hermitian s x s matrices: PSD of random rank (often singular) or indefinite."""
+    out = np.zeros((k, s, s), dtype=complex)
+    for a in range(k):
+        if rng.random() < 0.3:
+            out[a] = random_hermitian(rng, s)
+        else:
+            out[a] = random_psd(rng, s, rank=int(rng.integers(0, s + 1))) if s else 0
+    return out
 
 
-@given(st.integers(0, 10 ** 6), st.integers(2, 12))
-def test_schur_complement_of_psd_is_psd(seed, n):
-    rng = np.random.default_rng(seed)
-    a = random_psd(rng, n)
-    k = int(rng.integers(1, n))
-    block = sorted(int(i) for i in rng.choice(n, size=k, replace=False))
-    out = linalg.schur_complement(a, block)
-    assert np.linalg.eigvalsh(out).min() >= -1e-9 * (1 + np.abs(a).max())
+@given(st.integers(0, 10 ** 6), st.integers(0, 5), st.integers(0, 6))
+def test_stacked_calls_match_per_matrix_calls_bitwise(seed, k, s):
+    stack = random_stack(np.random.default_rng(seed), k, s)
+    one_by_one = [linalg.pseudo_inverse(a) for a in stack]
+    assert linalg.pseudo_inverse(stack).tobytes() == np.array(one_by_one).tobytes()
+    tols = [linalg.default_psd_tol(a) for a in stack]
+    assert linalg.default_psd_tol(stack).tobytes() == np.array(tols).tobytes()
+    lows = [np.linalg.eigvalsh(a)[0] if s else np.inf for a in stack]
+    assert linalg.smallest_eigenvalues(stack).tobytes() == np.array(lows).tobytes()
+    for tol in (None, 0.0, 1e-3):
+        flags = [linalg.is_psd(a, tol) for a in stack]
+        assert linalg.is_psd(stack, tol).tolist() == flags
+
+
+def test_stacked_pseudo_inverse_cuts_each_matrix_on_its_own_scale():
+    stack = np.array([np.diag([1e6, 1e-7]), np.diag([1.0, 1e-7])])
+    got = linalg.pseudo_inverse(stack)
+    assert np.allclose(got[0], np.diag([1e-6, 0.0]))
+    assert np.allclose(got[1], np.diag([1.0, 1e7]))
+    assert linalg.pseudo_inverse(np.zeros((3, 0, 0))).shape == (3, 0, 0)
 
 
 def test_rank_one_factors_examples():

@@ -35,8 +35,8 @@ def test_validate_merges_duplicates_and_reversals():
 def test_validate_empty_edges_keeps_diagonal_only():
     p = validate_pattern(3, [])
     assert p.edges == frozenset()
-    assert p.has_edge(1, 1)
-    assert not p.has_edge(0, 1)
+    assert p.mask[1, 1]
+    assert not p.mask[0, 1]
 
 
 def test_validate_rejects_out_of_range():
@@ -160,7 +160,7 @@ def test_square_partition_properties(seed):
     assert sorted(flat) == list(range(n))
     assert len(flat) == len(set(flat))
     for block in blocks:
-        assert all(p.has_edge(a, b) for a in block for b in block)
+        assert all(p.mask[a, b] for a in block for b in block)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -187,7 +187,7 @@ def test_maximal_cliques_invariants(seed):
     cliques = maximal_cliques(p)
     assert cliques == brute_force_maximal_cliques(p)
     for c in cliques:
-        assert all(p.has_edge(a, b) for a in c for b in c)
+        assert all(p.mask[a, b] for a in c for b in c)
     for c in cliques:
         for d in cliques:
             assert not (set(c) < set(d))

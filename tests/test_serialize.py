@@ -76,19 +76,49 @@ def test_matrix_columns_emit_like_the_generic_walk(a, pretty):
     assert np.array_equal(ser.matrix_from_json(ser.matrix_to_json(a)), a)
 
 
+def explicit_fill_log(fills) -> list[dict]:
+    """The fill log as the generic emitter walks it: one dict per filled pair."""
+    return [
+        {"separator": list(sep), "pair": [u, v]}
+        for sep, old, new in fills
+        for u in old
+        for v in new
+    ]
+
+
 @pytest.mark.parametrize("pretty", [False, True])
 @pytest.mark.parametrize(
     "log",
     [
         (),
-        (((1,), (0, 2)),),
-        (((), (0, 3)), ((1, 2), (0, 4)), ((1,), (2, 5)), ((1, 2), (3, 4))),
+        (((1,), (0,), (2,)),),
+        (((), (0,), (3,)), ((1, 2), (0, 3), (4,)), ((1,), (2, 4), (5, 6)), ((1, 2), (3,), (4,))),
     ],
 )
 def test_fill_log_columns_emit_like_the_generic_walk(log, pretty):
-    explicit = [{"separator": list(sep), "pair": list(pair)} for sep, pair in log]
-    got = ser.dumps({"fill_log": ser.fill_log_to_json(log)}, pretty)
-    assert got == ser.dumps({"fill_log": explicit}, pretty)
+    table = ser.fill_log_to_json(log)
+    assert ser.dumps({"fill_log": table}, pretty) == ser.dumps(
+        {"fill_log": explicit_fill_log(log)}, pretty
+    )
+    rows = [{key: list(value) for key, value in row.items()} for row in table]
+    assert rows == explicit_fill_log(log)
+
+
+@pytest.mark.parametrize("pretty", [False, True])
+@pytest.mark.parametrize("last_sep", [(3, 4), ()])
+@pytest.mark.parametrize("rows", [255, 256, 257, 600])
+def test_fill_logs_of_several_chunks_emit_like_the_generic_walk(rows, last_sep, pretty):
+    fills = [((1, 2), (0,), tuple(range(3, rows - 4))), (last_sep, tuple(range(7)), (9,))]
+    got = ser.dumps({"fill_log": ser.fill_log_to_json(fills)}, pretty)
+    assert got == ser.dumps({"fill_log": explicit_fill_log(fills)}, pretty)
+
+
+@pytest.mark.parametrize("pretty", [False, True])
+@pytest.mark.parametrize("n", [22, 23, 35])
+def test_matrices_of_several_chunks_emit_like_the_generic_walk(n, pretty):
+    a = random_psd(np.random.default_rng(n), n)  # n (n + 1) / 2 entries
+    got = ser.dumps({"matrix": ser.matrix_to_json(a)}, pretty)
+    assert got == ser.dumps({"matrix": explicit_matrix_doc(a)}, pretty)
 
 
 @pytest.mark.parametrize("pretty", [False, True])
