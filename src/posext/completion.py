@@ -217,9 +217,9 @@ def positive_completion(
         seen[sep] = seen[new] = True
         if len(new) and len(old):
             rows, mid, cols = (rows_of[x].ravel() for x in (old, sep, new))
-            fill = full[np.ix_(rows, mid)] @ inverses[step] @ full[np.ix_(mid, cols)]
-            full[np.ix_(rows, cols)] = fill
-            full[np.ix_(cols, rows)] = fill.conj().T
+            fill = full[rows[:, None], mid] @ inverses[step] @ full[mid[:, None], cols]
+            full[rows[:, None], cols] = fill
+            full[cols[:, None], rows] = fill.conj().T
             fills.append((tuple(sep), tuple(old.tolist()), tuple(new.tolist())))
     return CompletionResult(full, tuple(fills))
 
@@ -297,7 +297,8 @@ def cb_norm_positive(phi: np.ndarray, d: int = 1, tol: float | None = None) -> f
     """Norm of the multiplication map induced by a positive multiplier.
 
     For a PSD multiplier this equals the largest diagonal block norm
-    (the largest diagonal entry when d = 1). Raises NotPSD otherwise.
+    (the largest diagonal entry when d = 1), read as 0 when roundoff
+    within the PSD tolerance leaves it below 0. Raises NotPSD otherwise.
     """
     if d < 1:
         raise DimensionMismatch(f"block size must be positive, got {d}")
@@ -305,8 +306,6 @@ def cb_norm_positive(phi: np.ndarray, d: int = 1, tol: float | None = None) -> f
     if not linalg.is_psd(phi, tol):
         raise NotPSD("cb norm by diagonal inspection needs a PSD multiplier")
     n = phi.shape[0]
-    if d == 1:
-        return max((phi[i, i].real for i in range(n)), default=0.0)
     if n % d != 0:
         raise DimensionMismatch(f"dimension {n} is not a multiple of block size {d}")
     k = np.arange(n // d)

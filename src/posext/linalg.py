@@ -22,7 +22,7 @@ class RankOneFactor:
 
 
 def _as_matrix(a) -> np.ndarray:
-    m = np.array(a, dtype=complex)
+    m = np.asarray(a, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
@@ -31,7 +31,7 @@ def _as_matrix(a) -> np.ndarray:
 
 
 def as_finite_matrix(a, n: int) -> np.ndarray:
-    """A complex n x n copy of a; DimensionMismatch or InputError otherwise."""
+    """a as a complex n x n array, uncopied if it is one; DimensionMismatch or InputError."""
     m = np.asarray(a, dtype=complex)
     if m.shape != (n, n):
         raise DimensionMismatch(f"matrix has shape {m.shape}, expected {(n, n)}")

@@ -4,9 +4,9 @@ Emission goes through a small dumper that renders floats with 17
 significant digits so that every number round-trips bit-faithfully.
 Small and irregular documents are walked value by value. The two large
 homogeneous lists, a dense matrix's entries and a completion's fill log,
-are held as columns (`_Table`) and rendered with one % per chunk of rows,
-byte for byte as the value-by-value walk would render the same list of
-objects.
+are held as typed columns (`_Table`) and rendered with one % per chunk of
+rows, byte for byte as the value-by-value walk would render the same
+list of objects.
 """
 
 from __future__ import annotations
@@ -92,17 +92,13 @@ def _emit_items(items, out, indent, open_ch, close_ch, key: bool) -> None:
 class _Table:
     """A list of objects that share one key order, held as columns.
 
-    A column is a list of ints, floats or int tuples, or, after the first,
-    a tuple of int lists: int tuples of one length held by position.
-    Iterating yields the objects as dicts.
+    A column is a 1-D int or float array, a 2-D int array whose rows are
+    rendered as lists, or a list of int tuples. Its producer fixes the
+    kind, so the emitter renders a column without looking at its values.
     """
 
     keys: tuple[str, ...]
     columns: tuple
-
-    def __iter__(self):
-        columns = (zip(*c) if isinstance(c, tuple) else c for c in self.columns)
-        return (dict(zip(self.keys, row)) for row in zip(*columns))
 
 
 _CHUNK_ROWS = 256
@@ -134,23 +130,19 @@ def _emit_table(table: _Table, out: list[str], indent: int | None) -> None:
 
 def _column_format(column, indent: int | None) -> tuple[str, list]:
     """The %-spec of a column and the value columns that fill it, as `_emit` renders."""
-    if isinstance(column, tuple):
-        return _tuple_spec(len(column), indent), list(column)
-    kinds = set(map(type, column))
-    if kinds == {int}:
-        return "%d", [column]
-    if kinds == {float}:
-        if not all(map(math.isfinite, column)):
-            raise ValueError("non-finite numbers are not serializable")
-        return "%.17g", [column]
-    if kinds == {tuple}:
-        if set(map(type, chain.from_iterable(column))) - {int}:
-            raise TypeError("a column of tuples must hold ints only")
-        if len(set(map(len, column))) == 1:
-            return _column_format(tuple(zip(*column)), indent)
+    if isinstance(column, list):
         encoded = {v: _tuple_spec(len(v), indent) % v for v in set(column)}
         return "%s", [list(map(encoded.__getitem__, column))]
-    raise TypeError(f"cannot serialize a column of {sorted(k.__name__ for k in kinds)}")
+    kind = (column.ndim, column.dtype.kind)
+    if kind == (1, "i"):
+        return "%d", [column.tolist()]
+    if kind == (1, "f"):
+        if not np.isfinite(column).all():
+            raise ValueError("non-finite numbers are not serializable")
+        return "%.17g", [column.tolist()]
+    if kind == (2, "i"):
+        return _tuple_spec(column.shape[1], indent), column.T.tolist()
+    raise TypeError(f"cannot serialize a {column.dtype} column of shape {column.shape}")
 
 
 def _tuple_spec(k: int, indent: int | None) -> str:
@@ -191,7 +183,7 @@ def matrix_to_json(a: np.ndarray) -> dict:
     n = a.shape[0]
     i, j = np.triu_indices(n)
     upper = a[i, j]
-    columns = (i.tolist(), j.tolist(), upper.real.tolist(), upper.imag.tolist())
+    columns = (i, j, upper.real, upper.imag)
     return {"n": n, "entries": _Table(("i", "j", "re", "im"), columns)}
 
 
@@ -218,12 +210,12 @@ def matrix_from_json(doc) -> np.ndarray:
 
 def fill_log_to_json(fills) -> _Table:
     """A completion's fills as {separator, pair} objects, one per filled pair."""
-    seps, us, vs = [], [], []
+    seps, pairs = [], [np.empty((0, 2), dtype=int)]
     for sep, old, new in fills:
-        us += np.repeat(old, len(new)).tolist()
-        vs += np.tile(new, len(old)).tolist()
-        seps += [sep] * (len(us) - len(seps))
-    return _Table(("separator", "pair"), (seps, (us, vs)))
+        old, new = np.array(old, dtype=int), np.array(new, dtype=int)
+        pairs.append(np.column_stack((np.repeat(old, len(new)), np.tile(new, len(old)))))
+        seps += [sep] * len(pairs[-1])
+    return _Table(("separator", "pair"), (seps, np.concatenate(pairs)))
 
 
 # -- partial matrices ---------------------------------------------------------

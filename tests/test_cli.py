@@ -426,10 +426,19 @@ def test_full_corpus_succeeds_and_roundtrips(argv, capsys):
 
 
 def test_console_entry_point_runs_in_subprocess():
-    proc = subprocess.run(
-        [sys.executable, "-m", "posext", "cexi", "2"],
-        capture_output=True,
-        text=True,
-    )
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "posext", *argv], capture_output=True)
+
+    proc = run("cexi", "2")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["points"] == ["0"]
+    # the column emitter's bytes as they reach a real stdout
+    golden = json.loads((FIXTURES / "golden_stdout.json").read_text(encoding="utf-8"))
+    for argv in [
+        ("complete", "partial_mixed_separators.json"),
+        ("complete", "partial_mixed_separators.json", "--pretty"),
+        ("complete", "partial_band09_n3.json"),
+    ]:
+        proc = run(argv[0], fx(argv[1]), *argv[2:])
+        expected = (0, golden[" ".join(argv)].encode(), b"")
+        assert (proc.returncode, proc.stdout, proc.stderr) == expected

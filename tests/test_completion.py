@@ -375,6 +375,10 @@ def test_cb_norm_examples():
     assert cb_norm_positive(np.eye(2)) == 1.0
     assert cb_norm_positive(np.array([[2, 1], [1, 3]], dtype=complex)) == 3.0
     assert cb_norm_positive(np.diag([0.5, 0.2])) == 0.5
+    # a largest diagonal entry at or below 0 (PSD within tolerance) reads +0, as for d = 2
+    for corner in (-1e-12, -0.0):
+        norm = cb_norm_positive(np.array([[corner]]))
+        assert norm == 0.0 and not np.signbit(norm)
     with pytest.raises(NotPSD):
         cb_norm_positive(np.array([[1, 2], [2, 1]], dtype=complex))
 
