@@ -1,10 +1,13 @@
 """Partial Hermitian matrices on patterns and their positive completions.
 
 A partial matrix carries one d x d block for every specified pair of a
-pattern. Partial positivity asks each clique principal submatrix to be
-PSD; on chordal patterns that is exactly the condition under which a
-positive completion exists, and the completion is computed clique by
-clique along a clique tree with the zero-Schur-complement one-step fill
+pattern, all in one (pairs, d, d) stack aligned with `Pattern.pairs`:
+it is validated as one array, scattered into a dense matrix by `expand`
+and gathered from one by `restrict_to_pattern`. Partial positivity asks
+each clique principal submatrix to be PSD; on chordal patterns that is
+exactly the condition under which a positive completion exists, and the
+completion is computed clique by clique along a clique tree with the
+zero-Schur-complement one-step fill
 
     X = M[A \\ S, S] (M[S, S])^+ M[S, B].
 
@@ -14,9 +17,11 @@ Block-valued data is worked on as the dense (n d) x (n d) matrix of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
+from typing import Mapping
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from . import linalg
 from .errors import (
@@ -34,52 +39,69 @@ _SUPPORT_REL = 1e-10
 
 @dataclass(eq=False)
 class PartialHermitianMatrix:
-    """Block-valued entries on the pairs of a pattern.
+    """Block-valued entries on the pairs of a pattern, held as one stack.
 
     blocks maps each ordered pair (i, j) with i <= j of the pattern
     (diagonal pairs and edges) to a d x d complex block; the (j, i)
     block is implicitly the conjugate transpose. Entries must be finite
-    and diagonal blocks Hermitian. Instances are treated as immutable.
+    and diagonal blocks Hermitian. Only the stack is kept: values is a
+    read-only (pairs, d, d) complex array whose row k is the block of
+    pair (pattern.pairs[0][k], pattern.pairs[1][k]), and block(i, j)
+    reads one block in either orientation.
     """
 
     pattern: Pattern
     d: int
-    blocks: dict[tuple[int, int], np.ndarray]
+    blocks: InitVar[Mapping[tuple[int, int], ArrayLike]]
+    values: np.ndarray = field(init=False)
 
-    def __post_init__(self) -> None:
-        if self.d < 1:
-            raise DimensionMismatch(f"block size must be positive, got {self.d}")
-        required = {(i, i) for i in range(self.pattern.n)} | set(self.pattern.edges)
-        got = set(self.blocks)
-        if got != required:
-            missing = sorted(required - got)
-            extra = sorted(got - required)
+    def __post_init__(self, blocks) -> None:
+        d = self.d
+        if d < 1:
+            raise DimensionMismatch(f"block size must be positive, got {d}")
+        rows, cols = self.pattern.pairs
+        keys = list(zip(rows.tolist(), cols.tolist()))
+        if blocks.keys() != set(keys):
+            missing = sorted(set(keys) - blocks.keys())
+            extra = sorted(blocks.keys() - set(keys))
             raise InputError(
                 f"blocks must cover the pattern pairs exactly "
                 f"(missing {missing[:4]}, extraneous {extra[:4]})"
             )
-        clean = {}
-        for key in sorted(self.blocks):
-            block = np.array(self.blocks[key], dtype=complex)
-            if block.shape != (self.d, self.d):
-                raise DimensionMismatch(
-                    f"block {key} has shape {block.shape}, expected ({self.d},{self.d})"
-                )
-            if not np.isfinite(block).all():
-                raise InputError(f"block {key} has a non-finite entry")
-            if key[0] == key[1] and not np.array_equal(block, block.conj().T):
-                raise InputError(f"diagonal block {key} is not Hermitian")
-            clean[key] = block
-        self.blocks = clean
+        given = list(map(blocks.__getitem__, keys))
+        try:  # with no pairs, the empty stack gives the shape that an empty list lacks
+            values = np.array(given or np.empty((0, d, d)), dtype=complex)
+        except ValueError:  # blocks of several shapes, or an entry that is not a number
+            for key, block in zip(keys, given):
+                shape = np.array(block, dtype=object).shape
+                if shape != (d, d):
+                    raise DimensionMismatch(f"block {key} has shape {shape}, expected ({d},{d})")
+            raise
+        if values.shape != (len(keys), d, d):  # one shape for all blocks, the wrong one
+            shape = values.shape[1:]
+            raise DimensionMismatch(f"block {keys[0]} has shape {shape}, expected ({d},{d})")
+        bad = ~np.isfinite(values).all(axis=(1, 2))
+        if bad.any():
+            raise InputError(f"block {keys[bad.argmax()]} has a non-finite entry")
+        bad = (values != values.conj().swapaxes(1, 2)).any(axis=(1, 2)) & (rows == cols)
+        if bad.any():
+            raise InputError(f"diagonal block {keys[bad.argmax()]} is not Hermitian")
+        values.flags.writeable = False
+        self.values = values
 
     @property
     def n(self) -> int:
         return self.pattern.n
 
     def block(self, i: int, j: int) -> np.ndarray:
-        if i <= j:
-            return self.blocks[(i, j)]
-        return self.blocks[(j, i)].conj().T
+        if i > j:
+            return self.block(j, i).conj().T
+        rows, cols = self.pattern.pairs
+        start, stop = np.searchsorted(rows, [i, i + 1])
+        k = start + np.searchsorted(cols[start:stop], j)
+        if k == stop or cols[k] != j:
+            raise KeyError((i, j))
+        return self.values[k]
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,11 +130,10 @@ def expanded_pattern(p: Pattern, d: int) -> Pattern:
 
 def expand(m: PartialHermitianMatrix) -> np.ndarray:
     """Dense (n d) x (n d) matrix with zeros on the unspecified pairs."""
-    i, j = np.array(list(m.blocks), dtype=int).reshape(-1, 2).T
-    blocks = np.array(list(m.blocks.values())).reshape(-1, m.d, m.d)
+    i, j = m.pattern.pairs
     out = np.zeros((m.n, m.d, m.n, m.d), dtype=complex)
-    out[j, :, i] = blocks.conj().swapaxes(1, 2)
-    out[i, :, j] = blocks  # last, so that diagonal blocks are kept as given
+    out[j, :, i] = m.values.conj().swapaxes(1, 2)
+    out[i, :, j] = m.values  # last, so that diagonal blocks are kept as given
     return out.reshape(m.n * m.d, m.n * m.d)
 
 
@@ -123,9 +144,9 @@ def restrict_to_pattern(a: np.ndarray, p: Pattern, d: int = 1) -> PartialHermiti
         raise DimensionMismatch(
             f"matrix has shape {a.shape}, expected {(p.n * d, p.n * d)}"
         )
-    pairs = [(i, i) for i in range(p.n)] + sorted(p.edges)
-    a = a.reshape(p.n, d, p.n, d)
-    return PartialHermitianMatrix(p, d, {(i, j): a[i, :, j] for i, j in pairs})
+    i, j = p.pairs
+    blocks = a.reshape(p.n, d, p.n, d)[i, :, j]
+    return PartialHermitianMatrix(p, d, dict(zip(zip(i.tolist(), j.tolist()), blocks)))
 
 
 def _blocks_by_size(full: np.ndarray, vertex_sets, d: int):
@@ -284,13 +305,19 @@ def apply_multiplier(m: PartialHermitianMatrix, t: np.ndarray) -> np.ndarray:
     """Entrywise action: block (i, j) of the result is t[i, j] times block (i, j).
 
     The input matrix must be supported on the pattern; unspecified pairs
-    map to zero blocks.
+    map to zero blocks. A product that overflows raises InputError
+    naming its first entry.
     """
     t = linalg.as_finite_matrix(t, m.n)
     _check_supported(t, m.pattern)
     scale = np.repeat(np.repeat(t, m.d, axis=0), m.d, axis=1)
-    # zeros are written, not multiplied in: 0 * t would leave -0 where t < 0
-    return np.where(expanded_pattern(m.pattern, m.d).mask, scale * expand(m), 0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # zeros are written, not multiplied in: 0 * t would leave -0 where t < 0
+        out = np.where(expanded_pattern(m.pattern, m.d).mask, scale * expand(m), 0)
+    bad = np.argwhere(~np.isfinite(out))
+    if len(bad):
+        raise InputError("entry ({},{}) of the product overflows".format(*bad[0]))
+    return out
 
 
 def cb_norm_positive(phi: np.ndarray, d: int = 1, tol: float | None = None) -> float:

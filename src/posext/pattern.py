@@ -53,6 +53,13 @@ class Pattern:
         return out
 
     @cached_property
+    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (rows, cols) of the pairs i <= j of the support, in row-major order."""
+        rows, cols = np.nonzero(np.triu(self.mask))
+        rows.flags.writeable = cols.flags.writeable = False
+        return rows, cols
+
+    @cached_property
     def structure(self) -> ChordalStructure:
         """The chordal structure, computed once per pattern."""
         return _chordal_structure(self)

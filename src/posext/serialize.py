@@ -221,13 +221,14 @@ def fill_log_to_json(fills) -> _Table:
 # -- partial matrices ---------------------------------------------------------
 
 def partial_to_json(m: PartialHermitianMatrix) -> dict:
+    rows, cols = m.pattern.pairs
     blocks = [
         {
             "i": i,
             "j": j,
             "block": [list(map(_complex_to_doc, row)) for row in block],
         }
-        for (i, j), block in sorted(m.blocks.items())
+        for i, j, block in zip(rows.tolist(), cols.tolist(), m.values.tolist())
     ]
     return {
         "n": m.n,
@@ -249,8 +250,7 @@ def partial_from_json(doc) -> PartialHermitianMatrix:
             raise InputError(f"blocks list (i,j) with i <= j only, got ({i},{j})")
         if (i, j) in blocks:
             raise InputError(f"duplicate block ({i},{j})")
-        rows = [list(map(_complex_from_doc, row)) for row in item["block"]]
-        blocks[(i, j)] = np.array(rows, dtype=complex)
+        blocks[(i, j)] = [list(map(_complex_from_doc, row)) for row in item["block"]]
     return PartialHermitianMatrix(p, d, blocks)
 
 

@@ -402,7 +402,8 @@ def ref_apply_multiplier(m, t: np.ndarray) -> np.ndarray:
 
 def ref_agrees_on_pattern(m, phi: np.ndarray) -> bool:
     d = m.d
-    for (i, j), block in m.blocks.items():
+    for i, j in np.argwhere(np.triu(m.pattern.mask)).tolist():
+        block = m.block(i, j)
         if not np.array_equal(phi[i * d : (i + 1) * d, j * d : (j + 1) * d], block):
             return False
         if i != j and not np.array_equal(

@@ -195,6 +195,48 @@ def test_booleans_are_not_integers(tmp_path, capsys, command, doc):
     assert captured.err.startswith("error: InputError: ")
 
 
+_ZERO = {"re": 0, "im": 0}
+
+
+@pytest.mark.parametrize(
+    "doc, err",
+    [
+        (_partial(i=0, j=0), "InputError: duplicate block (0,0)"),
+        (
+            {"n": 1, "d": 2, "pattern": {"n": 1, "edges": []},
+             "blocks": [{"i": 0, "j": 0, "block": [[_ONE[0][0], _ZERO], [_ONE[0][0]]]}]},
+            "DimensionMismatch: block (0, 0) has shape (2,), expected (2,2)",
+        ),
+    ],
+    ids=["duplicate", "ragged"],
+)
+def test_malformed_blocks_exit_2(tmp_path, capsys, doc, err):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code = main(["partially-positive", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"error: {err}\n")
+
+
+def test_apply_mult_overflow_exits_2(tmp_path):
+    """1e200 * 1e200 overflows: one error line, no warning and no traceback."""
+    big = {"re": 1e200, "im": 0}
+    partial = tmp_path / "partial.json"
+    partial.write_text(json.dumps(
+        {"n": 1, "d": 1, "pattern": {"n": 1, "edges": []},
+         "blocks": [{"i": 0, "j": 0, "block": [[big]]}]}
+    ))
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text(json.dumps({"n": 1, "entries": [{"i": 0, "j": 0, **big}]}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "posext", "apply-mult", str(partial), str(matrix)],
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: InputError: entry (0,0) of the product overflows\n"
+
+
 def test_pd_check_on_a_non_chordal_subset_of_a_large_group(tmp_path, capsys):
     """Only the cliques inside E = {0, 1, 20} are enumerated, not those of Z_21."""
     n = 21

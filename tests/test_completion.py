@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -82,6 +83,66 @@ def test_partial_matrix_requires_all_pattern_blocks():
             1,
             {(0, 0): np.array([[1j]]), (1, 1): np.eye(1), (0, 1): np.eye(1)},
         )
+
+
+_BAND3_D2 = {
+    (0, 0): np.eye(2), (1, 1): np.eye(2), (2, 2): np.eye(2),
+    (0, 1): np.zeros((2, 2)), (1, 2): np.zeros((2, 2)),
+}
+
+
+@pytest.mark.parametrize(
+    "n, d, edits, error, message",
+    [
+        (3, 2, {(0, 1): [[1]]}, DimensionMismatch, "block (0, 1) has shape (1, 1), expected (2,2)"),
+        (3, 2, {(1, 2): [[1, 0, 0, 1]]}, DimensionMismatch, "block (1, 2) has shape (1, 4)"),
+        (3, 2, {(1, 1): []}, DimensionMismatch, "block (1, 1) has shape (0,)"),
+        (3, 2, {(0, 1): [[1, 0], [0]]}, DimensionMismatch, "block (0, 1) has shape (2,)"),
+        (3, 2, {(1, 1): [[1, 1j], [1j, 1]]}, InputError, "diagonal block (1, 1) is not Hermitian"),
+        (3, 2, {(1, 2): None}, InputError, "(missing [(1, 2)], extraneous [])"),
+        (3, 2, {(0, 2): np.eye(2)}, InputError, "(missing [], extraneous [(0, 2)])"),
+        (3, 0, {}, DimensionMismatch, "block size must be positive, got 0"),
+        (0, 2, {}, None, None),
+    ],
+    ids=["1x1", "1x4", "empty", "ragged", "not-hermitian", "missing", "extraneous", "d0", "n0"],
+)
+def test_partial_matrix_names_the_first_bad_block(n, d, edits, error, message):
+    """A misshapen, non-Hermitian, missing or extraneous block is named; n = 0 is fine.
+
+    The band-1 pattern on n vertices gets identity and zero blocks of
+    size 2, then the edits; an edit to None drops the pair.
+    """
+    p = validate_pattern(n, [(i, i + 1) for i in range(n - 1)])
+    blocks = {key: block for key, block in {**_BAND3_D2, **edits}.items() if block is not None}
+    if n == 0:
+        blocks = {}
+    if error is None:
+        m = PartialHermitianMatrix(p, d, blocks)
+        assert m.values.shape == (0, d, d) and expand(m).shape == (0, 0)
+    else:
+        with pytest.raises(error, match=re.escape(message)):
+            PartialHermitianMatrix(p, d, blocks)
+
+
+def test_partial_matrix_holds_one_read_only_stack_in_pair_order():
+    rng = np.random.default_rng(17)
+    p = random_chordal_pattern(rng, 7)
+    a = random_psd(rng, 14)
+    m = restrict_to_pattern(a, p, d=2)
+    assert vars(m).keys() == {"pattern", "d", "values"}
+    assert not m.values.flags.writeable
+    rows, cols = p.pairs
+    assert list(zip(rows.tolist(), cols.tolist())) == sorted(
+        [(i, i) for i in range(p.n)] + sorted(p.edges)
+    )
+    for k, (i, j) in enumerate(zip(rows.tolist(), cols.tolist())):
+        block = a[2 * i : 2 * i + 2, 2 * j : 2 * j + 2]
+        assert bits(m.values[k]) == bits(block) == bits(m.block(i, j))
+        assert bits(m.block(j, i)) == bits(block if i == j else block.conj().T)
+    unspecified = [(i, j) for i in range(p.n) for j in range(p.n) if not p.mask[i, j]]
+    for i, j in [(0, p.n), (-1, 0), *unspecified]:
+        with pytest.raises(KeyError):
+            m.block(i, j)
 
 
 @pytest.mark.parametrize(
@@ -361,6 +422,20 @@ def test_apply_multiplier_examples():
         apply_multiplier(doubler, np.ones((3, 3), dtype=complex))
 
 
+def test_apply_multiplier_overflow_names_the_first_entry():
+    """Entries are named in the (n d) x (n d) product, and numpy's warnings are kept quiet."""
+    a = np.eye(4, dtype=complex)
+    a[1, 3] = 1e200 + 1e200j
+    a[3, 1] = 1e200 - 1e200j
+    m = restrict_to_pattern(a, validate_pattern(2, [(0, 1)]), d=2)
+    t = np.array([[1, 1e200], [1e200, 1]], dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match=r"^entry \(1,3\) of the product overflows$"):
+            apply_multiplier(m, t)
+    assert np.isfinite(apply_multiplier(m, t / 1e200)).all()
+
+
 def test_multiplier_consistency_after_extension():
     rng = np.random.default_rng(55)
     p = random_chordal_pattern(rng, 6)
@@ -546,3 +621,54 @@ def test_partial_positivity_on_non_chordal_patterns_matches_the_loop(d, seed):
     n = int(rng.integers(1, 13))
     m = random_partial(rng, random_pattern(rng, n, 2 * n), d, seed % 5)
     assert partially_positive(m) == ref_partially_positive(m)
+
+
+# -- metamorphic properties ---------------------------------------------------
+
+@st.composite
+def chordal_partials(draw, kinds):
+    """A random chordal pattern (n <= 12, d in {1, 2}), data of one kind of random_partial, its rng."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, d = draw(st.integers(1, 12)), draw(st.sampled_from([1, 2]))
+    density = draw(st.sampled_from([0.2, 0.5, 0.8]))
+    p = random_chordal_components(rng, n, draw(st.integers(1, 3)), density)
+    return rng, random_partial(rng, p, d, draw(st.sampled_from(kinds)))
+
+
+def symmetries(rng, m):
+    """(name, pattern, map) for a vertex relabelling, a diagonal unitary congruence and a scaling.
+
+    Each map acts on (n d) x (n d) matrices and takes the pattern of m to
+    the given one; its output is made exactly Hermitian again.
+    """
+    n, d = m.n, m.d
+    perm = rng.permutation(n)
+    inv = np.argsort(perm)  # vertex v of m becomes perm[v]
+    phases = np.exp(2j * np.pi * rng.random(n * d))
+    c = 10.0 ** rng.uniform(-3, 3)
+    relabelled = validate_pattern(n, [(int(perm[i]), int(perm[j])) for i, j in m.pattern.edges])
+    maps = [
+        ("relabel", relabelled, lambda x: x.reshape(n, d, n, d)[inv][:, :, inv].reshape(n * d, -1)),
+        ("congruence", m.pattern, lambda x: phases[:, None] * x * phases.conj()),
+        ("scaling", m.pattern, lambda x: c * x),
+    ]
+    return [(name, p, lambda x, f=f: (f(x) + f(x).conj().T) / 2) for name, p, f in maps]
+
+
+@given(chordal_partials(kinds=[0]))
+def test_completion_commutes_with_relabelling_congruence_and_scaling(case):
+    """The completion of positive definite data is unique, so any clique tree gives it."""
+    rng, m = case
+    base = positive_completion(m).matrix
+    for name, p, move in symmetries(rng, m):
+        got = positive_completion(restrict_to_pattern(move(expand(m)), p, m.d)).matrix
+        want = move(base)
+        assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max(), name
+
+
+@given(chordal_partials(kinds=[0, 3, 4]))
+def test_partial_positivity_is_invariant_under_relabelling_congruence_and_scaling(case):
+    rng, m = case
+    ok, _ = partially_positive(m)
+    for name, p, move in symmetries(rng, m):
+        assert partially_positive(restrict_to_pattern(move(expand(m)), p, m.d))[0] == ok, name
