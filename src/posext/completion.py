@@ -31,10 +31,12 @@ from .errors import (
     NotPartiallyPositive,
     NotPSD,
     NotSupported,
+    TooLarge,
 )
 from .pattern import CliqueTree, Pattern, clique_tree, is_chordal, maximal_cliques
 
 _SUPPORT_REL = 1e-10
+MAX_DENSE_DIM = 4096  # a dense complex matrix this size takes 256 MiB
 
 
 @dataclass(eq=False)
@@ -128,13 +130,25 @@ def expanded_pattern(p: Pattern, d: int) -> Pattern:
     return Pattern(p.n * d, frozenset(zip(s.tolist(), t.tolist())))
 
 
-def expand(m: PartialHermitianMatrix) -> np.ndarray:
-    """Dense (n d) x (n d) matrix with zeros on the unspecified pairs."""
+def _check_dense_dim(dim: int) -> None:
+    """TooLarge before a dense dim x dim matrix above MAX_DENSE_DIM is allocated."""
+    if dim > MAX_DENSE_DIM:
+        raise TooLarge(f"dense matrix dimension {dim} exceeds the cap of {MAX_DENSE_DIM}")
+
+
+def _scatter(m: PartialHermitianMatrix, upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
+    """Dense (n d) x (n d) matrix: upper[k] at pair k = (i, j), lower[k] at (j, i), zeros elsewhere."""
+    _check_dense_dim(m.n * m.d)
     i, j = m.pattern.pairs
     out = np.zeros((m.n, m.d, m.n, m.d), dtype=complex)
-    out[j, :, i] = m.values.conj().swapaxes(1, 2)
-    out[i, :, j] = m.values  # last, so that diagonal blocks are kept as given
+    out[j, :, i] = lower
+    out[i, :, j] = upper  # last, so that diagonal blocks are kept as given
     return out.reshape(m.n * m.d, m.n * m.d)
+
+
+def expand(m: PartialHermitianMatrix) -> np.ndarray:
+    """Dense (n d) x (n d) matrix with zeros on the unspecified pairs."""
+    return _scatter(m, m.values, m.values.conj().swapaxes(1, 2))
 
 
 def restrict_to_pattern(a: np.ndarray, p: Pattern, d: int = 1) -> PartialHermitianMatrix:
@@ -310,12 +324,14 @@ def apply_multiplier(m: PartialHermitianMatrix, t: np.ndarray) -> np.ndarray:
     """
     t = linalg.as_finite_matrix(t, m.n)
     _check_supported(t, m.pattern)
-    scale = np.repeat(np.repeat(t, m.d, axis=0), m.d, axis=1)
+    i, j = m.pattern.pairs
     with np.errstate(over="ignore", invalid="ignore"):
         # zeros are written, not multiplied in: 0 * t would leave -0 where t < 0
-        out = np.where(expanded_pattern(m.pattern, m.d).mask, scale * expand(m), 0)
-    bad = np.argwhere(~np.isfinite(out))
-    if len(bad):
+        upper = t[i, j, None, None] * m.values
+        lower = t[j, i, None, None] * m.values.conj().swapaxes(1, 2)
+    out = _scatter(m, upper, lower)
+    if not (np.isfinite(upper).all() and np.isfinite(lower).all()):
+        bad = np.argwhere(~np.isfinite(out))
         raise InputError("entry ({},{}) of the product overflows".format(*bad[0]))
     return out
 
@@ -345,5 +361,9 @@ def verify_extension(
 ) -> bool:
     """True iff phi agrees with the partial matrix exactly and is PSD."""
     phi = linalg.as_finite_matrix(phi, m.n * m.d)
-    support = expanded_pattern(m.pattern, m.d).mask
-    return np.array_equal(phi[support], expand(m)[support]) and linalg.is_psd(phi, tol)
+    i, j = m.pattern.pairs
+    blocks = phi.reshape(m.n, m.d, m.n, m.d)
+    agrees = np.array_equal(blocks[i, :, j], m.values) and np.array_equal(
+        blocks[j, :, i], m.values.conj().swapaxes(1, 2)
+    )
+    return agrees and linalg.is_psd(phi, tol)

@@ -149,6 +149,7 @@ def _chordal_structure(p: Pattern) -> ChordalStructure:
     """
     adj = p.adjacency
     weight = [0] * p.n
+    follower = [-1] * p.n
     heap = [(0, -v) for v in range(p.n)]
     heapq.heapify(heap)
     visit: list[int] = []
@@ -158,29 +159,31 @@ def _chordal_structure(p: Pattern) -> ChordalStructure:
         v = -v
         if earlier[v] is not None or -w != weight[v]:
             continue
-        earlier[v] = frozenset(u for u in adj[v] if earlier[u] is not None)
-        visit.append(v)
+        before = []
         for u in adj[v]:
             if earlier[u] is None:
                 weight[u] += 1
+                follower[u] = v  # the last such v before u is visited is its follower
                 heapq.heappush(heap, (-weight[u], -u))
+            else:
+                before.append(u)
+        earlier[v] = frozenset(before)
+        visit.append(v)
     order = tuple(reversed(visit))
 
-    pos = {v: k for k, v in enumerate(visit)}
-    follower = {v: max(earlier[v], key=pos.__getitem__) for v in visit if earlier[v]}
-    if any(not earlier[v] - {f} <= earlier[f] for v, f in follower.items()):
+    if any(f >= 0 and not earlier[v] - {f} <= earlier[f] for v, f in enumerate(follower)):
         return ChordalStructure(order, False, None)
 
     cliques: list[list[int]] = []
     component: list[int] = []
     links: list[tuple[int, int, frozenset[int]]] = []
-    home = {}
+    home = [0] * p.n
     roots = 0
     for k, v in enumerate(visit):
         if k and len(earlier[v]) > len(earlier[visit[k - 1]]):
             cliques[-1].append(v)
         else:
-            if v in follower:
+            if follower[v] >= 0:
                 links.append((len(cliques), home[follower[v]], earlier[v]))
             else:
                 roots += 1
@@ -190,10 +193,11 @@ def _chordal_structure(p: Pattern) -> ChordalStructure:
 
     keys = [tuple(sorted(c)) for c in cliques]
     rank = sorted(range(len(keys)), key=keys.__getitem__)
-    index = {k: r for r, k in enumerate(rank)}
+    index = [0] * len(rank)
     lowest: dict[int, int] = {}
-    for k in rank:
-        lowest.setdefault(component[k], index[k])
+    for r, k in enumerate(rank):
+        index[k] = r
+        lowest.setdefault(component[k], r)
     edges = [
         (min(index[a], index[b]), max(index[a], index[b]), tuple(sorted(sep)))
         for a, b, sep in links

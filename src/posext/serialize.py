@@ -2,11 +2,14 @@
 
 Emission goes through a small dumper that renders floats with 17
 significant digits so that every number round-trips bit-faithfully.
-Small and irregular documents are walked value by value. The two large
-homogeneous lists, a dense matrix's entries and a completion's fill log,
-are held as typed columns (`_Table`) and rendered with one % per chunk of
-rows, byte for byte as the value-by-value walk would render the same
-list of objects.
+A list whose items are all exact ints, or all lists or tuples of exact
+ints, goes to json's encoder (the C encoder when compact), which writes
+ints and lays out lists as the walk below does. The large homogeneous
+lists, a dense matrix's entries, a completion's fill log and a group
+function's values, are held as typed columns (`_Table`) and rendered
+with one % per chunk of rows. Everything else is walked value by value.
+All three paths give the same bytes. Floats stay off json's path: it
+writes repr(x), where this format writes %.17g.
 """
 
 from __future__ import annotations
@@ -15,12 +18,12 @@ import cmath
 import json
 import math
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 
 import numpy as np
 
 from .circleset import CircleSet, normalize
-from .completion import PartialHermitianMatrix
+from .completion import PartialHermitianMatrix, _check_dense_dim
 from .errors import InputError
 from .groupext import (
     FiniteGroup,
@@ -58,11 +61,30 @@ def _emit(value, out: list[str], indent: int | None) -> None:
     elif isinstance(value, dict):
         _emit_items(value.items(), out, indent, "{", "}", key=True)
     elif isinstance(value, (list, tuple)):
-        _emit_items(value, out, indent, "[", "]", key=False)
+        if _int_lists(value):
+            _emit_int_lists(value, out, indent)
+        else:
+            _emit_items(value, out, indent, "[", "]", key=False)
     elif isinstance(value, _Table):
         _emit_table(value, out, indent)
     else:
         raise TypeError(f"cannot serialize value of type {type(value).__name__}")
+
+
+def _int_lists(value) -> bool:
+    """True when the items are all exact ints, or all lists or tuples of exact ints."""
+    kinds = set(map(type, value))
+    if kinds <= {int}:
+        return True
+    return kinds <= {list, tuple} and set(map(type, chain.from_iterable(value))) <= {int}
+
+
+def _emit_int_lists(value, out: list[str], indent: int | None) -> None:
+    """json's encoder writes an int as str(int) and lays out lists as `_emit_items` does."""
+    if indent is None:
+        out.append(json.dumps(value, separators=(",", ":")))
+    else:
+        out.append(json.dumps(value, indent=2).replace("\n", _pad(indent, 0)))
 
 
 def _pad(indent: int | None, depth: int) -> str:
@@ -191,6 +213,7 @@ def matrix_from_json(doc) -> np.ndarray:
     (n,) = _integers([doc["n"]])
     if n < 0:
         raise InputError(f"matrix dimension must be nonnegative, got {n}")
+    _check_dense_dim(n)
     out = np.zeros((n, n), dtype=complex)
     seen = set()
     for entry in doc["entries"]:
@@ -209,13 +232,27 @@ def matrix_from_json(doc) -> np.ndarray:
 
 
 def fill_log_to_json(fills) -> _Table:
-    """A completion's fills as {separator, pair} objects, one per filled pair."""
-    seps, pairs = [], [np.empty((0, 2), dtype=int)]
-    for sep, old, new in fills:
-        old, new = np.array(old, dtype=int), np.array(new, dtype=int)
-        pairs.append(np.column_stack((np.repeat(old, len(new)), np.tile(new, len(old)))))
-        seps += [sep] * len(pairs[-1])
-    return _Table(("separator", "pair"), (seps, np.concatenate(pairs)))
+    """A completion's fills as {separator, pair} objects, one per filled pair.
+
+    Step (separator, old, new) fills old x new row by row, so its k-th
+    pair is (old[k // len(new)], new[k % len(new)]).
+    """
+    n_old = np.array([len(old) for _, old, _ in fills], dtype=int)
+    n_new = np.array([len(new) for _, _, new in fills], dtype=int)
+    sizes = n_old * n_new
+    step = np.repeat(np.arange(len(sizes)), sizes)
+    k = np.arange(len(step)) - (np.cumsum(sizes) - sizes)[step]
+    width = n_new[step]
+    old = np.fromiter(chain.from_iterable(old for _, old, _ in fills), int)
+    new = np.fromiter(chain.from_iterable(new for _, _, new in fills), int)
+    pairs = np.column_stack(
+        (
+            old[(np.cumsum(n_old) - n_old)[step] + k // width],
+            new[(np.cumsum(n_new) - n_new)[step] + k % width],
+        )
+    )
+    seps = list(chain.from_iterable(map(repeat, (sep for sep, _, _ in fills), sizes.tolist())))
+    return _Table(("separator", "pair"), (seps, pairs))
 
 
 # -- partial matrices ---------------------------------------------------------
@@ -277,11 +314,9 @@ def subset_from_json(doc, g: FiniteGroup) -> SymmetricSubset:
 
 
 def function_to_json(f: GroupFunction) -> dict:
-    return {
-        "values": [
-            {"g": k, **_complex_to_doc(v)} for k, v in sorted(f.values.items())
-        ]
-    }
+    keys = sorted(f.values)
+    z = np.array([f.values[k] for k in keys], dtype=complex)
+    return {"values": _Table(("g", "re", "im"), (np.array(keys, dtype=int), z.real, z.imag))}
 
 
 def function_from_json(doc, g: FiniteGroup) -> GroupFunction:

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import heapq
 import itertools
+import json
+import math
 
 import numpy as np
 from hypothesis import HealthCheck, settings
@@ -23,6 +26,8 @@ from posext import (
     validate_pattern,
     validate_subset,
 )
+from posext.pattern import ChordalStructure, CliqueTree
+from posext.serialize import _Table
 
 settings.register_profile(
     "suite",
@@ -473,3 +478,126 @@ def ref_is_positive_definite_on(g: FiniteGroup, e: SymmetricSubset, u, tol=None)
     from posext import partially_positive
 
     return partially_positive(n_transform(g, e, u), tol)[0]
+
+
+# -- reference emitter and chordal structure ------------------------------------
+# The value-by-value JSON walk and the maximum cardinality search as they
+# were before json's encoder took the integer lists and the search began
+# recording followers as it runs. Tests require identical results.
+
+def ref_dumps(doc, pretty: bool = False) -> str:
+    """Reference for dumps: every value walked one by one, a _Table as its rows."""
+    out: list[str] = []
+    _ref_emit(doc, out, 0 if pretty else None)
+    return "".join(out)
+
+
+def _ref_table_rows(table) -> list[dict]:
+    columns = [c if isinstance(c, list) else c.tolist() for c in table.columns]
+    return [dict(zip(table.keys, row)) for row in zip(*columns)]
+
+
+def _ref_emit(value, out: list[str], indent) -> None:
+    if value is None or isinstance(value, (bool, str)):
+        out.append(json.dumps(value))
+    elif isinstance(value, (int, np.integer)):
+        out.append(str(int(value)))
+    elif isinstance(value, (float, np.floating)):
+        x = float(value)
+        if math.isnan(x) or math.isinf(x):
+            raise ValueError("non-finite numbers are not serializable")
+        out.append(format(x, ".17g"))
+    elif isinstance(value, dict):
+        _ref_emit_items(value.items(), out, indent, "{", "}", key=True)
+    elif isinstance(value, (list, tuple)):
+        _ref_emit_items(value, out, indent, "[", "]", key=False)
+    elif isinstance(value, _Table):
+        _ref_emit(_ref_table_rows(value), out, indent)
+    else:
+        raise TypeError(f"cannot serialize value of type {type(value).__name__}")
+
+
+def _ref_pad(indent, depth: int) -> str:
+    return "" if indent is None else "\n" + "  " * (indent + depth)
+
+
+def _ref_emit_items(items, out, indent, open_ch, close_ch, key: bool) -> None:
+    items = list(items)
+    if not items:
+        out.append(open_ch + close_ch)
+        return
+    nested = None if indent is None else indent + 1
+    pad = _ref_pad(indent, 1)
+    sep = "," + pad
+    colon = ":" if indent is None else ": "
+    out.append(open_ch + pad)
+    for item in items:
+        if key:
+            name, item = item
+            out.append(json.dumps(str(name)) + colon)
+        _ref_emit(item, out, nested)
+        out.append(sep)
+    out[-1] = _ref_pad(indent, 0) + close_ch
+
+
+def ref_chordal_structure(p: Pattern):
+    """Reference for _chordal_structure: followers found after the search ends."""
+    adj = p.adjacency
+    weight = [0] * p.n
+    heap = [(0, -v) for v in range(p.n)]
+    heapq.heapify(heap)
+    visit: list[int] = []
+    earlier: list = [None] * p.n
+    while heap:
+        w, v = heapq.heappop(heap)
+        v = -v
+        if earlier[v] is not None or -w != weight[v]:
+            continue
+        earlier[v] = frozenset(u for u in adj[v] if earlier[u] is not None)
+        visit.append(v)
+        for u in adj[v]:
+            if earlier[u] is None:
+                weight[u] += 1
+                heapq.heappush(heap, (-weight[u], -u))
+    order = tuple(reversed(visit))
+
+    pos = {v: k for k, v in enumerate(visit)}
+    follower = {v: max(earlier[v], key=pos.__getitem__) for v in visit if earlier[v]}
+    if any(not earlier[v] - {f} <= earlier[f] for v, f in follower.items()):
+        return ChordalStructure(order, False, None)
+
+    cliques: list[list[int]] = []
+    component: list[int] = []
+    links = []
+    home = {}
+    roots = 0
+    for k, v in enumerate(visit):
+        if k and len(earlier[v]) > len(earlier[visit[k - 1]]):
+            cliques[-1].append(v)
+        else:
+            if v in follower:
+                links.append((len(cliques), home[follower[v]], earlier[v]))
+            else:
+                roots += 1
+            component.append(roots)
+            cliques.append([*earlier[v], v])
+        home[v] = len(cliques) - 1
+
+    keys = [tuple(sorted(c)) for c in cliques]
+    rank = sorted(range(len(keys)), key=keys.__getitem__)
+    index = {k: r for r, k in enumerate(rank)}
+    lowest: dict[int, int] = {}
+    for k in rank:
+        lowest.setdefault(component[k], index[k])
+    edges = [
+        (min(index[a], index[b]), max(index[a], index[b]), tuple(sorted(sep)))
+        for a, b, sep in links
+    ]
+    edges += [(0, r, ()) for r in sorted(lowest.values())[1:]]
+    edges.sort(key=lambda e: (-len(e[2]), e[0], e[1]))
+    tree = CliqueTree(
+        tuple(keys[k] for k in rank),
+        tuple((i, j) for i, j, _ in edges),
+        tuple(sep for _, _, sep in edges),
+    )
+    return ChordalStructure(order, True, tree)

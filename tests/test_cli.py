@@ -267,6 +267,15 @@ def test_size_limit_exits_4(tmp_path, capsys):
     assert code == 4
 
 
+def test_huge_matrix_dimension_exits_4_before_allocating(tmp_path, capsys):
+    f = tmp_path / "huge.json"
+    f.write_text(json.dumps({"n": 10000000, "entries": []}))
+    code = main(["cb-norm", str(f)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (4, "")
+    assert captured.err == "error: dense matrix dimension 10000000 exceeds the cap of 4096\n"
+
+
 def test_boolean_false_still_exits_0(capsys):
     code, out = run_cli(
         capsys, "chordal-subset", fx("group_z5.json"), fx("subset_z5_cycle.json")
@@ -474,12 +483,14 @@ def test_console_entry_point_runs_in_subprocess():
     proc = run("cexi", "2")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["points"] == ["0"]
-    # the column emitter's bytes as they reach a real stdout
+    # the column emitter's and json's encoder's bytes as they reach a real stdout
     golden = json.loads((FIXTURES / "golden_stdout.json").read_text(encoding="utf-8"))
     for argv in [
         ("complete", "partial_mixed_separators.json"),
         ("complete", "partial_mixed_separators.json", "--pretty"),
         ("complete", "partial_band09_n3.json"),
+        ("clique-tree", "pattern_band2_n6.json"),
+        ("clique-tree", "pattern_band2_n6.json", "--pretty"),
     ]:
         proc = run(argv[0], fx(argv[1]), *argv[2:])
         expected = (0, golden[" ".join(argv)].encode(), b"")

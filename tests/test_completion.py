@@ -533,14 +533,16 @@ def test_multiplier_and_verification_match_reference_loops(d, seed):
     unsigned = a + 0.0  # -0.0 + 0.0 is +0.0
     nudged_on = a.copy()
     nudged_off = a.copy()
+    nudged_below = a.copy()  # the upper blocks still agree
     if p.edges:
         i, j = min(p.edges)
         nudged_on[i * d, j * d] += 1e-3
+        nudged_below[j * d, i * d] += 1e-3
     if len(p.edges) < n * (n - 1) // 2:
         i, j = next((i, j) for i in range(n) for j in range(i + 1, n) if not p.mask[i, j])
         nudged_off[i * d, j * d] += 1e-3
         nudged_off[j * d, i * d] += 1e-3
-    for phi in [a, unsigned, nudged_on, nudged_off, expand(m)]:
+    for phi in [a, unsigned, nudged_on, nudged_off, nudged_below, expand(m)]:
         expected = ref_agrees_on_pattern(m, phi) and is_psd(phi)
         assert verify_extension(m, phi) == expected
     assert verify_extension(m, unsigned)

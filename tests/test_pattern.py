@@ -12,6 +12,7 @@ from conftest import (
     random_chordal_components,
     random_chordal_pattern,
     random_pattern,
+    ref_chordal_structure,
 )
 from posext import (
     CliqueTree,
@@ -237,3 +238,24 @@ def test_clique_tree_on_several_components(seed):
     tree = clique_tree(p)
     assert_valid_clique_tree(p, tree)
     assert is_valid_elimination_order(p, perfect_elimination_order(p).order)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_structure_matches_the_reference_search(seed):
+    """Chordal patterns of several components, random graphs, and chordal ones less an edge."""
+    rng = np.random.default_rng(500 + seed)
+    chordal = 0
+    for k in range(50):
+        n = int(rng.integers(0, 41))
+        if k % 3 == 0:
+            p = random_chordal_components(rng, n, int(rng.integers(1, 6)), density=0.3)
+        elif k % 3 == 1:
+            p = random_pattern(rng, n, 2 * n)
+        else:
+            p = random_chordal_components(rng, n, int(rng.integers(1, 4)), density=0.3)
+            if p.edges:
+                gone = sorted(p.edges)[int(rng.integers(len(p.edges)))]
+                p = validate_pattern(n, p.edges - {gone})
+        assert p.structure == ref_chordal_structure(p)
+        chordal += p.structure.chordal
+    assert 0 < chordal < 50

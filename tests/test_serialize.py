@@ -4,9 +4,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from conftest import bits, random_chordal_pattern, random_psd
+from conftest import bits, random_chordal_pattern, random_psd, ref_dumps
 from posext import (
     PartialHermitianMatrix,
     cexi_truncation,
@@ -34,6 +34,62 @@ def test_dumps_is_bit_faithful_for_floats():
 def test_dumps_pretty_parses_to_same_document():
     doc = {"a": [1, 2.5], "b": {"c": True, "d": None}, "e": "text"}
     assert json.loads(ser.dumps(doc)) == json.loads(ser.dumps(doc, pretty=True))
+
+
+_INTS = st.integers(-(10**20), 10**20)
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.just(-0.0)
+
+
+@st.composite
+def tables(draw):
+    """A _Table with one column of each drawn kind, all of one length."""
+    rows = draw(st.integers(0, 4))
+    small = st.integers(-1000, 1000)
+    columns = []
+    for kind in draw(st.lists(st.sampled_from("ifpt"), min_size=1, max_size=3)):
+        if kind == "i":
+            columns.append(np.array(draw(st.lists(small, min_size=rows, max_size=rows)), dtype=int))
+        elif kind == "f":
+            columns.append(np.array(draw(st.lists(_FLOATS, min_size=rows, max_size=rows))))
+        elif kind == "p":
+            pairs = draw(st.lists(st.tuples(small, small), min_size=rows, max_size=rows))
+            columns.append(np.array(pairs, dtype=int).reshape(rows, 2))
+        else:
+            tuples = st.lists(small, max_size=3).map(tuple)
+            columns.append(draw(st.lists(tuples, min_size=rows, max_size=rows)))
+    return ser._Table(tuple(f"k{c}" for c in range(len(columns))), tuple(columns))
+
+
+_INT_ROWS = st.lists(_INTS, max_size=4) | st.lists(_INTS, max_size=4).map(tuple)
+_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    _INTS,
+    _FLOATS,
+    st.text(max_size=4),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    _FLOATS.map(np.float64),
+    st.lists(_INTS, max_size=6),
+    st.lists(_INT_ROWS, max_size=4),
+    st.lists(_INT_ROWS, max_size=4).map(tuple),
+    tables(),
+)
+_DOCUMENTS = st.recursive(
+    _LEAVES,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.lists(kids, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=3), kids, max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=400)
+@given(_DOCUMENTS, st.booleans())
+def test_dumps_matches_the_value_by_value_walk(doc, pretty):
+    """Integer lists go through json's encoder; mixed lists, floats and tables do not."""
+    assert ser.dumps(doc, pretty) == ref_dumps(doc, pretty)
 
 
 def test_pattern_roundtrip_and_normalization():
