@@ -75,18 +75,7 @@ def _cmd_complete(args):
 def _cmd_decompose(args):
     t = _load_matrix(args.matrix)
     p = _load_pattern(args.pattern)
-    factors = comp.rank_one_positive_decomposition(t, p, args.tol)
-    return {
-        "factors": [
-            {
-                "vector": [
-                    {"re": float(z.real), "im": float(z.imag)} for z in f.vector
-                ],
-                "support": list(f.support),
-            }
-            for f in factors
-        ]
-    }
+    return ser.factors_to_json(comp.rank_one_positive_decomposition(t, p, args.tol))
 
 
 def _cmd_apply_mult(args):

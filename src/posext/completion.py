@@ -18,6 +18,7 @@ Block-valued data is worked on as the dense (n d) x (n d) matrix of
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
+from itertools import product
 from typing import Mapping
 
 import numpy as np
@@ -110,16 +111,19 @@ class PartialHermitianMatrix:
 class CompletionResult:
     """A completed (n d) x (n d) matrix and its fills, one per clique tree step.
 
-    Step (separator, old, new) filled the pairs in old x new.
+    Step (separator, old, new) filled the pairs in old x new; old and new
+    are read-only int arrays.
     """
 
     matrix: np.ndarray
-    fills: tuple[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]], ...]
+    fills: tuple[tuple[tuple[int, ...], np.ndarray, np.ndarray], ...]
 
     @property
     def fill_log(self):
-        """The filled pairs in fill order, each as (separator, (u, v))."""
-        return tuple((s, (u, v)) for s, old, new in self.fills for u in old for v in new)
+        """The filled pairs in fill order, each as (separator, (u, v)) of Python ints."""
+        return tuple(
+            (s, pair) for s, old, new in self.fills for pair in product(old.tolist(), new.tolist())
+        )
 
 
 def expanded_pattern(p: Pattern, d: int) -> Pattern:
@@ -255,7 +259,8 @@ def positive_completion(
             fill = full[rows[:, None], mid] @ inverses[step] @ full[mid[:, None], cols]
             full[rows[:, None], cols] = fill
             full[cols[:, None], rows] = fill.conj().T
-            fills.append((tuple(sep), tuple(old.tolist()), tuple(new.tolist())))
+            old.flags.writeable = new.flags.writeable = False
+            fills.append((tuple(sep), old, new))
     return CompletionResult(full, tuple(fills))
 
 

@@ -1,24 +1,52 @@
 """JSON schemas for every value the CLI reads or writes.
 
-Emission goes through a small dumper that renders floats with 17
-significant digits so that every number round-trips bit-faithfully.
-A list whose items are all exact ints, or all lists or tuples of exact
-ints, goes to json's encoder (the C encoder when compact), which writes
-ints and lays out lists as the walk below does. The large homogeneous
-lists, a dense matrix's entries, a completion's fill log and a group
-function's values, are held as typed columns (`_Table`) and rendered
-with one % per chunk of rows. Everything else is walked value by value.
-All three paths give the same bytes. Floats stay off json's path: it
-writes repr(x), where this format writes %.17g.
+Emission goes through a small dumper that writes floats as %.17g, so
+that every finite float except -0.0 round-trips bit-faithfully (-0.0 is
+written "-0", which JSON readers take for the integer 0). A value takes
+one of three paths, and all three give the same bytes:
+
+- A list whose items are all exact ints, or all lists or tuples of
+  exact ints, goes to json's encoder (the C encoder when compact).
+  Floats stay off this path: json writes repr(x), not %.17g.
+- The large homogeneous lists (a dense matrix's entries, a completion's
+  fill log, a group function's values, a rank-one factor's vector) are
+  held as typed columns (`_Table`) and rendered with one % per chunk of
+  `_CHUNK_ROWS` rows. A float column of `_KERNEL_MIN_ROWS` rows or more
+  is turned into strings by the numpy kernel `_format_17g` and goes in
+  as %s. Shorter float columns go in as %.17g, because the kernel's cost
+  per call outweighs what it saves on them.
+- Everything else is walked value by value.
+
+The kernel writes exactly what format(x, ".17g") writes. That text is
+fixed by three things: D = round(|x| 10^s) with s = 16 - k, the 17-digit
+integer in [10^16, 10^17) with ties to even; the exponent k; and C's %g
+layout. The layout is fixed notation for -4 <= k < 17 and d.ddde+XX
+otherwise, with trailing zeros dropped after the point, and the point
+too when nothing follows it. The kernel reproduces all three:
+
+- k starts as floor(log10 |x|) and moves by one where D falls outside
+  [10^16, 10^17).
+- a = |x| 2^s is exact. 5^s is held as hi + lo, each correctly rounded
+  from the exact rational. Dekker's two-product (no FMA needed) writes
+  a hi as p + e exactly, so y = |x| 10^s is p + (e + a lo) to within
+  2^-47. That bound holds for y < 2^57, with |e + a lo| < 24. p is an
+  even integer >= 2^53, so D = p + rint(e + a lo).
+- format(x, ".17g") is called instead where the fraction of e + a lo
+  lies within 2^-30 of 1/2, or D lies within 1 of 10^16 or 10^17. Only
+  there could the 2^-47 error change the rounding or the exponent.
+  Exact ties are always among these values; in random data almost no
+  value is.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 import math
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from fractions import Fraction
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -123,7 +151,8 @@ class _Table:
     columns: tuple
 
 
-_CHUNK_ROWS = 256
+_CHUNK_ROWS = 2048  # rows per % call, and per call of the float kernel
+_KERNEL_MIN_ROWS = 512  # float columns of fewer rows go through %.17g
 
 
 def _emit_table(table: _Table, out: list[str], indent: int | None) -> None:
@@ -132,7 +161,7 @@ def _emit_table(table: _Table, out: list[str], indent: int | None) -> None:
         out.append("[]")
         return
     value_indent = None if indent is None else indent + 2
-    specs, columns = zip(*(_column_format(c, value_indent) for c in table.columns))
+    specs, renders = zip(*(_column_format(c, value_indent) for c in table.columns))
     colon = ":" if indent is None else ": "
     fields = (
         _pad(indent, 2) + json.dumps(key) + colon + spec
@@ -140,36 +169,177 @@ def _emit_table(table: _Table, out: list[str], indent: int | None) -> None:
     )
     template = "{" + ",".join(fields) + _pad(indent, 1) + "}"
     sep = "," + _pad(indent, 1)
-    values = zip(*chain.from_iterable(columns))
     out.append("[" + _pad(indent, 1))
     for start in range(0, rows, _CHUNK_ROWS):
-        count = min(_CHUNK_ROWS, rows - start)
-        flat = tuple(chain.from_iterable(islice(values, count)))
-        out.append(sep.join([template] * count) % flat)
+        stop = min(start + _CHUNK_ROWS, rows)
+        lists = [values for render in renders for values in render(start, stop)]
+        flat = [None] * (len(lists) * (stop - start))
+        for offset, values in enumerate(lists):  # row r takes flat[r * len(lists) + offset]
+            flat[offset :: len(lists)] = values
+        out.append(sep.join([template] * (stop - start)) % tuple(flat))
         out.append(sep)
     out[-1] = _pad(indent, 0) + "]"  # the last separator closes the list
 
 
-def _column_format(column, indent: int | None) -> tuple[str, list]:
-    """The %-spec of a column and the value columns that fill it, as `_emit` renders."""
+def _column_format(column, indent: int | None):
+    """The %-spec of a column and a function of (start, stop) giving its value lists.
+
+    Each value list fills one % field of the spec for rows start..stop-1,
+    rendered as `_emit` renders the values.
+    """
     if isinstance(column, list):
         encoded = {v: _tuple_spec(len(v), indent) % v for v in set(column)}
-        return "%s", [list(map(encoded.__getitem__, column))]
+        return "%s", lambda a, b: [list(map(encoded.__getitem__, column[a:b]))]
     kind = (column.ndim, column.dtype.kind)
     if kind == (1, "i"):
-        return "%d", [column.tolist()]
+        return "%d", lambda a, b: [column[a:b].tolist()]
     if kind == (1, "f"):
         if not np.isfinite(column).all():
             raise ValueError("non-finite numbers are not serializable")
-        return "%.17g", [column.tolist()]
+        if len(column) < _KERNEL_MIN_ROWS:
+            return "%.17g", lambda a, b: [column[a:b].tolist()]
+        return "%s", lambda a, b: [_format_17g(column[a:b])]
     if kind == (2, "i"):
-        return _tuple_spec(column.shape[1], indent), column.T.tolist()
+        return _tuple_spec(column.shape[1], indent), lambda a, b: column[a:b].T.tolist()
     raise TypeError(f"cannot serialize a {column.dtype} column of shape {column.shape}")
 
 
 def _tuple_spec(k: int, indent: int | None) -> str:
     sep = "," + _pad(indent, 1)
     return f"[{_pad(indent, 1)}{sep.join(['%d'] * k)}{_pad(indent, 0)}]" if k else "[]"
+
+
+# -- %.17g of a float column in numpy (see the module docstring) ---------------
+
+_TIE_MARGIN = 2.0**-30
+_SPLIT = 134217729.0  # 2^27 + 1: Veltkamp's split into two 26-bit halves
+_S_MIN = -300  # the scales s of finite doubles lie in [-293, 341]
+_SCALES = np.zeros((650, 4))  # row s - _S_MIN: 5^s as hi_hi + hi_lo + lo, then 2^s
+_SCALES_MADE = np.zeros(len(_SCALES), dtype=bool)
+# The text of each value is gathered from a source row of 28 bytes: NUL at
+# 0-2, the 17 digits of D at 3-19, ".", "0", "-", the exponent's sign and
+# "e" at 20-24, and |k| as 3 digits at 25-27. The layout of a text depends
+# on its sign, its kind (fixed notation with k, or exponent notation with
+# 2 or 3 exponent digits) and the number of digits kept, and it is one
+# row of _LAYOUTS: the source byte of each character, NUL-padded.
+_SRC_WIDTH = 28
+_DOT, _ZERO, _MINUS, _EXP_SIGN, _E, _EXP = 20, 21, 22, 23, 24, 25
+_TEXT_WIDTH = 24  # the longest text: -1.2345678901234567e-308
+_LAYOUTS = np.zeros((2 * 23 * 17, _TEXT_WIDTH), dtype=np.intp)
+_LAYOUTS_MADE = np.zeros(len(_LAYOUTS), dtype=bool)
+
+
+def _format_17g(x: np.ndarray) -> list[str]:
+    """[format(v, ".17g") for v in x] for a finite float array."""
+    nonzero = np.flatnonzero(x)
+    if len(nonzero) == len(x):
+        return _format_nonzero(x)
+    out = np.full(len(x), "0", dtype=object)
+    out[np.signbit(x)] = "-0"
+    out[nonzero] = _format_nonzero(x[nonzero])
+    return out.tolist()
+
+
+def _format_nonzero(x: np.ndarray) -> list[str]:
+    quads, trailing_zeros = _digit_tables()
+    ax = np.abs(x)
+    k = np.floor(np.log10(ax)).astype(np.int64)
+    d, tie = _scaled(ax, k)
+    off = np.flatnonzero((d < 10**16 - 1) | (d > 10**17 + 1))  # log10 missed by one
+    if len(off):
+        k[off] += np.where(d[off] > 10**17, 1, -1)
+        d[off], tie[off] = _scaled(ax[off], k[off])
+    near = (d <= 10**16 + 1) | (d >= 10**17 - 1) | (tie > 0.5 - _TIE_MARGIN)
+
+    first, rest = np.divmod(d, 10**16)
+    high, low = np.divmod(rest, 10**8)
+    groups = (*np.divmod(high, 10**4), *np.divmod(low, 10**4))  # 4 digits each
+    ak = np.abs(k)
+    src = np.empty((len(x), _SRC_WIDTH // 4), dtype="<u4")
+    src[:, 0] = quads[first] & 0xFF000000
+    for word, group in enumerate(groups, 1):
+        src[:, word] = quads[group]
+    src[:, 5] = int.from_bytes(b".0-+", "little") + (k < 0) * (2 << 24)  # "+" + 2 is "-"
+    src[:, 6] = quads[ak] & 0xFFFFFF00 | ord("e")
+    zeros = trailing_zeros[groups[-1]]
+    rest = np.flatnonzero(groups[-1] == 0)
+    for group in groups[-2::-1]:  # behind a group of 0, count the zeros of the one before
+        if not len(rest):
+            break
+        zeros[rest] += trailing_zeros[group[rest]]
+        rest = rest[group[rest] == 0]
+    kind = np.where((k >= -4) & (k < 17), k + 4, np.where(ak >= 100, 22, 21))
+    key = (np.signbit(x) * 23 + kind) * 17 + 16 - zeros
+    layout = _rows(_LAYOUTS, _LAYOUTS_MADE, key, _layout)
+    layout += np.arange(0, src.size * 4, _SRC_WIDTH)[:, None]
+    text = src.view(np.uint8).ravel().take(layout).astype("<u4")
+    out = text.view(f"<U{_TEXT_WIDTH}").ravel().tolist()  # drops the NUL padding
+    for i, v in zip(np.flatnonzero(near).tolist(), x[near].tolist()):
+        out[i] = format(v, ".17g")
+    return out
+
+
+def _scaled(ax: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """rint(y) for y = ax 10^(16 - k), as int64, and |y - rint(y)| up to 2^-47."""
+    hi_hi, hi_lo, lo, two = _rows(_SCALES, _SCALES_MADE, 16 - k - _S_MIN, _scale).T
+    a = ax * two
+    p = a * (hi_hi + hi_lo)
+    c = a * _SPLIT
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    e = ((a_hi * hi_hi - p) + a_hi * hi_lo + a_lo * hi_hi) + a_lo * hi_lo  # p + e = a hi
+    e += a * lo
+    r = np.rint(e)
+    return p.astype(np.int64) + r.astype(np.int64), np.abs(e - r)
+
+
+def _scale(row: int) -> list[float]:
+    s = row + _S_MIN
+    exact = Fraction(5**s) if s >= 0 else Fraction(1, 5**-s)
+    hi = float(exact)
+    c = hi * _SPLIT
+    hi_hi = c - (c - hi)
+    return [hi_hi, hi - hi_hi, float(exact - Fraction(hi)), 2.0**s]
+
+
+def _layout(key: int) -> list[int]:
+    """The layout of key (sign * 23 + kind) * 17 + digits kept - 1.
+
+    Kind k + 4 (-4 <= k < 17) is fixed notation; kinds 21 and 22 are
+    exponent notation with 2 and 3 exponent digits. The digits kept end
+    at the last nonzero one, or at the point in fixed notation; the point
+    is dropped when no digit follows it, as %g does.
+    """
+    sign, kind, kept = key // (23 * 17), key // 17 % 23, key % 17 + 1
+    digits = list(range(3, 20))
+    text = [_MINUS] if sign else []
+    if kind >= 21:
+        text += digits[:1] + ([_DOT] + digits[1:kept] if kept > 1 else [])
+        text += [_E, _EXP_SIGN] + [_EXP, _EXP + 1, _EXP + 2][22 - kind :]
+    elif kind >= 4:
+        point = kind - 4 + 1  # digits before the point
+        text += digits[:point] + ([_DOT] + digits[point:kept] if kept > point else [])
+    else:
+        text += [_ZERO, _DOT] + [_ZERO] * (3 - kind) + digits[:kept]
+    return text + [0] * (_TEXT_WIDTH - len(text))  # source byte 0 is NUL
+
+
+def _rows(table: np.ndarray, made: np.ndarray, keys: np.ndarray, make) -> np.ndarray:
+    """table[keys], each missing row made by make(key) on first use."""
+    if not made.take(keys).all():
+        for key in set(keys[~made[keys]].tolist()):
+            table[key] = make(key)
+            made[key] = True
+    return table.take(keys, axis=0)
+
+
+@functools.cache
+def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
+    """For 0..9999: 4 ASCII digits as one little-endian uint32, and trailing zeros (4 for 0)."""
+    n = np.arange(10000)
+    digits = np.stack([n // 1000, n // 100 % 10, n // 10 % 10, n % 10], axis=1)
+    zeros = np.where(n == 0, 4, np.argmax(digits[:, ::-1] != 0, axis=1))
+    return (digits + ord("0")).astype(np.uint8).view("<u4").ravel(), zeros
 
 
 def _complex_to_doc(z: complex) -> dict:
@@ -234,25 +404,39 @@ def matrix_from_json(doc) -> np.ndarray:
 def fill_log_to_json(fills) -> _Table:
     """A completion's fills as {separator, pair} objects, one per filled pair.
 
-    Step (separator, old, new) fills old x new row by row, so its k-th
-    pair is (old[k // len(new)], new[k % len(new)]).
+    Step (separator, old, new), old and new int arrays, fills old x new
+    row by row, so its k-th pair is (old[k // len(new)], new[k % len(new)]).
     """
-    n_old = np.array([len(old) for _, old, _ in fills], dtype=int)
-    n_new = np.array([len(new) for _, _, new in fills], dtype=int)
+    seps, olds, news = zip(*fills) if fills else ((), (), ())
+    n_old = np.array(list(map(len, olds)), dtype=int)
+    n_new = np.array(list(map(len, news)), dtype=int)
     sizes = n_old * n_new
     step = np.repeat(np.arange(len(sizes)), sizes)
     k = np.arange(len(step)) - (np.cumsum(sizes) - sizes)[step]
     width = n_new[step]
-    old = np.fromiter(chain.from_iterable(old for _, old, _ in fills), int)
-    new = np.fromiter(chain.from_iterable(new for _, _, new in fills), int)
+    old = np.concatenate(olds) if fills else np.empty(0, dtype=int)
+    new = np.concatenate(news) if fills else np.empty(0, dtype=int)
     pairs = np.column_stack(
         (
             old[(np.cumsum(n_old) - n_old)[step] + k // width],
             new[(np.cumsum(n_new) - n_new)[step] + k % width],
         )
     )
-    seps = list(chain.from_iterable(map(repeat, (sep for sep, _, _ in fills), sizes.tolist())))
-    return _Table(("separator", "pair"), (seps, pairs))
+    column = list(chain.from_iterable(map(repeat, seps, sizes.tolist())))
+    return _Table(("separator", "pair"), (column, pairs))
+
+
+def factors_to_json(factors) -> dict:
+    """Rank-one factors as {vector, support} objects, each vector a table of re and im."""
+    return {
+        "factors": [
+            {
+                "vector": _Table(("re", "im"), (f.vector.real, f.vector.imag)),
+                "support": list(f.support),
+            }
+            for f in factors
+        ]
+    }
 
 
 # -- partial matrices ---------------------------------------------------------

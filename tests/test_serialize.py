@@ -135,6 +135,11 @@ def test_matrix_columns_emit_like_the_generic_walk(a, pretty):
     assert np.array_equal(ser.matrix_from_json(json.loads(got)["matrix"]), a)
 
 
+def array_steps(fills) -> tuple:
+    """The steps with old and new as int arrays, as positive_completion holds them."""
+    return tuple((sep, np.array(o, dtype=int), np.array(n, dtype=int)) for sep, o, n in fills)
+
+
 def explicit_fill_log(fills) -> list[dict]:
     """The fill log as the generic emitter walks it: one dict per filled pair."""
     return [
@@ -157,26 +162,73 @@ def explicit_fill_log(fills) -> list[dict]:
     ],
 )
 def test_fill_log_columns_emit_like_the_generic_walk(log, pretty):
-    assert ser.dumps({"fill_log": ser.fill_log_to_json(log)}, pretty) == ser.dumps(
+    assert ser.dumps({"fill_log": ser.fill_log_to_json(array_steps(log))}, pretty) == ser.dumps(
         {"fill_log": explicit_fill_log(log)}, pretty
     )
 
 
+# row counts on both sides of the float kernel's cut-over and of the chunk size
+_CUTS = [c + d for c in (ser._KERNEL_MIN_ROWS, ser._CHUNK_ROWS) for d in (-1, 1)]
+
+
 @pytest.mark.parametrize("pretty", [False, True])
 @pytest.mark.parametrize("last_sep", [(3, 4), ()])
-@pytest.mark.parametrize("rows", [255, 256, 257, 600])
+@pytest.mark.parametrize("rows", [255, 256, 257, 600, *_CUTS])
 def test_fill_logs_of_several_chunks_emit_like_the_generic_walk(rows, last_sep, pretty):
     fills = [((1, 2), (0,), tuple(range(3, rows - 4))), (last_sep, tuple(range(7)), (9,))]
-    got = ser.dumps({"fill_log": ser.fill_log_to_json(fills)}, pretty)
-    assert got == ser.dumps({"fill_log": explicit_fill_log(fills)}, pretty)
+    got = ser.dumps({"fill_log": ser.fill_log_to_json(array_steps(fills))}, pretty)
+    assert got == ref_dumps({"fill_log": explicit_fill_log(fills)}, pretty)
 
 
 @pytest.mark.parametrize("pretty", [False, True])
-@pytest.mark.parametrize("n", [22, 23, 35])
+@pytest.mark.parametrize("n", [22, 23, 31, 32, 35, 63, 64])
 def test_matrices_of_several_chunks_emit_like_the_generic_walk(n, pretty):
+    """496 | 528 entries straddle the kernel's cut-over, 2016 | 2080 the chunk size."""
     a = random_psd(np.random.default_rng(n), n)  # n (n + 1) / 2 entries
     got = ser.dumps({"matrix": ser.matrix_to_json(a)}, pretty)
-    assert got == ser.dumps({"matrix": explicit_matrix_doc(a)}, pretty)
+    assert got == ref_dumps({"matrix": explicit_matrix_doc(a)}, pretty)
+
+
+@given(st.lists(_FLOATS, max_size=600))
+def test_float_kernel_matches_format_17g(xs):
+    assert ser._format_17g(np.array(xs, dtype=float)) == [format(x, ".17g") for x in xs]
+
+
+def _kernel_corpus() -> np.ndarray:
+    """Values at the edges of the kernel's arithmetic, both signs, and random bit patterns."""
+    rng = np.random.default_rng(2718)
+    tiny = 5e-324
+    powers = np.array([float(f"1e{k}") for k in range(-310, 309)])
+    ties = [np.arange(1, 2**13, 2) * 2.0**-25]  # j 2^-25, j odd: exact ties at k = -8
+    for s in range(1, 26):  # m 2^-(s+1), m odd, in [10^(16-s), 10^(17-s)): x 10^s ends in .5
+        m = int(10 ** (16 - s) * 2 ** (s + 1)) | 1
+        ties.append(np.arange(m, m + 400, 2) * 2.0 ** -(s + 1))
+    bits = rng.integers(-(2**63), 2**63, 10**5, dtype=np.int64).view(np.float64)
+    values = np.concatenate(
+        [
+            [tiny, 2 * tiny, 3 * tiny, 2.2250738585072009e-308, 2.2250738585072014e-308],
+            rng.integers(1, 2**52, 200).astype(np.int64).view(np.float64),  # subnormals
+            [np.finfo(float).max, np.nextafter(np.finfo(float).max, 0)],
+            powers,
+            np.nextafter(powers, 0),
+            np.nextafter(powers, np.inf),
+            np.arange(1000.0),
+            2.0 ** np.arange(54),
+            2.0 ** np.arange(54) - 1,
+            rng.integers(0, 2**53, 1000).astype(float),
+            1e16 + 2.0 * np.arange(-60, 61),
+            1e17 + 16.0 * np.arange(-60, 61),
+            *ties,
+        ]
+    )
+    return np.concatenate([values, -values, bits[np.isfinite(bits)]])
+
+
+def test_float_kernel_matches_format_17g_on_a_fixed_corpus():
+    xs = _kernel_corpus()
+    chunks = (xs[a : a + ser._CHUNK_ROWS] for a in range(0, len(xs), ser._CHUNK_ROWS))
+    assert [s for c in chunks for s in ser._format_17g(c)] == [format(x, ".17g") for x in xs.tolist()]
+    assert ser._format_17g(np.array([-0.0, 0.0, -1.5])) == ["-0", "0", "-1.5"]
 
 
 @pytest.mark.parametrize("pretty", [False, True])
