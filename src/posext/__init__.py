@@ -22,7 +22,6 @@ from .completion import (
     apply_multiplier,
     cb_norm_positive,
     expand,
-    expanded_pattern,
     partially_positive,
     positive_completion,
     rank_one_positive_decomposition,

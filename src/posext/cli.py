@@ -9,6 +9,7 @@ infeasibility, 4 size-limit violations.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -160,6 +161,7 @@ def _block_size(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser for the posext command line."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=_tolerance, default=None, help="tolerance override")
     common.add_argument("--pretty", action="store_true", help="indent the output")
@@ -261,8 +263,18 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of `main`, built on its first call and reused by later ones.
+
+    parse_args keeps nothing between calls: each call fills a new
+    namespace from the parser's defaults, which nothing modifies.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         doc = args.func(args)
     except TooLarge as exc:

@@ -12,13 +12,15 @@ zero-Schur-complement one-step fill
     X = M[A \\ S, S] (M[S, S])^+ M[S, B].
 
 Block-valued data is worked on as the dense (n d) x (n d) matrix of
-`expand`, whose support is the mask of `expanded_pattern`.
+`expand`, whose support is the d x d blocks at the pattern's pairs and
+their transposes.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import InitVar, dataclass, field
-from itertools import product
+from itertools import chain, islice, product
 from typing import Mapping
 
 import numpy as np
@@ -63,13 +65,13 @@ class PartialHermitianMatrix:
         if d < 1:
             raise DimensionMismatch(f"block size must be positive, got {d}")
         rows, cols = self.pattern.pairs
-        keys = list(zip(rows.tolist(), cols.tolist()))
-        if blocks.keys() != set(keys):
-            missing = sorted(set(keys) - blocks.keys())
-            extra = sorted(blocks.keys() - set(keys))
+        # The counts are compared first: the per-pair keys take O(n) memory.
+        keys = list(zip(rows.tolist(), cols.tolist())) if len(blocks) == len(rows) else []
+        if len(blocks) != len(rows) or not all(map(blocks.__contains__, keys)):
             raise InputError(
                 f"blocks must cover the pattern pairs exactly "
-                f"(missing {missing[:4]}, extraneous {extra[:4]})"
+                f"(missing {_missing(self.pattern, blocks)}, "
+                f"extraneous {_extraneous(self.pattern, blocks)})"
             )
         given = list(map(blocks.__getitem__, keys))
         try:  # with no pairs, the empty stack gives the shape that an empty list lacks
@@ -107,6 +109,31 @@ class PartialHermitianMatrix:
         return self.values[k]
 
 
+def _missing(p: Pattern, blocks: Mapping) -> list[tuple[int, int]]:
+    """The first four pairs of p, in row-major order, that blocks lacks; a lazy scan."""
+    rows, cols = p.pairs
+    chunks = (
+        zip(rows[a : a + 4096].tolist(), cols[a : a + 4096].tolist())
+        for a in range(0, len(rows), 4096)
+    )
+    return list(islice((k for k in chain.from_iterable(chunks) if k not in blocks), 4))
+
+
+def _extraneous(p: Pattern, blocks: Mapping) -> list:
+    """The four least keys of blocks that are not pairs of p."""
+
+    def is_pair(key) -> bool:
+        if key in p.edges:
+            return True
+        try:
+            i, j = key
+            return i == j and 0 <= operator.index(i) < p.n
+        except (TypeError, ValueError):  # not a pair of integers
+            return False
+
+    return sorted(k for k in blocks if not is_pair(k))[:4]
+
+
 @dataclass(frozen=True, eq=False)
 class CompletionResult:
     """A completed (n d) x (n d) matrix and its fills, one per clique tree step.
@@ -124,14 +151,6 @@ class CompletionResult:
         return tuple(
             (s, pair) for s, old, new in self.fills for pair in product(old.tolist(), new.tolist())
         )
-
-
-def expanded_pattern(p: Pattern, d: int) -> Pattern:
-    """Pattern on n*d vertices with every vertex replaced by d copies."""
-    if d == 1:
-        return p
-    s, t = np.nonzero(np.triu(np.kron(p.mask, np.ones((d, d), dtype=bool)), 1))
-    return Pattern(p.n * d, frozenset(zip(s.tolist(), t.tolist())))
 
 
 def _check_dense_dim(dim: int) -> None:
@@ -266,7 +285,9 @@ def positive_completion(
 
 def _check_supported(t: np.ndarray, p: Pattern) -> None:
     mag = np.abs(t)
-    outside = np.argwhere(np.triu(mag > _SUPPORT_REL * mag.max(initial=0.0)) & ~p.mask)
+    big = np.triu(mag > _SUPPORT_REL * mag.max(initial=0.0))
+    big[p.pairs] = False
+    outside = np.argwhere(big)
     if len(outside):
         i, j = outside[0].tolist()
         raise NotSupported(f"entry ({i},{j}) lies outside the pattern")

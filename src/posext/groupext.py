@@ -231,8 +231,7 @@ def star_pattern(g: FiniteGroup, e: SymmetricSubset) -> Pattern:
 
 def _quotient_pattern(q: np.ndarray, e: SymmetricSubset) -> Pattern:
     """Pattern joining a < b whenever q[a, b] lies in E."""
-    s, t = np.nonzero(np.triu(np.isin(q, list(e.members)), 1))
-    return Pattern(len(q), frozenset(zip(s.tolist(), t.tolist())))
+    return Pattern(len(q), np.argwhere(np.triu(np.isin(q, list(e.members)), 1)))
 
 
 def is_chordal_subset(g: FiniteGroup, e: SymmetricSubset) -> bool:

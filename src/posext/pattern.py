@@ -2,11 +2,22 @@
 
 A pattern is an undirected graph on vertices 0..n-1 whose loops are
 implicit: every diagonal pair is considered present and is never stored.
+It is held sparse. `edge_array` is one read-only (m, 2) int64 array of
+the edges (i, j), i < j, sorted; the compressed sparse rows `indptr`
+and `indices` (both orientations, each row sorted) and the row-major
+`pairs` of the support are built from it in O(n + m). The frozenset
+views `edges` and `adjacency` are made only when asked for.
+
 One maximum cardinality search per pattern, cached on the pattern, gives
 its elimination order and recognises chordality; on chordal patterns the
 same search also yields the maximal cliques and a clique tree with the
 running intersection property (Tarjan & Yannakakis 1984; Blair & Peyton
-1993). Non-chordal patterns fall back to Bron-Kerbosch for their cliques,
+1993). The search visits the unvisited vertex of most visited
+neighbours, the highest index among equals. Its heap holds one int per
+entry, -(w n + v) for vertex v at weight w: as 0 <= v < n, w n + v
+orders by w first and by v second, exactly as the pair (w, v) does, and
+no two entries are equal, so the visit order is the one the pair keys
+gave. Non-chordal patterns fall back to Bron-Kerbosch for their cliques,
 and a brute-force chordless-cycle oracle is provided for cross-checking.
 """
 
@@ -15,6 +26,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -23,39 +35,82 @@ from .errors import IndexOutOfRange, InputError, NotChordal, TooLarge
 
 _BRUTE_FORCE_CLIQUE_CAP = 20
 _CYCLE_ORACLE_CAP = 12
+MAX_VERTICES = 3037000499  # the largest n whose edge keys i * n + j, i < j < n, fit in int64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Pattern:
     """Symmetric edge set on 0..n-1 with an implicit diagonal.
 
-    Edges are stored once as pairs (i, j) with i < j.
+    edge_array holds each edge once as a row (i, j) with i < j, rows
+    sorted and distinct, as `validate_pattern` builds it from a raw edge
+    list. The pattern takes the array over and makes it read-only.
+    Two patterns are equal when they have the same n and edges.
     """
 
     n: int
-    edges: frozenset[tuple[int, int]]
+    edge_array: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.edge_array.flags.writeable = False
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Pattern):
+            return NotImplemented
+        return self.n == other.n and np.array_equal(self.edge_array, other.edge_array)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.edge_array.tobytes()))
+
+    @cached_property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """The edges as (i, j) tuples with i < j."""
+        return frozenset(map(tuple, self.edge_array.tolist()))
+
+    @property
+    def indptr(self) -> np.ndarray:
+        """Read-only CSR row pointers: the neighbours of v are indices[indptr[v]:indptr[v + 1]]."""
+        return self._csr[0]
+
+    @property
+    def indices(self) -> np.ndarray:
+        """Read-only CSR column indices, each row sorted ascending."""
+        return self._csr[1]
+
+    @cached_property
+    def _csr(self) -> tuple[np.ndarray, np.ndarray]:
+        # Row v holds its lower neighbours (edges (u, v)) and then its upper
+        # ones (edges (v, u)), each already in ascending order.
+        i, j = self.edge_array.T
+        lower = np.bincount(j, minlength=self.n)
+        upper = np.bincount(i, minlength=self.n)
+        indptr = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(lower + upper, out=indptr[1:])
+        indices = np.empty(2 * len(i), dtype=np.int64)
+        k = np.arange(len(i))
+        indices[k + np.cumsum(lower)[i]] = j
+        by_j = np.argsort(j, kind="stable")
+        indices[k + (np.cumsum(upper) - upper)[j[by_j]]] = i[by_j]
+        indptr.flags.writeable = indices.flags.writeable = False
+        return indptr, indices
 
     @cached_property
     def adjacency(self) -> tuple[frozenset[int], ...]:
-        nbrs: list[set[int]] = [set() for _ in range(self.n)]
-        for i, j in self.edges:
-            nbrs[i].add(j)
-            nbrs[j].add(i)
-        return tuple(frozenset(s) for s in nbrs)
-
-    @cached_property
-    def mask(self) -> np.ndarray:
-        """Read-only n x n support: the diagonal and both orientations of every edge."""
-        out = np.eye(self.n, dtype=bool)
-        i, j = np.array(list(self.edges), dtype=int).reshape(-1, 2).T
-        out[i, j] = out[j, i] = True
-        out.flags.writeable = False
-        return out
+        ptr, nbr = self.indptr.tolist(), self.indices.tolist()
+        return tuple(frozenset(nbr[a:b]) for a, b in zip(ptr, ptr[1:]))
 
     @cached_property
     def pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only (rows, cols) of the pairs i <= j of the support, in row-major order."""
-        rows, cols = np.nonzero(np.triu(self.mask))
+        n, (i, j) = self.n, self.edge_array.T
+        upper = np.bincount(i, minlength=n)
+        rows = np.empty(n + len(i), dtype=np.int64)
+        cols = np.empty_like(rows)
+        diagonal = np.arange(n)
+        at = diagonal + np.cumsum(upper) - upper  # pair (v, v) comes before the edges (v, u)
+        rows[at] = cols[at] = diagonal
+        at = np.arange(len(i)) + i + 1
+        rows[at], cols[at] = i, j
         rows.flags.writeable = cols.flags.writeable = False
         return rows, cols
 
@@ -114,24 +169,55 @@ def validate_pattern(n: int, edge_list: Iterable[Sequence[int]]) -> Pattern:
 
     Duplicate and reversed pairs are merged; loops are dropped (the
     diagonal is implicit). Raises InputError unless every edge is two
-    integers, and IndexOutOfRange for endpoints outside [0, n).
+    integers, and IndexOutOfRange for endpoints outside [0, n); the
+    first bad edge in list order is the one named. TooLarge for n above
+    MAX_VERTICES.
     """
     if n < 0:
         raise IndexOutOfRange(f"vertex count must be nonnegative, got {n}")
-    edges = set()
+    if n > MAX_VERTICES:
+        raise TooLarge(f"vertex count {n} exceeds the cap of {MAX_VERTICES}")
+    edge_list = list(edge_list)
+    e = _edge_array(edge_list)
+    if e is None:
+        e = np.array(_checked_edges(n, edge_list), dtype=np.int64).reshape(-1, 2)
+    if len(e) and (e.min() < 0 or e.max() >= n):
+        i, j = e[((e < 0) | (e >= n)).any(axis=1).argmax()].tolist()
+        raise IndexOutOfRange(f"edge ({i},{j}) outside [0,{n})")
+    a, b = e[:, 0], e[:, 1]
+    keys = np.sort(np.where(a < b, a * n + b, b * n + a)[a != b])
+    keys = keys[np.diff(keys, prepend=-1) != 0]  # np.unique, without its fixed cost
+    return Pattern(n, np.stack(np.divmod(keys, n), axis=1))
+
+
+def _edge_array(edge_list: list) -> np.ndarray | None:
+    """The edges as an (m, 2) int64 array when all are pairs of exact ints in int64, else None."""
+    try:
+        if not set(map(len, edge_list)) <= {2}:
+            return None
+    except TypeError:  # an edge without a length
+        return None
+    flat = list(chain.from_iterable(edge_list))
+    if not set(map(type, flat)) <= {int}:
+        return None
+    try:
+        return np.fromiter(flat, np.int64, len(flat)).reshape(-1, 2)
+    except OverflowError:
+        return None
+
+
+def _checked_edges(n: int, edge_list: list) -> list[tuple[int, int]]:
+    """The edges as int pairs, checked one by one to name the first bad edge."""
+    edges = []
     for pair in edge_list:
         try:
-            i, j = pair
-            if type(i) is not int or type(j) is not int:
-                i, j = _integers(pair)
+            i, j = _integers(pair)
         except (TypeError, ValueError, InputError):
             raise InputError(f"edge {pair!r} is not a pair of integers") from None
         if not (0 <= i < n) or not (0 <= j < n):
             raise IndexOutOfRange(f"edge ({i},{j}) outside [0,{n})")
-        if i == j:
-            continue
-        edges.add((min(i, j), max(i, j)))
-    return Pattern(n, frozenset(edges))
+        edges.append((i, j))
+    return edges
 
 
 def _chordal_structure(p: Pattern) -> ChordalStructure:
@@ -147,69 +233,105 @@ def _chordal_structure(p: Pattern) -> ChordalStructure:
     predecessor opens a new maximal clique, which joins the clique of its
     follower through those neighbours (Blair-Peyton).
     """
-    adj = p.adjacency
-    weight = [0] * p.n
-    follower = [-1] * p.n
-    heap = [(0, -v) for v in range(p.n)]
-    heapq.heapify(heap)
+    n = p.n
+    ptr, nbr = p.indptr.tolist(), p.indices.tolist()
+    key = list(range(n))  # w * n + v while v is unvisited at weight w, -1 once visited
+    follower = [-1] * n
+    pop, push = heapq.heappop, heapq.heappush
     visit: list[int] = []
-    earlier: list[frozenset[int] | None] = [None] * p.n
-    while heap:
-        w, v = heapq.heappop(heap)
-        v = -v
-        if earlier[v] is not None or -w != weight[v]:
+    for root in range(n - 1, -1, -1):
+        # With the heap empty every unvisited vertex has weight 0, and the
+        # search takes the highest: the next root of this downward scan.
+        if key[root] < 0:
             continue
-        before = []
-        for u in adj[v]:
-            if earlier[u] is None:
-                weight[u] += 1
-                follower[u] = v  # the last such v before u is visited is its follower
-                heapq.heappush(heap, (-weight[u], -u))
-            else:
-                before.append(u)
-        earlier[v] = frozenset(before)
-        visit.append(v)
+        heap = [-root]
+        while heap:
+            x = -pop(heap)
+            v = x % n
+            if key[v] != x:
+                continue
+            key[v] = -1
+            visit.append(v)
+            for u in nbr[ptr[v] : ptr[v + 1]]:
+                x = key[u]
+                if x >= 0:
+                    key[u] = x = x + n
+                    follower[u] = v  # the last such v before u is visited is its follower
+                    push(heap, -x)
     order = tuple(reversed(visit))
 
-    if any(f >= 0 and not earlier[v] - {f} <= earlier[f] for v, f in enumerate(follower)):
+    # Each edge (i, j) seen from its later endpoint: u is an earlier neighbour of later.
+    at = np.empty(n, dtype=np.int64)
+    at[visit] = np.arange(n)
+    i, j = p.edge_array.T
+    later = np.where(at[i] > at[j], i, j)
+    u = i + j - later
+    follower_of = np.array(follower, dtype=np.int64)
+    if not _is_perfect(p, u, follower_of[later]):
         return ChordalStructure(order, False, None)
 
-    cliques: list[list[int]] = []
-    component: list[int] = []
-    links: list[tuple[int, int, frozenset[int]]] = []
-    home = [0] * p.n
-    roots = 0
-    for k, v in enumerate(visit):
-        if k and len(earlier[v]) > len(earlier[visit[k - 1]]):
-            cliques[-1].append(v)
-        else:
-            if follower[v] >= 0:
-                links.append((len(cliques), home[follower[v]], earlier[v]))
-            else:
-                roots += 1
-            component.append(roots)
-            cliques.append([*earlier[v], v])
-        home[v] = len(cliques) - 1
+    # Blair-Peyton, by visit position k: k opens a clique unless it has more
+    # earlier neighbours than k - 1; the clique of an opener v is its earlier
+    # neighbours, v and the vertices visited after v up to the next opener.
+    counts = np.bincount(later, minlength=n)
+    size = counts[visit]
+    opens = np.ones(n, dtype=bool)
+    opens[1:] = size[1:] <= size[:-1]
+    start = np.flatnonzero(opens)
+    clique_at = np.cumsum(opens) - 1
+    clique_of = clique_at[at]
+    opener = np.array(visit, dtype=np.int64)[start]
+    from_opener = opens[at[later]]
+    member_clique = np.concatenate((clique_of[later[from_opener]], clique_at))
+    member = np.concatenate((u[from_opener], visit))
+    flat = tuple(member[np.argsort(member_clique * n + member)].tolist())
+    bounds = [0, *np.cumsum(np.bincount(member_clique, minlength=len(start))).tolist()]
+    cliques = list(map(flat.__getitem__, map(slice, bounds, bounds[1:])))
+    rank = sorted(range(len(cliques)), key=cliques.__getitem__)
+    index = np.empty(len(rank), dtype=np.int64)
+    index[rank] = np.arange(len(rank))
 
-    keys = [tuple(sorted(c)) for c in cliques]
-    rank = sorted(range(len(keys)), key=keys.__getitem__)
-    index = [0] * len(rank)
-    lowest: dict[int, int] = {}
-    for r, k in enumerate(rank):
-        index[k] = r
-        lowest.setdefault(component[k], r)
-    edges = [
-        (min(index[a], index[b]), max(index[a], index[b]), tuple(sorted(sep)))
-        for a, b, sep in links
-    ]
-    edges += [(0, r, ()) for r in sorted(lowest.values())[1:]]
-    edges.sort(key=lambda e: (-len(e[2]), e[0], e[1]))
+    # Each clique but the first of its component joins the clique of its
+    # opener's follower through the opener's earlier neighbours; the other
+    # components join clique 0 through their lowest clique.
+    parent = follower_of[opener]
+    child = np.flatnonzero(parent >= 0)
+    a, b = index[child], index[clique_of[parent[child]]]
+    component = np.cumsum(parent < 0)[rank]
+    joins = np.sort(np.unique(component, return_index=True)[1])[1:]
+    low = np.concatenate((np.minimum(a, b), np.zeros_like(joins)))
+    high = np.concatenate((np.maximum(a, b), joins))
+    sep_size = np.concatenate((size[start[child]], np.zeros_like(joins)))
+    earlier = tuple(u[np.lexsort((u, later))].tolist())  # earlier[first[v]:first[v + 1]], ascending
+    first = [0, *np.cumsum(counts).tolist()]
+    separators = [earlier[first[v] : first[v + 1]] for v in opener[child].tolist()]
+    separators += [()] * len(joins)
+    by_edge = np.lexsort((high, low, -sep_size)).tolist()
     tree = CliqueTree(
-        tuple(keys[k] for k in rank),
-        tuple((i, j) for i, j, _ in edges),
-        tuple(sep for _, _, sep in edges),
+        tuple(map(cliques.__getitem__, rank)),
+        tuple(zip(low[by_edge].tolist(), high[by_edge].tolist())),
+        tuple(map(separators.__getitem__, by_edge)),
     )
     return ChordalStructure(order, True, tree)
+
+
+def _is_perfect(p: Pattern, u: np.ndarray, f: np.ndarray) -> bool:
+    """True iff u[k] is adjacent to f[k] wherever the two differ.
+
+    For edge k seen from its later endpoint v, u[k] is an earlier
+    neighbour of v and f[k] the follower of v. Such a u was visited
+    before f, since f is the last earlier neighbour visited, so u
+    adjacent to f is u an earlier neighbour of f. The pairs are looked
+    up by binary search among the sorted edge keys i n + j.
+    """
+    n, (i, j) = p.n, p.edge_array.T
+    u, f = u[u != f], f[u != f]
+    if not len(u):
+        return True
+    sought = np.minimum(u, f) * n + np.maximum(u, f)
+    have = i * n + j
+    at = np.minimum(np.searchsorted(have, sought), len(have) - 1)
+    return bool((have[at] == sought).all())
 
 
 def is_chordal(p: Pattern) -> bool:
@@ -313,12 +435,13 @@ def square_partition(p: Pattern) -> list[tuple[int, ...]]:
     pattern induced on the remaining vertices; singletons always work
     because the diagonal is implicit.
     """
+    adj = p.adjacency
     remaining = list(range(p.n))
     blocks: list[tuple[int, ...]] = []
     while remaining:
         block = [remaining[0]]
         for w in remaining[1:]:
-            if p.mask[w, block].all():
+            if adj[w].issuperset(block):
                 block.append(w)
         blocks.append(tuple(block))
         taken = set(block)

@@ -46,7 +46,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain
 
 import numpy as np
 
@@ -143,12 +143,27 @@ class _Table:
     """A list of objects that share one key order, held as columns.
 
     A column is a 1-D int or float array, a 2-D int array whose rows are
-    rendered as lists, or a list of int tuples. Its producer fixes the
-    kind, so the emitter renders a column without looking at its values.
+    rendered as lists, or a `_Coded` column of int tuples. Its producer
+    fixes the kind, so the emitter renders a column without looking at
+    its values.
     """
 
     keys: tuple[str, ...]
     columns: tuple
+
+
+@dataclass(frozen=True, eq=False)
+class _Coded:
+    """A column of int tuples whose row r is values[codes[r]]; codes is an int array.
+
+    Each value is formatted once, however many rows repeat it.
+    """
+
+    values: list[tuple[int, ...]]
+    codes: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.codes)
 
 
 _CHUNK_ROWS = 2048  # rows per % call, and per call of the float kernel
@@ -187,9 +202,9 @@ def _column_format(column, indent: int | None):
     Each value list fills one % field of the spec for rows start..stop-1,
     rendered as `_emit` renders the values.
     """
-    if isinstance(column, list):
-        encoded = {v: _tuple_spec(len(v), indent) % v for v in set(column)}
-        return "%s", lambda a, b: [list(map(encoded.__getitem__, column[a:b]))]
+    if isinstance(column, _Coded):
+        encoded = np.array([_tuple_spec(len(v), indent) % v for v in column.values], dtype=object)
+        return "%s", lambda a, b: [encoded[column.codes[a:b]].tolist()]
     kind = (column.ndim, column.dtype.kind)
     if kind == (1, "i"):
         return "%d", lambda a, b: [column[a:b].tolist()]
@@ -356,7 +371,7 @@ def _complex_from_doc(doc) -> complex:
 # -- patterns ---------------------------------------------------------------
 
 def pattern_to_json(p: Pattern) -> dict:
-    return {"n": p.n, "edges": [list(e) for e in sorted(p.edges)]}
+    return {"n": p.n, "edges": p.edge_array.tolist()}
 
 
 def pattern_from_json(doc) -> Pattern:
@@ -422,8 +437,7 @@ def fill_log_to_json(fills) -> _Table:
             new[(np.cumsum(n_new) - n_new)[step] + k % width],
         )
     )
-    column = list(chain.from_iterable(map(repeat, seps, sizes.tolist())))
-    return _Table(("separator", "pair"), (column, pairs))
+    return _Table(("separator", "pair"), (_Coded(list(seps), step), pairs))
 
 
 def factors_to_json(factors) -> dict:

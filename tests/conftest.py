@@ -27,7 +27,7 @@ from posext import (
     validate_subset,
 )
 from posext.pattern import ChordalStructure, CliqueTree
-from posext.serialize import _Table
+from posext.serialize import _Coded, _Table
 
 settings.register_profile(
     "suite",
@@ -119,13 +119,22 @@ def psd_supported_on(rng: np.random.Generator, p: Pattern) -> np.ndarray:
     return (out + out.conj().T) / 2
 
 
+def dense_mask(p: Pattern) -> np.ndarray:
+    """Oracle: the n x n support of a pattern, the diagonal and both orientations of each edge."""
+    out = np.eye(p.n, dtype=bool)
+    for i, j in p.edges:
+        out[i, j] = out[j, i] = True
+    return out
+
+
 def is_valid_elimination_order(p: Pattern, order) -> bool:
     pos = {v: k for k, v in enumerate(order)}
+    mask = dense_mask(p)
     for v in order:
         later = [w for w in p.adjacency[v] if pos[w] > pos[v]]
         for a in range(len(later)):
             for b in range(a + 1, len(later)):
-                if not p.mask[later[a], later[b]]:
+                if not mask[later[a], later[b]]:
                     return False
     return True
 
@@ -192,9 +201,10 @@ def brute_force_maximal_cliques(p: Pattern) -> list[tuple[int, ...]]:
     """Oracle: scan all vertex subsets (n small)."""
     cliques = []
     verts = list(range(p.n))
+    mask = dense_mask(p)
     for r in range(1, p.n + 1):
         for sub in itertools.combinations(verts, r):
-            if all(p.mask[a, b] for a, b in itertools.combinations(sub, 2)):
+            if all(mask[a, b] for a, b in itertools.combinations(sub, 2)):
                 cliques.append(set(sub))
     maximal = [c for c in cliques if not any(c < d for d in cliques)]
     return sorted(tuple(sorted(c)) for c in maximal)
@@ -388,9 +398,10 @@ def ref_invariantize(g: FiniteGroup, m: np.ndarray) -> dict[int, complex]:
 def ref_first_unsupported(t: np.ndarray, p: Pattern, rel: float):
     """First (i, j), i < j, off the pattern with |t[i, j]| above rel * max |t|."""
     cut = rel * (float(np.max(np.abs(t))) if t.size else 0.0)
+    mask = dense_mask(p)
     for i in range(p.n):
         for j in range(i + 1, p.n):
-            if not p.mask[i, j] and abs(t[i, j]) > cut:
+            if not mask[i, j] and abs(t[i, j]) > cut:
                 return i, j
     return None
 
@@ -398,16 +409,17 @@ def ref_first_unsupported(t: np.ndarray, p: Pattern, rel: float):
 def ref_apply_multiplier(m, t: np.ndarray) -> np.ndarray:
     d = m.d
     out = np.zeros((m.n * d, m.n * d), dtype=complex)
+    mask = dense_mask(m.pattern)
     for i in range(m.n):
         for j in range(m.n):
-            if m.pattern.mask[i, j]:
+            if mask[i, j]:
                 out[i * d : (i + 1) * d, j * d : (j + 1) * d] = t[i, j] * m.block(i, j)
     return out
 
 
 def ref_agrees_on_pattern(m, phi: np.ndarray) -> bool:
     d = m.d
-    for i, j in np.argwhere(np.triu(m.pattern.mask)).tolist():
+    for i, j in np.argwhere(np.triu(dense_mask(m.pattern))).tolist():
         block = m.block(i, j)
         if not np.array_equal(phi[i * d : (i + 1) * d, j * d : (j + 1) * d], block):
             return False
@@ -493,7 +505,10 @@ def ref_dumps(doc, pretty: bool = False) -> str:
 
 
 def _ref_table_rows(table) -> list[dict]:
-    columns = [c if isinstance(c, list) else c.tolist() for c in table.columns]
+    columns = [
+        [c.values[k] for k in c.codes.tolist()] if isinstance(c, _Coded) else c.tolist()
+        for c in table.columns
+    ]
     return [dict(zip(table.keys, row)) for row in zip(*columns)]
 
 

@@ -495,3 +495,66 @@ def test_console_entry_point_runs_in_subprocess():
         proc = run(argv[0], fx(argv[1]), *argv[2:])
         expected = (0, golden[" ".join(argv)].encode(), b"")
         assert (proc.returncode, proc.stdout, proc.stderr) == expected
+
+
+def test_partial_matrix_on_a_million_vertices_exits_2_in_linear_memory(tmp_path):
+    """Missing blocks of an n = 10**6 partial matrix are named without an n x n allocation.
+
+    The child caps its own address space at 1 GiB once numpy is loaded;
+    a dense n x n support would need 931 GiB.
+    """
+    n = 10**6
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"n": n, "d": 1, "pattern": {"n": n, "edges": []}, "blocks": []}))
+    code = (
+        "import resource, sys\n"
+        "from posext.cli import main\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "partially-positive", str(path)],
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        "error: InputError: blocks must cover the pattern pairs exactly "
+        "(missing [(0, 0), (1, 1), (2, 2), (3, 3)], extraneous [])\n"
+    )
+
+
+def test_cached_parser_is_reentrant(tmp_path, capsys, monkeypatch):
+    """Calls through the one cached parser give what a new parser per call gives."""
+    from posext import cli
+
+    wrong = tmp_path / "wrong.json"
+    wrong.write_text('{"n": 2, "edges": [[0, 9]]}')
+    calls = [
+        ["complete", fx("partial_band09_n3.json"), "--tol", "1e-3"],
+        ["clique-tree", fx("pattern_band2_n6.json"), "--pretty"],
+        ["chordal", str(wrong)],
+        ["cb-norm", fx("matrix_identity4.json"), "--block-size", "two"],
+        ["complete", fx("partial_band09_n3.json"), "--tol", "1e-3"],
+        ["complete", fx("partial_band09_n3.json")],
+    ]
+
+    def outcome(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    cached = [outcome(argv) for argv in calls]
+    assert [c[0] for c in cached] == [0, 0, 2, ("SystemExit", 2), 0, 0]
+    assert cached[4] == cached[0]
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_parser", cli.build_parser)
+        fresh = [outcome(argv) for argv in calls]
+    assert cached == fresh
+    args = cli._parser().parse_args(["cb-norm", "m.json"])
+    assert (args.tol, args.pretty, args.block_size) == (None, False, 1)
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli.build_parser()

@@ -11,6 +11,7 @@ from conftest import (
     bits,
     complete_pattern,
     cycle_pattern,
+    dense_mask,
     psd_supported_on,
     random_chordal_components,
     random_chordal_pattern,
@@ -30,7 +31,6 @@ from posext import (
     clique_tree,
     cyclic_group,
     expand,
-    expanded_pattern,
     invariantize,
     is_psd,
     maximal_cliques,
@@ -139,10 +139,33 @@ def test_partial_matrix_holds_one_read_only_stack_in_pair_order():
         block = a[2 * i : 2 * i + 2, 2 * j : 2 * j + 2]
         assert bits(m.values[k]) == bits(block) == bits(m.block(i, j))
         assert bits(m.block(j, i)) == bits(block if i == j else block.conj().T)
-    unspecified = [(i, j) for i in range(p.n) for j in range(p.n) if not p.mask[i, j]]
+    mask = dense_mask(p)
+    unspecified = [(i, j) for i in range(p.n) for j in range(p.n) if not mask[i, j]]
     for i, j in [(0, p.n), (-1, 0), *unspecified]:
         with pytest.raises(KeyError):
             m.block(i, j)
+
+
+@pytest.mark.parametrize(
+    "drop, add",
+    [
+        ([(1, 2)], [(0, 2)]),  # as many blocks as pairs, one of them wrong
+        ([(0, 0), (0, 1), (1, 1), (1, 2), (2, 2)], []),
+        ([], [(2, 9), (0, 2), (1, 0), (0, 2, 1)]),
+        ([(2, 2), (0, 0)], [(5, 5), (3, 3), (4, 4), (1, 0), (2, 0)]),
+    ],
+)
+def test_block_cover_message_names_the_set_differences(drop, add):
+    """The first four missing pairs and the four least extraneous keys, as set differences give."""
+    p = validate_pattern(3, [(0, 1), (1, 2)])
+    pairs = [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2)]
+    blocks = {key: np.eye(1) for key in pairs if key not in drop}
+    blocks.update((key, np.eye(1)) for key in add)
+    missing = sorted(set(pairs) - blocks.keys())[:4]
+    extra = sorted(blocks.keys() - set(pairs))[:4]
+    message = f"(missing {missing}, extraneous {extra})"
+    with pytest.raises(InputError, match=re.escape(message) + "$"):
+        PartialHermitianMatrix(p, 1, blocks)
 
 
 @pytest.mark.parametrize(
@@ -281,13 +304,6 @@ def test_block_case_zero_off_diagonal_fills_zero():
     assert np.abs(result.matrix[0:2, 4:6]).max() == 0.0
 
 
-def test_expanded_pattern_blows_up_vertices():
-    p = validate_pattern(2, [(0, 1)])
-    q = expanded_pattern(p, 2)
-    assert q.n == 4
-    assert q.edges == frozenset({(0, 1), (2, 3), (0, 2), (0, 3), (1, 2), (1, 3)})
-
-
 def test_extension_multiplier_alias_examples():
     p = validate_pattern(3, [(0, 1), (1, 2)])
     m = scalar_partial(
@@ -380,8 +396,9 @@ def test_completion_and_decomposition_on_several_components(seed):
     scale = 1 + max(result.matrix[i, i].real for i in range(n))
     assert np.linalg.eigvalsh(result.matrix).min() >= -1e-9 * scale
     filled = sorted(tuple(sorted(pair)) for _, pair in result.fill_log)
+    mask = dense_mask(p)
     unspecified = [
-        (i, j) for i in range(n) for j in range(i + 1, n) if not p.mask[i, j]
+        (i, j) for i in range(n) for j in range(i + 1, n) if not mask[i, j]
     ]
     assert filled == unspecified
 
@@ -496,9 +513,10 @@ def test_unsupported_entry_is_the_first_the_reference_loop_finds(seed):
     n = int(rng.integers(2, 9))
     p = random_pattern(rng, n, n)
     t = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    mask = dense_mask(p)
     for i in range(n):
         for j in range(i + 1, n):
-            if not p.mask[i, j]:
+            if not mask[i, j]:
                 size = rng.choice([0.0, -0.0, 1e-11, 1e-10, 1e-9], p=[0.3, 0.3, 0.15, 0.15, 0.1])
                 t[i, j] = size * np.abs(t).max()
     m = restrict_to_pattern(random_psd(rng, n), p)
@@ -524,9 +542,10 @@ def test_multiplier_and_verification_match_reference_loops(d, seed):
 
     t = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     t[rng.random((n, n)) < 0.3] = -0.0
+    mask = dense_mask(p)
     for i in range(n):
         for j in range(n):
-            if not p.mask[i, j]:
+            if not mask[i, j]:
                 t[i, j] = 0.0
     assert bits(apply_multiplier(m, t)) == bits(ref_apply_multiplier(m, t))
 
@@ -539,7 +558,7 @@ def test_multiplier_and_verification_match_reference_loops(d, seed):
         nudged_on[i * d, j * d] += 1e-3
         nudged_below[j * d, i * d] += 1e-3
     if len(p.edges) < n * (n - 1) // 2:
-        i, j = next((i, j) for i in range(n) for j in range(i + 1, n) if not p.mask[i, j])
+        i, j = next((i, j) for i in range(n) for j in range(i + 1, n) if not mask[i, j])
         nudged_off[i * d, j * d] += 1e-3
         nudged_off[j * d, i * d] += 1e-3
     for phi in [a, unsigned, nudged_on, nudged_off, nudged_below, expand(m)]:

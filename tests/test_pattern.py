@@ -8,6 +8,7 @@ from conftest import (
     brute_force_maximal_cliques,
     complete_pattern,
     cycle_pattern,
+    dense_mask,
     is_valid_elimination_order,
     random_chordal_components,
     random_chordal_pattern,
@@ -24,7 +25,8 @@ from posext import (
     square_partition,
     validate_pattern,
 )
-from posext.errors import IndexOutOfRange, NotChordal, TooLarge
+from posext.errors import IndexOutOfRange, InputError, NotChordal, TooLarge
+from posext.pattern import MAX_VERTICES
 
 
 def test_validate_merges_duplicates_and_reversals():
@@ -36,8 +38,8 @@ def test_validate_merges_duplicates_and_reversals():
 def test_validate_empty_edges_keeps_diagonal_only():
     p = validate_pattern(3, [])
     assert p.edges == frozenset()
-    assert p.mask[1, 1]
-    assert not p.mask[0, 1]
+    assert dense_mask(p)[1, 1]
+    assert not dense_mask(p)[0, 1]
 
 
 def test_validate_rejects_out_of_range():
@@ -160,8 +162,9 @@ def test_square_partition_properties(seed):
     flat = [v for b in blocks for v in b]
     assert sorted(flat) == list(range(n))
     assert len(flat) == len(set(flat))
+    mask = dense_mask(p)
     for block in blocks:
-        assert all(p.mask[a, b] for a in block for b in block)
+        assert all(mask[a, b] for a in block for b in block)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -187,8 +190,9 @@ def test_maximal_cliques_invariants(seed):
     p = random_pattern(rng, n, 12)
     cliques = maximal_cliques(p)
     assert cliques == brute_force_maximal_cliques(p)
+    mask = dense_mask(p)
     for c in cliques:
-        assert all(p.mask[a, b] for a in c for b in c)
+        assert all(mask[a, b] for a in c for b in c)
     for c in cliques:
         for d in cliques:
             assert not (set(c) < set(d))
@@ -259,3 +263,99 @@ def test_structure_matches_the_reference_search(seed):
         assert p.structure == ref_chordal_structure(p)
         chordal += p.structure.chordal
     assert 0 < chordal < 50
+
+
+@st.composite
+def raw_edge_lists(draw):
+    """(n, edges): a raw edge list with duplicates, reversed pairs and loops.
+
+    Half the lists start from a chordal pattern of several components (so
+    isolated vertices are common); the others are arbitrary graphs.
+    """
+    n = draw(st.integers(0, 14))
+    if n and draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        edges = sorted(random_chordal_components(rng, n, draw(st.integers(1, 4))).edges)
+    else:
+        vertex = st.integers(0, max(n - 1, 0))
+        edges = draw(st.lists(st.tuples(vertex, vertex), max_size=3 * n)) if n else []
+    if edges:
+        extra = draw(st.lists(st.sampled_from(edges), max_size=len(edges)))
+        edges += [(j, i) for i, j in extra]
+        edges += [(i, i) for i, _ in draw(st.lists(st.sampled_from(edges), max_size=3))]
+    return n, draw(st.permutations(edges))
+
+
+def _dense_oracle(n, edges) -> np.ndarray:
+    out = np.eye(n, dtype=bool)
+    for i, j in edges:
+        out[i, j] = out[j, i] = True
+    return out
+
+
+@given(raw_edge_lists())
+def test_sparse_pattern_matches_the_dense_oracle(case):
+    """pairs, CSR, adjacency and edges agree with a dense mask of the raw list."""
+    n, raw = case
+    p = validate_pattern(n, raw)
+    dense = _dense_oracle(n, raw)
+    rows, cols = p.pairs
+    expected = np.nonzero(np.triu(dense))
+    assert rows.tolist() == expected[0].tolist() and cols.tolist() == expected[1].tolist()
+    assert p.edges == frozenset((min(i, j), max(i, j)) for i, j in raw if i != j)
+    assert p.edge_array.tolist() == sorted(map(list, p.edges))
+    off_diagonal = dense & ~np.eye(n, dtype=bool)
+    for v in range(n):
+        neighbours = np.flatnonzero(off_diagonal[v]).tolist()
+        assert p.indices[p.indptr[v] : p.indptr[v + 1]].tolist() == neighbours
+        assert p.adjacency[v] == frozenset(neighbours)
+    assert not any(a.flags.writeable for a in (p.edge_array, p.indptr, p.indices, rows, cols))
+    assert p.structure == ref_chordal_structure(p)
+
+
+@given(raw_edge_lists(), raw_edge_lists())
+def test_patterns_are_equal_exactly_when_n_and_edges_are(first, second):
+    p, q = validate_pattern(*first), validate_pattern(*second)
+    assert (p == q) == (p.n == q.n and p.edges == q.edges)
+    again = validate_pattern(first[0], [(j, i) for i, j in reversed(first[1])])
+    assert again == p and hash(again) == hash(p)
+    assert p != validate_pattern(p.n + 1, first[1])
+
+
+@pytest.mark.parametrize(
+    "n, edges, error, message",
+    [
+        (3, [[True, 2]], InputError, "edge [True, 2] is not a pair of integers"),
+        (3, [[0, 1], [1, False]], InputError, "edge [1, False] is not a pair of integers"),
+        (3, [[1.5, 2]], InputError, "edge [1.5, 2] is not a pair of integers"),
+        (3, [["0", 1]], InputError, "edge ['0', 1] is not a pair of integers"),
+        (3, [[0, None]], InputError, "edge [0, None] is not a pair of integers"),
+        (3, [[1]], InputError, "edge [1] is not a pair of integers"),
+        (3, [[1, 2, 3]], InputError, "edge [1, 2, 3] is not a pair of integers"),
+        (3, [[0, 1], 7], InputError, "edge 7 is not a pair of integers"),
+        (3, [[0, 2**70]], IndexOutOfRange, f"edge (0,{2**70}) outside [0,3)"),
+        (3, [[0, 1], [2, 3]], IndexOutOfRange, "edge (2,3) outside [0,3)"),
+        (3, [[-1, 0]], IndexOutOfRange, "edge (-1,0) outside [0,3)"),
+        (3, [[0, 5], [True, 1]], IndexOutOfRange, "edge (0,5) outside [0,3)"),
+        (3, [[True, 1], [0, 5]], InputError, "edge [True, 1] is not a pair of integers"),
+        (3, [[0, 2.0], [4, 1.0]], IndexOutOfRange, "edge (4,1) outside [0,3)"),
+        (0, [[0, 0]], IndexOutOfRange, "edge (0,0) outside [0,0)"),
+        (-1, [], IndexOutOfRange, "vertex count must be nonnegative, got -1"),
+    ],
+)
+def test_bad_edge_lists_name_the_first_bad_edge(n, edges, error, message):
+    with pytest.raises(error) as info:
+        validate_pattern(n, edges)
+    assert type(info.value) is error and str(info.value) == message
+
+
+def test_whole_number_floats_and_numpy_ints_are_edges():
+    p = validate_pattern(3, [[0, 2.0], (np.int64(2), np.int64(1)), [1.0, 1]])
+    assert p.edges == frozenset({(0, 2), (1, 2)})
+
+
+def test_vertex_count_above_the_cap_is_too_large():
+    """Edge keys i n + j must fit in int64; the parent accepted such n and failed later."""
+    assert validate_pattern(MAX_VERTICES, [(0, MAX_VERTICES - 1)]).edges == {(0, MAX_VERTICES - 1)}
+    with pytest.raises(TooLarge, match=r"^vertex count 3037000500 exceeds the cap of 3037000499$"):
+        validate_pattern(MAX_VERTICES + 1, [])

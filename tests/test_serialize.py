@@ -56,7 +56,9 @@ def tables(draw):
             columns.append(np.array(pairs, dtype=int).reshape(rows, 2))
         else:
             tuples = st.lists(small, max_size=3).map(tuple)
-            columns.append(draw(st.lists(tuples, min_size=rows, max_size=rows)))
+            values = draw(st.lists(tuples, min_size=1, max_size=3))
+            codes = draw(st.lists(st.integers(0, len(values) - 1), min_size=rows, max_size=rows))
+            columns.append(ser._Coded(values, np.array(codes, dtype=int)))
     return ser._Table(tuple(f"k{c}" for c in range(len(columns))), tuple(columns))
 
 
