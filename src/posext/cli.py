@@ -3,7 +3,7 @@
 Every command reads JSON files, writes a single JSON document to stdout,
 and reports problems on stderr. Exit codes: 0 success (boolean predicate
 results are data, not failures), 2 malformed input, 3 mathematical
-infeasibility, 4 size-limit violations.
+infeasibility, 4 size-limit violations (a cap, or memory running out).
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ def _cmd_peo(args):
 
 
 def _cmd_cliques(args):
-    return {"cliques": [list(c) for c in pat.maximal_cliques(_load_pattern(args.pattern))]}
+    return ser.cliques_to_json(pat.maximal_cliques(_load_pattern(args.pattern)))
 
 
 def _cmd_clique_tree(args):
@@ -279,6 +279,9 @@ def main(argv=None) -> int:
         doc = args.func(args)
     except TooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 4
+    except MemoryError as exc:  # an input within every cap can still outgrow the memory at hand
+        print(f"error: MemoryError: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 4
     except InfeasibleError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

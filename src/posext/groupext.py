@@ -387,10 +387,9 @@ def positive_definite_extension(
     cosets = _right_cosets(g, e)
     blocks = _lookup(g, u)[g.quotient[cosets[:, :, None], cosets[:, None, :]]]
     upper = np.triu(np.ones(blocks.shape[1:], dtype=bool))
-    for coset, block in zip(cosets.tolist(), blocks):
-        # the lower triangle mirrors the upper one, as completion.expand builds it
-        if not is_psd(np.where(upper, block, block.conj().T), tol):
-            raise NotPositiveDefinite(
-                f"kernel fails: clique {tuple(coset)} has a non-PSD block"
-            )
+    # the lower triangles mirror the upper ones, as completion.expand builds them
+    ok = is_psd(np.where(upper, blocks, blocks.conj().swapaxes(1, 2)), tol)
+    if not ok.all():
+        coset = tuple(cosets[np.flatnonzero(~ok)[0]].tolist())
+        raise NotPositiveDefinite(f"kernel fails: clique {coset} has a non-PSD block")
     return _hermitian(g, {x: u.values.get(x, 0j) for x in range(g.order)})

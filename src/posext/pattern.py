@@ -127,13 +127,90 @@ class EliminationOrder:
     order: tuple[int, ...]
 
 
-@dataclass(frozen=True)
 class CliqueTree:
-    """Maximal cliques arranged in a tree with the running intersection property."""
+    """Maximal cliques arranged in a tree with the running intersection property.
 
-    cliques: tuple[tuple[int, ...], ...]
-    tree_edges: tuple[tuple[int, int], ...]
-    separators: tuple[tuple[int, ...], ...]
+    It is held as read-only int64 arrays in compressed form: clique k is
+    members[clique_ptr[k]:clique_ptr[k + 1]], tree edge e is the row
+    edge_array[e] of the (k - 1, 2) edge array, and its separator is
+    separator_members[separator_ptr[e]:separator_ptr[e + 1]]. The tuple
+    views cliques, tree_edges and separators are made when first asked
+    for. Two trees are equal when their tuple views are.
+    """
+
+    _ARRAYS = ("members", "clique_ptr", "edge_array", "separator_members", "separator_ptr")
+
+    def __init__(self, cliques, tree_edges, separators) -> None:
+        """A tree from its cliques and separators as int sequences and its edges as int pairs."""
+        self._hold(
+            *_compressed(cliques),
+            np.array(tree_edges, dtype=np.int64).reshape(-1, 2),
+            *_compressed(separators),
+        )
+
+    @classmethod
+    def _of(cls, *arrays: np.ndarray) -> CliqueTree:
+        """A tree that takes its five int64 arrays, in the order of _ARRAYS, over."""
+        tree = cls.__new__(cls)
+        tree._hold(*arrays)
+        return tree
+
+    def _hold(self, *arrays: np.ndarray) -> None:
+        for name, a in zip(self._ARRAYS, arrays, strict=True):
+            a.flags.writeable = False
+            setattr(self, name, a)
+
+    def _arrays(self) -> tuple[np.ndarray, ...]:
+        return tuple(getattr(self, name) for name in self._ARRAYS)
+
+    @cached_property
+    def cliques(self) -> tuple[tuple[int, ...], ...]:
+        """The cliques, each sorted ascending, in lexicographic order."""
+        return _tuples(self.members, self.clique_ptr)
+
+    @cached_property
+    def tree_edges(self) -> tuple[tuple[int, int], ...]:
+        """The tree edges (i, j), i < j, by decreasing separator size, then by (i, j)."""
+        return tuple(map(tuple, self.edge_array.tolist()))
+
+    @cached_property
+    def separators(self) -> tuple[tuple[int, ...], ...]:
+        """The separator of each tree edge, sorted ascending."""
+        return _tuples(self.separator_members, self.separator_ptr)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CliqueTree):
+            return NotImplemented
+        return all(map(np.array_equal, self._arrays(), other._arrays()))
+
+    def __hash__(self) -> int:
+        return hash(tuple(a.tobytes() for a in self._arrays()))
+
+    def __repr__(self) -> str:
+        return (
+            f"CliqueTree(cliques={self.cliques!r}, tree_edges={self.tree_edges!r}, "
+            f"separators={self.separators!r})"
+        )
+
+
+def _compressed(seqs) -> tuple[np.ndarray, np.ndarray]:
+    """Int sequences as one flat int64 array and the pointers to where each starts and ends."""
+    seqs = [tuple(s) for s in seqs]
+    flat = np.array(list(chain.from_iterable(seqs)), dtype=np.int64)
+    return flat, _pointers(np.fromiter(map(len, seqs), np.int64, len(seqs)))
+
+
+def _pointers(lengths: np.ndarray) -> np.ndarray:
+    """The pointers 0, l0, l0 + l1, ... that bound consecutive slices of the given lengths."""
+    ptr = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=ptr[1:])
+    return ptr
+
+
+def _tuples(flat: np.ndarray, ptr: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """The sequences flat[ptr[k]:ptr[k + 1]] as tuples."""
+    values, bounds = tuple(flat.tolist()), ptr.tolist()
+    return tuple(map(values.__getitem__, map(slice, bounds, bounds[1:])))
 
 
 @dataclass(frozen=True)
@@ -259,6 +336,7 @@ def _chordal_structure(p: Pattern) -> ChordalStructure:
                     follower[u] = v  # the last such v before u is visited is its follower
                     push(heap, -x)
     order = tuple(reversed(visit))
+    visit = np.array(visit, dtype=np.int64)
 
     # Each edge (i, j) seen from its later endpoint: u is an earlier neighbour of later.
     at = np.empty(n, dtype=np.int64)
@@ -273,46 +351,95 @@ def _chordal_structure(p: Pattern) -> ChordalStructure:
     # Blair-Peyton, by visit position k: k opens a clique unless it has more
     # earlier neighbours than k - 1; the clique of an opener v is its earlier
     # neighbours, v and the vertices visited after v up to the next opener.
-    counts = np.bincount(later, minlength=n)
-    size = counts[visit]
+    # Cliques are numbered by visit here, and held as members sorted by
+    # (clique, vertex) with pointers.
+    size = np.bincount(later, minlength=n)[visit]
     opens = np.ones(n, dtype=bool)
     opens[1:] = size[1:] <= size[:-1]
     start = np.flatnonzero(opens)
     clique_at = np.cumsum(opens) - 1
     clique_of = clique_at[at]
-    opener = np.array(visit, dtype=np.int64)[start]
     from_opener = opens[at[later]]
     member_clique = np.concatenate((clique_of[later[from_opener]], clique_at))
     member = np.concatenate((u[from_opener], visit))
-    flat = tuple(member[np.argsort(member_clique * n + member)].tolist())
-    bounds = [0, *np.cumsum(np.bincount(member_clique, minlength=len(start))).tolist()]
-    cliques = list(map(flat.__getitem__, map(slice, bounds, bounds[1:])))
-    rank = sorted(range(len(cliques)), key=cliques.__getitem__)
+    by_clique = np.argsort(member_clique * n + member)
+    member, member_clique = member[by_clique], member_clique[by_clique]
+    clique_ptr = _pointers(np.bincount(member_clique, minlength=len(start)))
+    # The separator of a clique with its parent is its opener's earlier
+    # neighbours: its members visited before the opener, size[start] of them.
+    separator_members = member[at[member] < start[member_clique]]
+    separator_ptr = _pointers(size[start])
+
+    rank = _lexicographic_order(member, clique_ptr)
     index = np.empty(len(rank), dtype=np.int64)
     index[rank] = np.arange(len(rank))
 
     # Each clique but the first of its component joins the clique of its
     # opener's follower through the opener's earlier neighbours; the other
-    # components join clique 0 through their lowest clique.
-    parent = follower_of[opener]
+    # components join clique 0 through their lowest clique and no separator.
+    parent = follower_of[visit[start]]
     child = np.flatnonzero(parent >= 0)
     a, b = index[child], index[clique_of[parent[child]]]
     component = np.cumsum(parent < 0)[rank]
     joins = np.sort(np.unique(component, return_index=True)[1])[1:]
     low = np.concatenate((np.minimum(a, b), np.zeros_like(joins)))
     high = np.concatenate((np.maximum(a, b), joins))
+    sep_of = np.concatenate((child, np.zeros_like(joins)))
     sep_size = np.concatenate((size[start[child]], np.zeros_like(joins)))
-    earlier = tuple(u[np.lexsort((u, later))].tolist())  # earlier[first[v]:first[v + 1]], ascending
-    first = [0, *np.cumsum(counts).tolist()]
-    separators = [earlier[first[v] : first[v + 1]] for v in opener[child].tolist()]
-    separators += [()] * len(joins)
-    by_edge = np.lexsort((high, low, -sep_size)).tolist()
-    tree = CliqueTree(
-        tuple(map(cliques.__getitem__, rank)),
-        tuple(zip(low[by_edge].tolist(), high[by_edge].tolist())),
-        tuple(map(separators.__getitem__, by_edge)),
+    by_edge = np.argsort(low * len(rank) + high)
+    by_edge = by_edge[np.argsort(-sep_size[by_edge], kind="stable")]
+    tree = CliqueTree._of(
+        *_gather(member, clique_ptr[rank], np.diff(clique_ptr)[rank]),
+        np.stack((low[by_edge], high[by_edge]), axis=1),
+        *_gather(separator_members, separator_ptr[sep_of[by_edge]], sep_size[by_edge]),
     )
     return ChordalStructure(order, True, tree)
+
+
+def _lexicographic_order(flat: np.ndarray, ptr: np.ndarray) -> np.ndarray:
+    """The k that sort the distinct sequences flat[ptr[k]:ptr[k + 1]] lexicographically.
+
+    Prefix doubling: while step is below the longest length, rank holds
+    at each position whose offset in its sequence is a multiple of step
+    the rank of the piece of the sequence that starts there and is step
+    long (shorter at the sequence's end; a proper prefix ranks first).
+    A piece of twice the length ranks as the pair (rank here, 1 + rank
+    step further, or 0 past the end), and only the positions at
+    multiples of twice the step are ranked again: memory stays
+    O(len(flat)), and the round at step s sorts at most one key per
+    sequence plus len(flat) / (2 s). Ranks stay below N = max(n,
+    len(flat)) and keys below (N + 1)^2, which fits in int64.
+    """
+    lengths = np.diff(ptr)
+    offset = np.arange(len(flat)) - np.repeat(ptr[:-1], lengths)
+    room = np.repeat(lengths, lengths) - offset  # the length of the sequence from here on
+    rank, top, step = flat, int(flat.max(initial=0)), 1
+    while True:
+        last = 2 * step >= lengths.max(initial=0)
+        at = ptr[:-1] if last else np.flatnonzero(offset % (2 * step) == 0)
+        more = room[at] > step
+        key = rank[at] * (top + 2)
+        key[more] += rank[at[more] + step] + 1
+        if last:
+            return np.argsort(key, kind="stable")
+        rank = np.empty_like(flat)
+        rank[at] = _dense_rank(key)
+        top, step = len(at) - 1, 2 * step
+
+
+def _dense_rank(key: np.ndarray) -> np.ndarray:
+    """The rank of each key among the distinct keys, from 0."""
+    order = np.argsort(key)
+    ordered = key[order]
+    rank = np.empty(len(key), dtype=np.int64)
+    rank[order] = np.cumsum(np.concatenate(([False], ordered[1:] != ordered[:-1])))
+    return rank
+
+
+def _gather(flat: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The slices flat[s:s + l] for s, l in zip(starts, lengths), concatenated, and their pointers."""
+    ptr = _pointers(lengths)
+    return flat[np.arange(ptr[-1]) + np.repeat(starts - ptr[:-1], lengths)], ptr
 
 
 def _is_perfect(p: Pattern, u: np.ndarray, f: np.ndarray) -> bool:

@@ -3,18 +3,23 @@
 Emission goes through a small dumper that writes floats as %.17g, so
 that every finite float except -0.0 round-trips bit-faithfully (-0.0 is
 written "-0", which JSON readers take for the integer 0). A value takes
-one of three paths, and all three give the same bytes:
+one of four paths, and all four give the same bytes:
 
 - A list whose items are all exact ints, or all lists or tuples of
   exact ints, goes to json's encoder (the C encoder when compact).
   Floats stay off this path: json writes repr(x), not %.17g.
+- A list of int lists that is held as one flat int array and pointers
+  (`_IntLists`: a clique tree's cliques, edges and separators, and the
+  maximal cliques) is rendered with one % per chunk of `_CHUNK_ROWS`
+  lists, without a look at the type of each value.
 - The large homogeneous lists (a dense matrix's entries, a completion's
   fill log, a group function's values, a rank-one factor's vector) are
   held as typed columns (`_Table`) and rendered with one % per chunk of
-  `_CHUNK_ROWS` rows. A float column of `_KERNEL_MIN_ROWS` rows or more
-  is turned into strings by the numpy kernel `_format_17g` and goes in
-  as %s. Shorter float columns go in as %.17g, because the kernel's cost
-  per call outweighs what it saves on them.
+  `_CHUNK_ROWS` rows. A float column with `_KERNEL_MIN_ROWS` nonzero
+  values or more is turned into strings by the numpy kernel
+  `_format_17g` and goes in as %s. Other float columns go in as %.17g,
+  because the kernel's cost per call outweighs what it saves on them;
+  the kernel writes zeros at no cost, so they do not count.
 - Everything else is walked value by value.
 
 The kernel writes exactly what format(x, ".17g") writes. That text is
@@ -61,7 +66,7 @@ from .groupext import (
     validate_group,
     validate_subset,
 )
-from .pattern import CliqueTree, Pattern, _integers, validate_pattern
+from .pattern import CliqueTree, Pattern, _compressed, _integers, validate_pattern
 
 
 def load_json(path) -> dict:
@@ -95,6 +100,8 @@ def _emit(value, out: list[str], indent: int | None) -> None:
             _emit_items(value, out, indent, "[", "]", key=False)
     elif isinstance(value, _Table):
         _emit_table(value, out, indent)
+    elif isinstance(value, _IntLists):
+        _emit_packed_lists(value, out, indent)
     else:
         raise TypeError(f"cannot serialize value of type {type(value).__name__}")
 
@@ -166,8 +173,21 @@ class _Coded:
         return len(self.codes)
 
 
-_CHUNK_ROWS = 2048  # rows per % call, and per call of the float kernel
-_KERNEL_MIN_ROWS = 512  # float columns of fewer rows go through %.17g
+@dataclass(frozen=True, eq=False)
+class _IntLists:
+    """A list of int lists held as one flat int array and pointers: list k is flat[ptr[k]:ptr[k + 1]]."""
+
+    flat: np.ndarray
+    ptr: np.ndarray
+
+    @classmethod
+    def of(cls, lists) -> _IntLists:
+        """The int lists of a sequence of int sequences."""
+        return cls(*_compressed(lists))
+
+
+_CHUNK_ROWS = 2048  # rows (or lists) per % call, and per call of the float kernel
+_KERNEL_MIN_ROWS = 512  # float columns of fewer nonzero values go through %.17g
 
 
 def _emit_table(table: _Table, out: list[str], indent: int | None) -> None:
@@ -211,7 +231,7 @@ def _column_format(column, indent: int | None):
     if kind == (1, "f"):
         if not np.isfinite(column).all():
             raise ValueError("non-finite numbers are not serializable")
-        if len(column) < _KERNEL_MIN_ROWS:
+        if np.count_nonzero(column) < _KERNEL_MIN_ROWS:
             return "%.17g", lambda a, b: [column[a:b].tolist()]
         return "%s", lambda a, b: [_format_17g(column[a:b])]
     if kind == (2, "i"):
@@ -219,6 +239,25 @@ def _column_format(column, indent: int | None):
     raise TypeError(f"cannot serialize a {column.dtype} column of shape {column.shape}")
 
 
+def _emit_packed_lists(value: _IntLists, out: list[str], indent: int | None) -> None:
+    """The lists laid out as `_emit_items` lays them out, one % per `_CHUNK_ROWS` lists."""
+    lengths = np.diff(value.ptr).tolist()
+    if not lengths:
+        out.append("[]")
+        return
+    inner = None if indent is None else indent + 1
+    spec = {k: _tuple_spec(k, inner) for k in set(lengths)}
+    sep = "," + _pad(indent, 1)
+    out.append("[" + _pad(indent, 1))
+    for a in range(0, len(lengths), _CHUNK_ROWS):
+        b = min(a + _CHUNK_ROWS, len(lengths))
+        template = sep.join(map(spec.__getitem__, lengths[a:b]))
+        out.append(template % tuple(value.flat[value.ptr[a] : value.ptr[b]].tolist()))
+        out.append(sep)
+    out[-1] = _pad(indent, 0) + "]"  # the last separator closes the list
+
+
+@functools.lru_cache(maxsize=256)
 def _tuple_spec(k: int, indent: int | None) -> str:
     sep = "," + _pad(indent, 1)
     return f"[{_pad(indent, 1)}{sep.join(['%d'] * k)}{_pad(indent, 0)}]" if k else "[]"
@@ -380,7 +419,15 @@ def pattern_from_json(doc) -> Pattern:
 
 
 def clique_tree_to_json(t: CliqueTree) -> dict:
-    return {"cliques": t.cliques, "tree_edges": t.tree_edges, "separators": t.separators}
+    return {
+        "cliques": _IntLists(t.members, t.clique_ptr),
+        "tree_edges": _IntLists(t.edge_array.ravel(), np.arange(0, t.edge_array.size + 1, 2)),
+        "separators": _IntLists(t.separator_members, t.separator_ptr),
+    }
+
+
+def cliques_to_json(cliques) -> dict:
+    return {"cliques": _IntLists.of(cliques)}
 
 
 # -- dense Hermitian matrices -------------------------------------------------

@@ -27,7 +27,7 @@ from posext import (
     validate_subset,
 )
 from posext.pattern import ChordalStructure, CliqueTree
-from posext.serialize import _Coded, _Table
+from posext.serialize import _Coded, _IntLists, _Table
 
 settings.register_profile(
     "suite",
@@ -498,7 +498,7 @@ def ref_is_positive_definite_on(g: FiniteGroup, e: SymmetricSubset, u, tol=None)
 # recording followers as it runs. Tests require identical results.
 
 def ref_dumps(doc, pretty: bool = False) -> str:
-    """Reference for dumps: every value walked one by one, a _Table as its rows."""
+    """Reference for dumps: every value walked one by one, a _Table as its rows, _IntLists as lists."""
     out: list[str] = []
     _ref_emit(doc, out, 0 if pretty else None)
     return "".join(out)
@@ -528,6 +528,9 @@ def _ref_emit(value, out: list[str], indent) -> None:
         _ref_emit_items(value, out, indent, "[", "]", key=False)
     elif isinstance(value, _Table):
         _ref_emit(_ref_table_rows(value), out, indent)
+    elif isinstance(value, _IntLists):
+        flat, ptr = value.flat.tolist(), value.ptr.tolist()
+        _ref_emit([flat[a:b] for a, b in zip(ptr, ptr[1:])], out, indent)
     else:
         raise TypeError(f"cannot serialize value of type {type(value).__name__}")
 

@@ -1,11 +1,19 @@
+import contextlib
+import io
 import json
 import math
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from conftest import random_chordal_components
+from posext import Pattern, clique_tree, maximal_cliques, validate_pattern
+from posext import cli
 from posext.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -274,6 +282,71 @@ def test_huge_matrix_dimension_exits_4_before_allocating(tmp_path, capsys):
     captured = capsys.readouterr()
     assert (code, captured.out) == (4, "")
     assert captured.err == "error: dense matrix dimension 10000000 exceeds the cap of 4096\n"
+
+
+@pytest.mark.parametrize("message", ["Unable to allocate 7.45 GiB for an array", ""])
+def test_running_out_of_memory_exits_4_with_one_line(monkeypatch, capsys, message):
+    """A pattern within every cap can still outgrow memory: exit 4, not a traceback."""
+    from posext import pattern
+
+    def exhausted(p):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(pattern, "_chordal_structure", exhausted)
+    code = main(["chordal", fx("pattern_band1_n4.json")])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (4, "")
+    assert captured.err == f"error: MemoryError: {message or 'out of memory'}\n"
+
+
+def _stdout_on(p: Pattern, *argv) -> str:
+    """The stdout of the CLI on argv, with p in place of the pattern file."""
+    out = io.StringIO()
+    with mock.patch.object(cli, "_load_pattern", return_value=p), contextlib.redirect_stdout(out):
+        assert main(list(argv)) == 0
+    return out.getvalue()
+
+
+def _json_text(doc, pretty: bool) -> str:
+    return json.dumps(doc, **({"indent": 2} if pretty else {"separators": (",", ":")})) + "\n"
+
+
+def _assert_tree_and_cliques_emit_as_json(p: Pattern, pretty: bool) -> None:
+    flag = ["--pretty"] if pretty else []
+    tree = clique_tree(p)
+    views = {"cliques": tree.cliques, "tree_edges": tree.tree_edges, "separators": tree.separators}
+    assert _stdout_on(p, "clique-tree", "pattern.json", *flag) == _json_text(views, pretty)
+    cliques = {"cliques": maximal_cliques(p)}
+    assert _stdout_on(p, "cliques", "pattern.json", *flag) == _json_text(cliques, pretty)
+
+
+@st.composite
+def chordal_patterns(draw):
+    """Random chordal patterns of up to 40 vertices, often disconnected, with isolated vertices."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(0, 40))
+    return random_chordal_components(rng, n, draw(st.integers(1, 5)), draw(st.floats(0.0, 0.6)))
+
+
+@settings(max_examples=60, deadline=None)
+@example(validate_pattern(0, []), False)
+@example(validate_pattern(1, []), True)
+@example(validate_pattern(4, [(1, 2)]), True)
+@given(chordal_patterns(), st.booleans())
+def test_clique_tree_and_cliques_stdout_is_json_of_the_tuple_views(p, pretty):
+    _assert_tree_and_cliques_emit_as_json(p, pretty)
+
+
+@pytest.mark.parametrize("pretty", [False, True])
+def test_clique_tree_stdout_of_a_big_clique_with_pendant_vertices(pretty):
+    """Clique {0..1499} with pendant vertices 1500 + k on 75 k, and an isolated vertex."""
+    n = 1521
+    i, j = np.triu_indices(1500, 1)
+    pendants = [(75 * k, 1500 + k) for k in range(20)]
+    edges = np.concatenate((np.stack((i, j), axis=1), pendants))
+    p = Pattern(n, edges[np.argsort(edges[:, 0] * n + edges[:, 1])])
+    assert len(clique_tree(p).cliques) == 22
+    _assert_tree_and_cliques_emit_as_json(p, pretty)
 
 
 def test_boolean_false_still_exits_0(capsys):

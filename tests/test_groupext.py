@@ -51,6 +51,7 @@ from posext.errors import (
     NotPositiveDefinite,
     TooLarge,
 )
+from posext import groupext
 from posext.groupext import _generators, _right_cosets
 
 
@@ -311,6 +312,24 @@ def test_extension_rejects_nonchordal_or_indefinite():
         positive_definite_extension(
             z3, full, group_function(z3, {0: 1.0, 1: -0.8, 2: -0.8})
         )
+
+
+def test_extension_checks_all_cosets_at_once_and_names_the_first_that_fails(monkeypatch):
+    """The cosets of a subgroup give permuted copies of one block, so no real
+    input fails on a later coset alone; a stand-in for is_psd fails two of them."""
+    z8 = cyclic_group(8)
+    h = validate_subset(z8, {0, 4})  # cosets (0, 4), (1, 5), (2, 6), (3, 7)
+    u = group_function(z8, {0: 1.0, 4: 0.5})
+    stacks = []
+
+    def verdicts(blocks, tol=None):
+        stacks.append((blocks.shape, tol))
+        return np.array([True, False, True, False])
+
+    monkeypatch.setattr(groupext, "is_psd", verdicts)
+    with pytest.raises(NotPositiveDefinite, match=r"^kernel fails: clique \(1, 5\) has a non-PSD block$"):
+        positive_definite_extension(z8, h, u, 0.25)
+    assert stacks == [((4, 2, 2), 0.25)]
 
 
 def test_invariantize_examples():

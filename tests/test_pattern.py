@@ -26,7 +26,7 @@ from posext import (
     validate_pattern,
 )
 from posext.errors import IndexOutOfRange, InputError, NotChordal, TooLarge
-from posext.pattern import MAX_VERTICES
+from posext.pattern import MAX_VERTICES, _lexicographic_order
 
 
 def test_validate_merges_duplicates_and_reversals():
@@ -206,6 +206,47 @@ def test_clique_tree_running_intersection_random(seed):
     n = int(rng.integers(0, 41))
     p = random_chordal_pattern(rng, n, float(rng.uniform(0.0, 0.45)))
     assert_valid_clique_tree(p, clique_tree(p))
+
+
+@st.composite
+def distinct_sorted_sequences(draw):
+    """Distinct sorted int sequences, many sharing long prefixes, shuffled."""
+    stems = draw(st.lists(st.lists(st.integers(0, 60), max_size=40), min_size=1, max_size=4))
+    seqs = set()
+    for _ in range(draw(st.integers(0, 30))):
+        stem = sorted(set(draw(st.sampled_from(stems))))
+        tail = draw(st.lists(st.integers(0, 60), max_size=5))
+        seq = tuple(sorted(set(stem[: draw(st.integers(0, len(stem)))] + tail)))
+        if seq:
+            seqs.add(seq)
+    return draw(st.permutations(sorted(seqs)))
+
+
+@given(distinct_sorted_sequences())
+def test_lexicographic_order_matches_sorted(seqs):
+    flat = np.array([v for s in seqs for v in s], dtype=np.int64)
+    ptr = np.concatenate(([0], np.cumsum([len(s) for s in seqs], dtype=np.int64)))
+    got = _lexicographic_order(flat, ptr).tolist()
+    assert got == sorted(range(len(seqs)), key=seqs.__getitem__)
+
+
+def test_clique_tree_arrays_are_read_only_and_back_the_tuple_views():
+    p = validate_pattern(6, [(0, 1), (1, 2), (1, 3), (2, 3), (2, 4), (3, 4), (4, 5)])
+    tree = clique_tree(p)
+    for a in (tree.members, tree.clique_ptr, tree.edge_array, tree.separator_members, tree.separator_ptr):
+        assert a.dtype == np.int64 and not a.flags.writeable
+    assert tree.members.tolist() == [0, 1, 1, 2, 3, 2, 3, 4, 4, 5]
+    assert tree.clique_ptr.tolist() == [0, 2, 5, 8, 10]
+    assert tree.edge_array.tolist() == [[1, 2], [0, 1], [2, 3]]
+    assert tree.separator_members.tolist() == [2, 3, 1, 4]
+    assert tree.separator_ptr.tolist() == [0, 2, 3, 4]
+    again = CliqueTree(tree.cliques, tree.tree_edges, tree.separators)
+    assert again == tree and hash(again) == hash(tree)
+    assert repr(again) == (
+        "CliqueTree(cliques=((0, 1), (1, 2, 3), (2, 3, 4), (4, 5)), "
+        "tree_edges=((1, 2), (0, 1), (2, 3)), separators=((2, 3), (1,), (4,)))"
+    )
+    assert CliqueTree(tree.cliques, tree.tree_edges[::-1], tree.separators[::-1]) != tree
 
 
 def test_clique_tree_empty_pattern():

@@ -75,6 +75,7 @@ _LEAVES = st.one_of(
     st.lists(_INT_ROWS, max_size=4),
     st.lists(_INT_ROWS, max_size=4).map(tuple),
     tables(),
+    st.lists(st.lists(st.integers(-(2**63), 2**63 - 1), max_size=4), max_size=4).map(ser._IntLists.of),
 )
 _DOCUMENTS = st.recursive(
     _LEAVES,
@@ -171,6 +172,7 @@ def test_fill_log_columns_emit_like_the_generic_walk(log, pretty):
 
 # row counts on both sides of the float kernel's cut-over and of the chunk size
 _CUTS = [c + d for c in (ser._KERNEL_MIN_ROWS, ser._CHUNK_ROWS) for d in (-1, 1)]
+_CHUNK = ser._CHUNK_ROWS
 
 
 @pytest.mark.parametrize("pretty", [False, True])
@@ -189,6 +191,35 @@ def test_matrices_of_several_chunks_emit_like_the_generic_walk(n, pretty):
     a = random_psd(np.random.default_rng(n), n)  # n (n + 1) / 2 entries
     got = ser.dumps({"matrix": ser.matrix_to_json(a)}, pretty)
     assert got == ref_dumps({"matrix": explicit_matrix_doc(a)}, pretty)
+
+
+@pytest.mark.parametrize("pretty", [False, True])
+@pytest.mark.parametrize("count", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK, 2 * _CHUNK + 1])
+def test_int_lists_of_several_chunks_emit_like_json(count, pretty):
+    rng = np.random.default_rng(count)
+    lists = [rng.integers(-(2**40), 2**40, int(k)).tolist() for k in rng.integers(0, 5, count)]
+    lists[-1] = list(range(3000))  # one list longer than a chunk's count of lists
+    got = ser.dumps({"lists": ser._IntLists.of(lists)}, pretty)
+    assert got == json.dumps({"lists": lists}, **({"indent": 2} if pretty else {"separators": (",", ":")}))
+
+
+@pytest.mark.parametrize("pretty", [False, True])
+def test_mostly_zero_float_column_emits_alike_on_both_paths(monkeypatch, pretty):
+    """The kernel is chosen by the nonzero count: a 1000-row column of 11 nonzeros skips it."""
+    rng = np.random.default_rng(1000)
+    column = np.zeros(1000)
+    column[::97] = rng.standard_normal(11)
+    column[5] = -0.0
+    table = ser._Table(("x",), (column,))
+    kernel = ser._format_17g
+    rows = []
+    monkeypatch.setattr(ser, "_format_17g", lambda x: rows.append(len(x)) or kernel(x))
+    plain = ser.dumps({"t": table}, pretty)
+    assert rows == []
+    monkeypatch.setattr(ser, "_KERNEL_MIN_ROWS", 0)
+    assert ser.dumps({"t": table}, pretty) == plain
+    assert rows == [1000]
+    assert plain == ref_dumps({"t": table}, pretty)
 
 
 @given(st.lists(_FLOATS, max_size=600))
