@@ -49,7 +49,7 @@ def _cmd_peo(args):
 
 
 def _cmd_cliques(args):
-    return ser.cliques_to_json(pat.maximal_cliques(_load_pattern(args.pattern)))
+    return ser.cliques_to_json(_load_pattern(args.pattern))
 
 
 def _cmd_clique_tree(args):

@@ -249,7 +249,8 @@ def positive_completion(
     write only unspecified (old - S) x new pairs and S lies in a maximal
     clique, so all M[S, S] are pseudo-inverted up front, one stacked call
     per size. The result is PSD up to roundoff and agrees with the input
-    exactly on the pattern.
+    exactly on the pattern. A fill beyond the floating-point range raises
+    InputError naming the first non-finite entry of the result.
     """
     if not is_chordal(m.pattern):
         raise NotChordal("positive completion requires a chordal pattern")
@@ -266,20 +267,24 @@ def positive_completion(
     fills = []
     seen = np.zeros(m.n, dtype=bool)
     rows_of = np.arange(len(full)).reshape(m.n, m.d)
-    for step, (k, _, sep) in enumerate(walk):
-        clique = np.array(tree.cliques[k])
-        new = clique[~seen[clique]]
-        sep = list(sep)
-        seen[sep] = False  # the separator lies inside the seen vertices
-        old = np.flatnonzero(seen)
-        seen[sep] = seen[new] = True
-        if len(new) and len(old):
-            rows, mid, cols = (rows_of[x].ravel() for x in (old, sep, new))
-            fill = full[rows[:, None], mid] @ inverses[step] @ full[mid[:, None], cols]
-            full[rows[:, None], cols] = fill
-            full[cols[:, None], rows] = fill.conj().T
-            old.flags.writeable = new.flags.writeable = False
-            fills.append((tuple(sep), old, new))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked once the fills are in
+        for step, (k, _, sep) in enumerate(walk):
+            clique = np.array(tree.cliques[k])
+            new = clique[~seen[clique]]
+            sep = list(sep)
+            seen[sep] = False  # the separator lies inside the seen vertices
+            old = np.flatnonzero(seen)
+            seen[sep] = seen[new] = True
+            if len(new) and len(old):
+                rows, mid, cols = (rows_of[x].ravel() for x in (old, sep, new))
+                fill = full[rows[:, None], mid] @ inverses[step] @ full[mid[:, None], cols]
+                full[rows[:, None], cols] = fill
+                full[cols[:, None], rows] = fill.conj().T
+                old.flags.writeable = new.flags.writeable = False
+                fills.append((tuple(sep), old, new))
+    if not np.isfinite(full.view(float)).all():  # re and im side by side
+        bad = np.argwhere(~np.isfinite(full))
+        raise InputError("entry ({},{}) of the completion overflows".format(*bad[0]))
     return CompletionResult(full, tuple(fills))
 
 

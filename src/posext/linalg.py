@@ -70,14 +70,17 @@ def pseudo_inverse(a) -> np.ndarray:
     """Moore-Penrose inverse through the eigendecomposition, of a matrix or a stack.
 
     Eigenvalues of magnitude at most 1e-12 times the largest in their
-    matrix are treated as zero.
+    matrix are treated as zero, and so are those whose reciprocal
+    overflows (subnormal ones).
     """
     m = _as_matrix(a)
     if m.shape[-1] == 0:
         return m
     w, v = eigh(m)
     cut = _PINV_REL * np.max(np.abs(w), axis=-1, keepdims=True)
-    inv = np.where(np.abs(w) <= cut, 0.0, np.divide(1.0, np.where(w == 0, 1.0, w)))
+    with np.errstate(over="ignore"):
+        inv = np.divide(1.0, np.where(w == 0, 1.0, w))
+    inv = np.where((np.abs(w) <= cut) | np.isinf(inv), 0.0, inv)
     out = (v * inv[..., None, :]) @ v.conj().swapaxes(-1, -2)
     return (out + out.conj().swapaxes(-1, -2)) / 2.0
 

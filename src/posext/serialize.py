@@ -14,12 +14,18 @@ one of four paths, and all four give the same bytes:
   lists, without a look at the type of each value.
 - The large homogeneous lists (a dense matrix's entries, a completion's
   fill log, a group function's values, a rank-one factor's vector) are
-  held as typed columns (`_Table`) and rendered with one % per chunk of
-  `_CHUNK_ROWS` rows. A float column with `_KERNEL_MIN_ROWS` nonzero
-  values or more is turned into strings by the numpy kernel
-  `_format_17g` and goes in as %s. Other float columns go in as %.17g,
-  because the kernel's cost per call outweighs what it saves on them;
-  the kernel writes zeros at no cost, so they do not count.
+  held as typed columns (`_Table`). Each chunk of `_CHUNK_ROWS` rows is
+  one uint8 buffer, a row per object: the constant text of a row
+  (braces, keys, separators, the newlines and indents of the pretty
+  layout) is broadcast into every row, and each value is written into
+  a NUL-padded slot of its column. Ints are gathered from 4-digit
+  tables, int tuples from their texts made once per table, and floats
+  take `_format_17g`: zeros written as 0 or -0, the other values by the
+  numpy kernel below when a chunk holds `_KERNEL_MIN_ROWS` of them or
+  more, and by one padded % call otherwise, since the kernel's cost per
+  call outweighs what it saves on few values. Dropping the NUL bytes
+  turns the buffer into the chunk's text; no Python string is made per
+  value.
 - Everything else is walked value by value.
 
 The kernel writes exactly what format(x, ".17g") writes. That text is
@@ -66,7 +72,16 @@ from .groupext import (
     validate_group,
     validate_subset,
 )
-from .pattern import CliqueTree, Pattern, _compressed, _integers, validate_pattern
+from .pattern import (
+    CliqueTree,
+    Pattern,
+    _compressed,
+    _integers,
+    clique_tree,
+    is_chordal,
+    maximal_cliques,
+    validate_pattern,
+)
 
 
 def load_json(path) -> dict:
@@ -186,57 +201,125 @@ class _IntLists:
         return cls(*_compressed(lists))
 
 
-_CHUNK_ROWS = 2048  # rows (or lists) per % call, and per call of the float kernel
-_KERNEL_MIN_ROWS = 512  # float columns of fewer nonzero values go through %.17g
+_CHUNK_ROWS = 4096  # rows of a table per byte buffer, lists per % call
+_KERNEL_MIN_ROWS = 512  # fewer nonzero floats in a chunk go through one % call
 
 
 def _emit_table(table: _Table, out: list[str], indent: int | None) -> None:
+    """The rows laid out as `_emit_items` lays out their objects, one byte buffer per chunk.
+
+    Every row of a chunk is one row of a uint8 buffer: the constant text
+    of a row (braces, keys, separators, the layout's newlines and
+    indents) written once by broadcasting, and one NUL-padded slot per
+    value. Dropping the NUL bytes leaves the text; none of it is NUL,
+    since keys go through json.dumps.
+    """
     rows = len(table.columns[0])
     if not rows:
         out.append("[]")
         return
     value_indent = None if indent is None else indent + 2
-    specs, renders = zip(*(_column_format(c, value_indent) for c in table.columns))
     colon = ":" if indent is None else ": "
-    fields = (
-        _pad(indent, 2) + json.dumps(key) + colon + spec
-        for key, spec in zip(table.keys, specs)
-    )
-    template = "{" + ",".join(fields) + _pad(indent, 1) + "}"
+    row = bytearray(b"{")
+    slots = []  # (offset, width, fill): fill(dest, start, stop) writes rows start..stop-1
+    for n, (key, column) in enumerate(zip(table.keys, table.columns)):
+        row += (("," if n else "") + _pad(indent, 2) + json.dumps(key) + colon).encode()
+        text, column_slots = _column_slots(column, value_indent)
+        slots += [(len(row) + at, width, fill) for at, width, fill in column_slots]
+        row += text
     sep = "," + _pad(indent, 1)
+    row = np.frombuffer(bytes(row + (_pad(indent, 1) + "}" + sep).encode()), dtype=np.uint8)
+    buf = np.empty((min(rows, _CHUNK_ROWS), len(row)), dtype=np.uint8)
     out.append("[" + _pad(indent, 1))
     for start in range(0, rows, _CHUNK_ROWS):
         stop = min(start + _CHUNK_ROWS, rows)
-        lists = [values for render in renders for values in render(start, stop)]
-        flat = [None] * (len(lists) * (stop - start))
-        for offset, values in enumerate(lists):  # row r takes flat[r * len(lists) + offset]
-            flat[offset :: len(lists)] = values
-        out.append(sep.join([template] * (stop - start)) % tuple(flat))
-        out.append(sep)
-    out[-1] = _pad(indent, 0) + "]"  # the last separator closes the list
+        chunk = buf[: stop - start]
+        chunk[:] = row
+        for at, width, fill in slots:
+            fill(chunk[:, at : at + width], start, stop)
+        if stop == rows:
+            chunk[-1, -len(sep) :] = 0  # the last row takes no separator
+        out.append(chunk.tobytes().translate(None, b"\0").decode("ascii"))
+    out.append(_pad(indent, 0) + "]")
 
 
-def _column_format(column, indent: int | None):
-    """The %-spec of a column and a function of (start, stop) giving its value lists.
+def _column_slots(column, indent: int | None) -> tuple[bytes, list]:
+    """A column's text in a row, NUL where values go, and its (offset, width, fill) slots.
 
-    Each value list fills one % field of the spec for rows start..stop-1,
-    rendered as `_emit` renders the values.
+    The values are rendered as `_emit` renders them.
     """
     if isinstance(column, _Coded):
-        encoded = np.array([_tuple_spec(len(v), indent) % v for v in column.values], dtype=object)
-        return "%s", lambda a, b: [encoded[column.codes[a:b]].tolist()]
+        texts = [(_tuple_spec(len(v), indent) % v).encode() for v in column.values]
+        width = max(map(len, texts))
+        encoded = np.frombuffer(b"".join(t.ljust(width, b"\0") for t in texts), dtype=np.uint8)
+        encoded = encoded.reshape(len(texts), width)
+
+        def fill(dest, start, stop):
+            dest[:] = encoded.take(column.codes[start:stop], axis=0)
+
+        return bytes(width), [(0, width, fill)]
     kind = (column.ndim, column.dtype.kind)
     if kind == (1, "i"):
-        return "%d", lambda a, b: [column[a:b].tolist()]
+        width, fill = _int_slot(column)
+        return bytes(width), [(0, width, fill)]
     if kind == (1, "f"):
         if not np.isfinite(column).all():
             raise ValueError("non-finite numbers are not serializable")
-        if np.count_nonzero(column) < _KERNEL_MIN_ROWS:
-            return "%.17g", lambda a, b: [column[a:b].tolist()]
-        return "%s", lambda a, b: [_format_17g(column[a:b])]
+
+        def fill(dest, start, stop):
+            _format_17g(column[start:stop], dest)
+
+        return bytes(_TEXT_WIDTH), [(0, _TEXT_WIDTH, fill)]
     if kind == (2, "i"):
-        return _tuple_spec(column.shape[1], indent), lambda a, b: column[a:b].T.tolist()
+        if not column.shape[1]:
+            return b"[]", []
+        sep = ("," + _pad(indent, 1)).encode()
+        text = bytearray(b"[" + _pad(indent, 1).encode())
+        slots = []
+        for t in range(column.shape[1]):
+            width, fill = _int_slot(column[:, t])
+            slots.append((len(text), width, fill))
+            text += bytes(width) + sep
+        text[-len(sep) :] = (_pad(indent, 0) + "]").encode()
+        return bytes(text), slots
     raise TypeError(f"cannot serialize a {column.dtype} column of shape {column.shape}")
+
+
+def _int_slot(column: np.ndarray):
+    """The width of an int column's slot and its fill.
+
+    The slot holds a sign byte if any value is negative, then the digits.
+    """
+    column = column.astype(np.int64, copy=False)
+    low, high = int(column.min()), int(column.max())
+    quads = -(-len(str(max(-low, high))) // 4)
+    sign = int(low < 0)
+
+    def fill(dest, start, stop):
+        values = column[start:stop]
+        if sign:
+            dest[:, 0] = np.where(values < 0, ord("-"), 0)
+            values = np.abs(values).view(np.uint64)  # |-2**63| wraps to -2**63, which is 2**63 as uint64
+        dest[:, sign:] = _int_text(values, quads)
+
+    return sign + 4 * quads, fill
+
+
+def _int_text(magnitude: np.ndarray, quads: int) -> np.ndarray:
+    """The decimal digits of each value, NUL-padded on the left to 4 * quads bytes."""
+    padded, lead, _ = _digit_tables()
+    if quads == 1:
+        return lead.take(magnitude).view(np.uint8).reshape(-1, 4)
+    words = np.empty((len(magnitude), quads), dtype="<u4")
+    seen = np.zeros(len(magnitude), dtype=bool)  # a nonzero group came before
+    for t in range(quads):
+        group = (magnitude // 10 ** (4 * (quads - 1 - t)) % 10**4).astype(np.intp)
+        word = np.where(seen, padded.take(group), lead.take(group))
+        seen |= group != 0
+        if t < quads - 1:
+            word[~seen] = 0  # a leading group of zeros
+        words[:, t] = word
+    return words.view(np.uint8).reshape(-1, 4 * quads)
 
 
 def _emit_packed_lists(value: _IntLists, out: list[str], indent: int | None) -> None:
@@ -281,21 +364,34 @@ _DOT, _ZERO, _MINUS, _EXP_SIGN, _E, _EXP = 20, 21, 22, 23, 24, 25
 _TEXT_WIDTH = 24  # the longest text: -1.2345678901234567e-308
 _LAYOUTS = np.zeros((2 * 23 * 17, _TEXT_WIDTH), dtype=np.intp)
 _LAYOUTS_MADE = np.zeros(len(_LAYOUTS), dtype=bool)
+_MINUS_ZERO = int.from_bytes(b"-0", "little")
 
 
-def _format_17g(x: np.ndarray) -> list[str]:
-    """[format(v, ".17g") for v in x] for a finite float array."""
+def _format_17g(x: np.ndarray, text: np.ndarray) -> None:
+    """Write format(v, ".17g") of each v of a finite float array into its row of text.
+
+    text is a (len(x), _TEXT_WIDTH) uint8 array of NULs, and each text
+    stays NUL-padded. Zeros are written as 0 and -0. The other values go
+    through the kernel when there are _KERNEL_MIN_ROWS of them or more,
+    and otherwise through one "%-24.17g" % call, whose space padding
+    becomes NUL: on few values the kernel's cost per call outweighs what
+    it saves.
+    """
     nonzero = np.flatnonzero(x)
-    if len(nonzero) == len(x):
-        return _format_nonzero(x)
-    out = np.full(len(x), "0", dtype=object)
-    out[np.signbit(x)] = "-0"
-    out[nonzero] = _format_nonzero(x[nonzero])
-    return out.tolist()
+    if len(nonzero) < len(x):  # the rows of nonzero values are overwritten below
+        text.view("<u2")[:, 0] = np.where(np.signbit(x), _MINUS_ZERO, ord("0"))
+    rows = slice(None) if len(nonzero) == len(x) else nonzero  # a slice copies, an index gathers
+    if len(nonzero) >= _KERNEL_MIN_ROWS:
+        text[rows] = _format_nonzero(x[rows])
+    elif len(nonzero):
+        values = x[rows].tolist()
+        padded = (f"%-{_TEXT_WIDTH}.17g" * len(values) % tuple(values)).encode().replace(b" ", b"\0")
+        text[rows] = np.frombuffer(padded, dtype=np.uint8).reshape(-1, _TEXT_WIDTH)
 
 
-def _format_nonzero(x: np.ndarray) -> list[str]:
-    quads, trailing_zeros = _digit_tables()
+def _format_nonzero(x: np.ndarray) -> np.ndarray:
+    """The kernel: format(v, ".17g") of each v of a nonzero finite float array, as NUL-padded byte rows."""
+    quads, _, trailing_zeros = _digit_tables()
     ax = np.abs(x)
     k = np.floor(np.log10(ax)).astype(np.int64)
     d, tie = _scaled(ax, k)
@@ -326,11 +422,10 @@ def _format_nonzero(x: np.ndarray) -> list[str]:
     key = (np.signbit(x) * 23 + kind) * 17 + 16 - zeros
     layout = _rows(_LAYOUTS, _LAYOUTS_MADE, key, _layout)
     layout += np.arange(0, src.size * 4, _SRC_WIDTH)[:, None]
-    text = src.view(np.uint8).ravel().take(layout).astype("<u4")
-    out = text.view(f"<U{_TEXT_WIDTH}").ravel().tolist()  # drops the NUL padding
+    text = src.view(np.uint8).ravel().take(layout)
     for i, v in zip(np.flatnonzero(near).tolist(), x[near].tolist()):
-        out[i] = format(v, ".17g")
-    return out
+        text[i] = np.frombuffer(format(v, ".17g").encode().ljust(_TEXT_WIDTH, b"\0"), dtype=np.uint8)
+    return text
 
 
 def _scaled(ax: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -388,12 +483,20 @@ def _rows(table: np.ndarray, made: np.ndarray, keys: np.ndarray, make) -> np.nda
 
 
 @functools.cache
-def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
-    """For 0..9999: 4 ASCII digits as one little-endian uint32, and trailing zeros (4 for 0)."""
+def _digit_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Tables for 0..9999: 4 ASCII digits, the digits without leading zeros, and trailing zeros.
+
+    The digits are little-endian uint32 words; those without leading zeros
+    are NUL-padded on the left, with 0 written "0". 0 has 4 trailing zeros.
+    """
     n = np.arange(10000)
     digits = np.stack([n // 1000, n // 100 % 10, n // 10 % 10, n % 10], axis=1)
     zeros = np.where(n == 0, 4, np.argmax(digits[:, ::-1] != 0, axis=1))
-    return (digits + ord("0")).astype(np.uint8).view("<u4").ravel(), zeros
+    text = (digits + ord("0")).astype(np.uint8)
+    shown = np.logical_or.accumulate(digits != 0, axis=1)
+    shown[:, -1] = True
+    lead = np.where(shown, text, 0).astype(np.uint8)
+    return text.view("<u4").ravel(), lead.view("<u4").ravel(), zeros
 
 
 def _complex_to_doc(z: complex) -> dict:
@@ -426,8 +529,12 @@ def clique_tree_to_json(t: CliqueTree) -> dict:
     }
 
 
-def cliques_to_json(cliques) -> dict:
-    return {"cliques": _IntLists.of(cliques)}
+def cliques_to_json(p: Pattern) -> dict:
+    """The maximal cliques of p, straight from the clique tree's arrays when p is chordal."""
+    if is_chordal(p):
+        t = clique_tree(p)
+        return {"cliques": _IntLists(t.members, t.clique_ptr)}
+    return {"cliques": _IntLists.of(maximal_cliques(p))}
 
 
 # -- dense Hermitian matrices -------------------------------------------------

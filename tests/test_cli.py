@@ -12,8 +12,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import random_chordal_components
-from posext import Pattern, clique_tree, maximal_cliques, validate_pattern
+from posext import Pattern, clique_tree, maximal_cliques, validate_pattern, verify_extension
 from posext import cli
+from posext import serialize as ser
 from posext.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -245,6 +246,32 @@ def test_apply_mult_overflow_exits_2(tmp_path):
     assert proc.stderr == "error: InputError: entry (0,0) of the product overflows\n"
 
 
+def _run_complete(name):
+    return subprocess.run(
+        [sys.executable, "-m", "posext", "complete", fx(name)], capture_output=True, text=True
+    )
+
+
+def test_complete_treats_a_subnormal_separator_eigenvalue_as_zero():
+    """1 / 1e-310 overflows to inf; the pseudo-inverse drops that eigenvalue instead of filling NaN."""
+    name = "partial_subnormal_separator.json"
+    proc = _run_complete(name)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    m = ser.partial_from_json(ser.load_json(fx(name)))
+    phi = ser.matrix_from_json(json.loads(proc.stdout)["matrix"])
+    assert phi[0, 2] == 0 and np.isfinite(phi).all()
+    assert verify_extension(m, phi)
+
+
+def test_complete_with_a_fill_beyond_the_float_range_exits_2(capsys):
+    """1e295 * 1e300 * 1e295 overflows: one error line naming the entry, no warning and no traceback."""
+    code, out = run_cli(capsys, "partially-positive", fx("partial_overflowing_fill.json"))
+    assert (code, json.loads(out)["partially_positive"]) == (0, True)
+    proc = _run_complete("partial_overflowing_fill.json")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: InputError: entry (0,2) of the completion overflows\n"
+
+
 def test_pd_check_on_a_non_chordal_subset_of_a_large_group(tmp_path, capsys):
     """Only the cliques inside E = {0, 1, 20} are enumerated, not those of Z_21."""
     n = 21
@@ -335,6 +362,26 @@ def chordal_patterns(draw):
 @given(chordal_patterns(), st.booleans())
 def test_clique_tree_and_cliques_stdout_is_json_of_the_tuple_views(p, pretty):
     _assert_tree_and_cliques_emit_as_json(p, pretty)
+
+
+@pytest.mark.parametrize("pretty", [False, True])
+def test_cliques_stdout_of_the_non_chordal_fixture_is_json_of_maximal_cliques(capsys, pretty):
+    flag = ["--pretty"] if pretty else []
+    p = ser.pattern_from_json(ser.load_json(fx("pattern_cycle4.json")))
+    assert not p.structure.chordal
+    code, out = run_cli(capsys, "cliques", fx("pattern_cycle4.json"), *flag)
+    assert (code, out) == (0, _json_text({"cliques": maximal_cliques(p)}, pretty))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 10), st.floats(0.1, 0.7), st.booleans())
+def test_cliques_stdout_of_small_patterns_is_json_of_maximal_cliques(seed, n, density, pretty):
+    """Chordal patterns emit the clique tree's arrays, others Bron-Kerbosch's cliques: the same text."""
+    rng = np.random.default_rng(seed)
+    p = validate_pattern(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < density])
+    flag = ["--pretty"] if pretty else []
+    expected = _json_text({"cliques": maximal_cliques(p)}, pretty)
+    assert _stdout_on(p, "cliques", "pattern.json", *flag) == expected
 
 
 @pytest.mark.parametrize("pretty", [False, True])

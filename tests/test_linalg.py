@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -49,6 +51,14 @@ def test_pseudo_inverse_examples():
     assert np.allclose(linalg.pseudo_inverse(np.eye(3)), np.eye(3))
     ones = np.ones((2, 2), dtype=complex)
     assert np.allclose(linalg.pseudo_inverse(ones), ones / 4, atol=1e-13)
+
+
+def test_pseudo_inverse_drops_eigenvalues_whose_reciprocal_overflows():
+    """1 / 1e-310 is inf: the eigenvalue counts as zero, and numpy warns of nothing."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = linalg.pseudo_inverse(np.array([[[1e-310]], [[4e-308]]]))
+    assert out.ravel().tolist() == [0, 0.25e308]
 
 
 @given(st.integers(0, 10 ** 6), st.integers(1, 10))

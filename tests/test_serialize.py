@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import bits, random_chordal_pattern, random_psd, ref_dumps
 from posext import (
     PartialHermitianMatrix,
+    RankOneFactor,
     cexi_truncation,
     cyclic_group,
     dihedral_group,
@@ -38,24 +39,31 @@ def test_dumps_pretty_parses_to_same_document():
 
 _INTS = st.integers(-(10**20), 10**20)
 _FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.just(-0.0)
+_INT64 = st.integers(-(2**63), 2**63 - 1) | st.sampled_from([-(2**63), 2**63 - 1])
 
 
 @st.composite
 def tables(draw):
-    """A _Table with one column of each drawn kind, all of one length."""
+    """A _Table with one column of each drawn kind, all of one length.
+
+    Ints span int64; a float column is drawn value by value, or is all 0.0 or all -0.0.
+    """
     rows = draw(st.integers(0, 4))
-    small = st.integers(-1000, 1000)
     columns = []
     for kind in draw(st.lists(st.sampled_from("ifpt"), min_size=1, max_size=3)):
         if kind == "i":
-            columns.append(np.array(draw(st.lists(small, min_size=rows, max_size=rows)), dtype=int))
+            ints = draw(st.lists(_INT64, min_size=rows, max_size=rows))
+            columns.append(np.array(ints, dtype=np.int64))
         elif kind == "f":
-            columns.append(np.array(draw(st.lists(_FLOATS, min_size=rows, max_size=rows))))
+            floats = _FLOATS | st.just(0.0) | st.just(-0.0)
+            same = floats.map(lambda x: [x] * rows)  # all 0.0 and all -0.0 among them
+            values = draw(st.lists(floats, min_size=rows, max_size=rows) | same)
+            columns.append(np.array(values, dtype=float))
         elif kind == "p":
-            pairs = draw(st.lists(st.tuples(small, small), min_size=rows, max_size=rows))
-            columns.append(np.array(pairs, dtype=int).reshape(rows, 2))
+            pairs = draw(st.lists(st.tuples(_INT64, _INT64), min_size=rows, max_size=rows))
+            columns.append(np.array(pairs, dtype=np.int64).reshape(rows, 2))
         else:
-            tuples = st.lists(small, max_size=3).map(tuple)
+            tuples = st.lists(_INT64, max_size=3).map(tuple)
             values = draw(st.lists(tuples, min_size=1, max_size=3))
             codes = draw(st.lists(st.integers(0, len(values) - 1), min_size=rows, max_size=rows))
             columns.append(ser._Coded(values, np.array(codes, dtype=int)))
@@ -173,11 +181,12 @@ def test_fill_log_columns_emit_like_the_generic_walk(log, pretty):
 # row counts on both sides of the float kernel's cut-over and of the chunk size
 _CUTS = [c + d for c in (ser._KERNEL_MIN_ROWS, ser._CHUNK_ROWS) for d in (-1, 1)]
 _CHUNK = ser._CHUNK_ROWS
+_HALF = _CHUNK // 2  # counts that fill about half of one chunk
 
 
 @pytest.mark.parametrize("pretty", [False, True])
 @pytest.mark.parametrize("last_sep", [(3, 4), ()])
-@pytest.mark.parametrize("rows", [255, 256, 257, 600, *_CUTS])
+@pytest.mark.parametrize("rows", [255, 256, 257, 600, _HALF - 1, _HALF + 1, *_CUTS])
 def test_fill_logs_of_several_chunks_emit_like_the_generic_walk(rows, last_sep, pretty):
     fills = [((1, 2), (0,), tuple(range(3, rows - 4))), (last_sep, tuple(range(7)), (9,))]
     got = ser.dumps({"fill_log": ser.fill_log_to_json(array_steps(fills))}, pretty)
@@ -185,16 +194,18 @@ def test_fill_logs_of_several_chunks_emit_like_the_generic_walk(rows, last_sep, 
 
 
 @pytest.mark.parametrize("pretty", [False, True])
-@pytest.mark.parametrize("n", [22, 23, 31, 32, 35, 63, 64])
+@pytest.mark.parametrize("n", [22, 23, 31, 32, 35, 63, 64, 90, 91])
 def test_matrices_of_several_chunks_emit_like_the_generic_walk(n, pretty):
-    """496 | 528 entries straddle the kernel's cut-over, 2016 | 2080 the chunk size."""
+    """496 | 528 entries straddle the kernel's cut-over, 4095 | 4186 the chunk size."""
     a = random_psd(np.random.default_rng(n), n)  # n (n + 1) / 2 entries
     got = ser.dumps({"matrix": ser.matrix_to_json(a)}, pretty)
     assert got == ref_dumps({"matrix": explicit_matrix_doc(a)}, pretty)
 
 
 @pytest.mark.parametrize("pretty", [False, True])
-@pytest.mark.parametrize("count", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK, 2 * _CHUNK + 1])
+@pytest.mark.parametrize(
+    "count", [_HALF - 1, _HALF, _HALF + 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK, 2 * _CHUNK + 1]
+)
 def test_int_lists_of_several_chunks_emit_like_json(count, pretty):
     rng = np.random.default_rng(count)
     lists = [rng.integers(-(2**40), 2**40, int(k)).tolist() for k in rng.integers(0, 5, count)]
@@ -211,20 +222,58 @@ def test_mostly_zero_float_column_emits_alike_on_both_paths(monkeypatch, pretty)
     column[::97] = rng.standard_normal(11)
     column[5] = -0.0
     table = ser._Table(("x",), (column,))
-    kernel = ser._format_17g
+    kernel = ser._format_nonzero
     rows = []
-    monkeypatch.setattr(ser, "_format_17g", lambda x: rows.append(len(x)) or kernel(x))
+    monkeypatch.setattr(ser, "_format_nonzero", lambda x: rows.append(len(x)) or kernel(x))
     plain = ser.dumps({"t": table}, pretty)
     assert rows == []
     monkeypatch.setattr(ser, "_KERNEL_MIN_ROWS", 0)
     assert ser.dumps({"t": table}, pretty) == plain
-    assert rows == [1000]
+    assert rows == [11]
     assert plain == ref_dumps({"t": table}, pretty)
+
+
+@pytest.mark.parametrize("pretty", [False, True])
+def test_mostly_zero_vector_tables_emit_like_the_generic_walk(pretty):
+    """decompose's shape: many small tables whose rows are almost all zero, and a few -0.0."""
+    rng = np.random.default_rng(40)
+    factors = []
+    for k in range(40):
+        vector = np.zeros(700, dtype=complex)
+        support = np.sort(rng.choice(700, 3, replace=False))
+        vector[support] = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        vector.imag[support[0]] = -0.0 if k % 2 else 0.0
+        factors.append(RankOneFactor(vector, tuple(support.tolist())))
+    doc = ser.factors_to_json(factors)
+    assert ser.dumps(doc, pretty) == ref_dumps(doc, pretty)
+
+
+@pytest.mark.parametrize("pretty", [False, True])
+def test_int_columns_at_the_int64_extremes_emit_like_the_generic_walk(pretty):
+    """Digits come in groups of 4, so the values around 10^4k and the int64 ends are the edges."""
+    values = [0, -1, 9, 9999, 10000, -10000, 10**8 - 1, 10**8, 10**12, 10**16, 10**18, 2**63 - 1, -(2**63)]
+    ints = np.array(values, dtype=np.int64)
+    table = ser._Table(("i", "pair", "small"), (ints, np.column_stack((ints[::-1], ints)), ints % 7))
+    assert ser.dumps({"t": table}, pretty) == ref_dumps({"t": table}, pretty)
+
+
+def _texts(rows: np.ndarray) -> list[str]:
+    """The NUL-padded byte rows of the float kernel as strings, as the table emitter reads them."""
+    return [row.tobytes().replace(b"\0", b"").decode("ascii") for row in rows]
+
+
+def _format_17g(x: np.ndarray) -> list[str]:
+    text = np.zeros((len(x), ser._TEXT_WIDTH), dtype=np.uint8)
+    ser._format_17g(x, text)
+    return _texts(text)
 
 
 @given(st.lists(_FLOATS, max_size=600))
 def test_float_kernel_matches_format_17g(xs):
-    assert ser._format_17g(np.array(xs, dtype=float)) == [format(x, ".17g") for x in xs]
+    """_format_17g as the emitter calls it, and the kernel alone on the nonzero values."""
+    x = np.array(xs, dtype=float)
+    assert _format_17g(x) == [format(v, ".17g") for v in xs]
+    assert _texts(ser._format_nonzero(x[x != 0])) == [format(v, ".17g") for v in xs if v != 0]
 
 
 def _kernel_corpus() -> np.ndarray:
@@ -260,8 +309,8 @@ def _kernel_corpus() -> np.ndarray:
 def test_float_kernel_matches_format_17g_on_a_fixed_corpus():
     xs = _kernel_corpus()
     chunks = (xs[a : a + ser._CHUNK_ROWS] for a in range(0, len(xs), ser._CHUNK_ROWS))
-    assert [s for c in chunks for s in ser._format_17g(c)] == [format(x, ".17g") for x in xs.tolist()]
-    assert ser._format_17g(np.array([-0.0, 0.0, -1.5])) == ["-0", "0", "-1.5"]
+    assert [s for c in chunks for s in _format_17g(c)] == [format(x, ".17g") for x in xs.tolist()]
+    assert _format_17g(np.array([-0.0, 0.0, -1.5])) == ["-0", "0", "-1.5"]
 
 
 @pytest.mark.parametrize("pretty", [False, True])
@@ -307,7 +356,7 @@ def test_partial_roundtrip_block_case():
     corpus = sorted(FIXTURES.glob("partial_*.json"))
     partials = [restrict_to_pattern(random_psd(rng, 10), p, d=2)]
     partials += [ser.partial_from_json(ser.load_json(path)) for path in corpus]
-    assert len(partials) == 6
+    assert len(partials) == 8
     for m in partials:
         doc = json.loads(ser.dumps(ser.partial_to_json(m)))
         assert json.loads(json.dumps(ser.partial_to_json(m))) == doc  # plain Python values
