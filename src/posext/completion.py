@@ -218,24 +218,27 @@ def _partially_positive(m: PartialHermitianMatrix, full: np.ndarray, tol):
     return (True, None) if len(bad) == 0 else (False, cliques[bad[0]])
 
 
-def _root_first(tree: CliqueTree) -> list[tuple[int, int | None, tuple[int, ...]]]:
+def _root_first(tree: CliqueTree) -> list[tuple[np.ndarray, np.ndarray]]:
     """Cliques breadth-first from clique 0, children in ascending index.
 
-    Each entry is (clique, parent, separator shared with the parent); the
-    root has parent None and an empty separator.
+    Each entry is (clique, separator shared with the parent), both
+    slices of the tree's arrays; the root has an empty separator.
     """
-    neighbors: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in tree.cliques]
-    for (i, j), sep in zip(tree.tree_edges, tree.separators):
-        neighbors[i].append((j, sep))
-        neighbors[j].append((i, sep))
-    walk = [(0, None, ())] if tree.cliques else []
-    seen = {0}
-    for at, _, _ in walk:  # also visits the entries appended below
-        for nxt, sep in sorted(neighbors[at]):
-            if nxt not in seen:
-                seen.add(nxt)
-                walk.append((nxt, at, sep))
-    return walk
+    neighbors: list[list[tuple[int, int]]] = [[] for _ in range(len(tree.clique_ptr) - 1)]
+    for e, (i, j) in enumerate(tree.edge_array.tolist()):
+        neighbors[i].append((j, e))
+        neighbors[j].append((i, e))
+    walk = [(0, -1)] if neighbors else []
+    for at, up in walk:  # also visits the entries appended below
+        walk += sorted((nxt, e) for nxt, e in neighbors[at] if e != up)
+    cliques, seps = tree.clique_ptr.tolist(), tree.separator_ptr.tolist()
+    return [
+        (
+            tree.members[cliques[k] : cliques[k + 1]],
+            tree.separator_members[seps[e] : seps[e + 1]] if e >= 0 else tree.separator_members[:0],
+        )
+        for k, e in walk
+    ]
 
 
 def positive_completion(
@@ -259,19 +262,16 @@ def positive_completion(
     if not ok:
         raise NotPartiallyPositive(f"clique {witness} has a non-PSD block")
 
-    tree = clique_tree(m.pattern)
-    walk = _root_first(tree)
+    walk = _root_first(clique_tree(m.pattern))
     inverses = {}
-    for ids, blocks in _blocks_by_size(full, [sep for _, _, sep in walk[1:]], m.d):
+    for ids, blocks in _blocks_by_size(full, [sep for _, sep in walk[1:]], m.d):
         inverses.update(zip((ids + 1).tolist(), linalg.pseudo_inverse(blocks)))
     fills = []
     seen = np.zeros(m.n, dtype=bool)
     rows_of = np.arange(len(full)).reshape(m.n, m.d)
     with np.errstate(over="ignore", invalid="ignore"):  # checked once the fills are in
-        for step, (k, _, sep) in enumerate(walk):
-            clique = np.array(tree.cliques[k])
+        for step, (clique, sep) in enumerate(walk):
             new = clique[~seen[clique]]
-            sep = list(sep)
             seen[sep] = False  # the separator lies inside the seen vertices
             old = np.flatnonzero(seen)
             seen[sep] = seen[new] = True
@@ -281,7 +281,7 @@ def positive_completion(
                 full[rows[:, None], cols] = fill
                 full[cols[:, None], rows] = fill.conj().T
                 old.flags.writeable = new.flags.writeable = False
-                fills.append((tuple(sep), old, new))
+                fills.append((tuple(sep.tolist()), old, new))
     if not np.isfinite(full.view(float)).all():  # re and im side by side
         bad = np.argwhere(~np.isfinite(full))
         raise InputError("entry ({},{}) of the completion overflows".format(*bad[0]))
@@ -308,7 +308,11 @@ def rank_one_positive_decomposition(
     R[S,S] = T[S,B] (T[B,B])^+ T[B,S], which is eigendecomposed into rank
     ones; the residue T - R is supported on the remaining cliques and is
     processed recursively. Every factor support lies inside a maximal
-    clique and the factors sum back to the input.
+    clique and the factors sum back to the input. Each part gives one
+    factor per eigenvalue above tol (by default 1e-9 (1 + its largest
+    diagonal entry)). The PSD check of the whole input is the only
+    verdict: eigenvalues of a part that elimination error pushes below
+    -tol give no factor, just as those in [-tol, tol] give none.
     """
     t = np.array(t, dtype=complex)
     if t.shape != (p.n, p.n):
@@ -319,16 +323,12 @@ def rank_one_positive_decomposition(
         raise NotPSD("matrix is not PSD within tolerance")
     _check_supported(t, p)
 
-    tree = clique_tree(p)
     residue = t.copy()
     factors: list[linalg.RankOneFactor] = []
-    for k, parent, sep in reversed(_root_first(tree)):
-        clique = list(tree.cliques[k])
-        if parent is None:
-            part = residue[np.ix_(clique, clique)]
-        else:
+    for clique, sep in reversed(_root_first(clique_tree(p))):
+        if len(sep):
             inner = np.isin(clique, sep)  # sorted cliques: sep keeps its order in clique
-            own, sep = [v for v in clique if v not in sep], list(sep)
+            own = clique[~inner]
             t_bs = residue[np.ix_(own, sep)]
             t_sb = t_bs.conj().T
             r_ss = t_sb @ linalg.pseudo_inverse(residue[np.ix_(own, own)]) @ t_bs
@@ -338,11 +338,15 @@ def rank_one_positive_decomposition(
             residue[np.ix_(sep, sep)] -= r_ss
             residue[own, :] = 0.0
             residue[:, own] = 0.0
-        for factor in linalg.rank_one_factors(part, tol):
+        else:  # the root, or the first clique of a further component
+            part = residue[np.ix_(clique, clique)]
+        w, v = linalg.eigh(part)
+        part_tol = linalg.default_psd_tol(part) if tol is None else tol
+        members = clique.tolist()
+        for factor in linalg.eigen_factors(w, v, part_tol):
             vec = np.zeros(p.n, dtype=complex)
             vec[clique] = factor.vector
-            support = tuple(clique[a] for a in factor.support)
-            factors.append(linalg.RankOneFactor(vec, support))
+            factors.append(linalg.RankOneFactor(vec, tuple(members[a] for a in factor.support)))
     return factors
 
 

@@ -93,10 +93,9 @@ def _support(vec: np.ndarray) -> tuple[int, ...]:
 
 
 def rank_one_factors(a, tol: float | None = None) -> list[RankOneFactor]:
-    """Split a PSD matrix into rank-one pieces sqrt(l_k) u_k.
+    """Split a PSD matrix into rank-one pieces sqrt(l_k) u_k (see eigen_factors).
 
-    Eigenpairs with eigenvalue above tol contribute one factor each, in
-    ascending eigenvalue order; the factors sum back to the input.
+    Raises NotPSD when an eigenvalue lies below -tol.
     """
     m = _as_matrix(a)
     if tol is None:
@@ -106,5 +105,14 @@ def rank_one_factors(a, tol: float | None = None) -> list[RankOneFactor]:
     w, v = eigh(m)
     if w[0] < -tol:
         raise NotPSD(f"minimum eigenvalue {w[0]:.3e} is below -{tol:.3e}")
+    return eigen_factors(w, v, tol)
+
+
+def eigen_factors(w: np.ndarray, v: np.ndarray, tol) -> list[RankOneFactor]:
+    """The factors sqrt(w[k]) v[:, k] of the eigenpairs with w[k] above tol, in the given order.
+
+    The other eigenpairs give none, so the factors sum back to V diag(w)
+    V* up to the eigenvalues at most tol, the negative ones included.
+    """
     vecs = [math.sqrt(w[k]) * v[:, k] for k in range(len(w)) if w[k] > tol]
     return [RankOneFactor(vec, _support(vec)) for vec in vecs]

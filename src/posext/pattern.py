@@ -127,77 +127,35 @@ class EliminationOrder:
     order: tuple[int, ...]
 
 
+@dataclass(frozen=True, eq=False)
 class CliqueTree:
     """Maximal cliques arranged in a tree with the running intersection property.
 
     It is held as read-only int64 arrays in compressed form: clique k is
     members[clique_ptr[k]:clique_ptr[k + 1]], tree edge e is the row
     edge_array[e] of the (k - 1, 2) edge array, and its separator is
-    separator_members[separator_ptr[e]:separator_ptr[e + 1]]. The tuple
-    views cliques, tree_edges and separators are made when first asked
-    for. Two trees are equal when their tuple views are.
+    separator_members[separator_ptr[e]:separator_ptr[e + 1]]. The tree
+    takes the arrays over and makes them read-only. Two trees are equal
+    when their arrays are.
     """
 
-    _ARRAYS = ("members", "clique_ptr", "edge_array", "separator_members", "separator_ptr")
+    members: np.ndarray
+    clique_ptr: np.ndarray
+    edge_array: np.ndarray
+    separator_members: np.ndarray
+    separator_ptr: np.ndarray
 
-    def __init__(self, cliques, tree_edges, separators) -> None:
-        """A tree from its cliques and separators as int sequences and its edges as int pairs."""
-        self._hold(
-            *_compressed(cliques),
-            np.array(tree_edges, dtype=np.int64).reshape(-1, 2),
-            *_compressed(separators),
-        )
-
-    @classmethod
-    def _of(cls, *arrays: np.ndarray) -> CliqueTree:
-        """A tree that takes its five int64 arrays, in the order of _ARRAYS, over."""
-        tree = cls.__new__(cls)
-        tree._hold(*arrays)
-        return tree
-
-    def _hold(self, *arrays: np.ndarray) -> None:
-        for name, a in zip(self._ARRAYS, arrays, strict=True):
+    def __post_init__(self) -> None:
+        for a in vars(self).values():
             a.flags.writeable = False
-            setattr(self, name, a)
-
-    def _arrays(self) -> tuple[np.ndarray, ...]:
-        return tuple(getattr(self, name) for name in self._ARRAYS)
-
-    @cached_property
-    def cliques(self) -> tuple[tuple[int, ...], ...]:
-        """The cliques, each sorted ascending, in lexicographic order."""
-        return _tuples(self.members, self.clique_ptr)
-
-    @cached_property
-    def tree_edges(self) -> tuple[tuple[int, int], ...]:
-        """The tree edges (i, j), i < j, by decreasing separator size, then by (i, j)."""
-        return tuple(map(tuple, self.edge_array.tolist()))
-
-    @cached_property
-    def separators(self) -> tuple[tuple[int, ...], ...]:
-        """The separator of each tree edge, sorted ascending."""
-        return _tuples(self.separator_members, self.separator_ptr)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CliqueTree):
             return NotImplemented
-        return all(map(np.array_equal, self._arrays(), other._arrays()))
+        return all(map(np.array_equal, vars(self).values(), vars(other).values()))
 
     def __hash__(self) -> int:
-        return hash(tuple(a.tobytes() for a in self._arrays()))
-
-    def __repr__(self) -> str:
-        return (
-            f"CliqueTree(cliques={self.cliques!r}, tree_edges={self.tree_edges!r}, "
-            f"separators={self.separators!r})"
-        )
-
-
-def _compressed(seqs) -> tuple[np.ndarray, np.ndarray]:
-    """Int sequences as one flat int64 array and the pointers to where each starts and ends."""
-    seqs = [tuple(s) for s in seqs]
-    flat = np.array(list(chain.from_iterable(seqs)), dtype=np.int64)
-    return flat, _pointers(np.fromiter(map(len, seqs), np.int64, len(seqs)))
+        return hash(tuple(a.tobytes() for a in vars(self).values()))
 
 
 def _pointers(lengths: np.ndarray) -> np.ndarray:
@@ -207,10 +165,10 @@ def _pointers(lengths: np.ndarray) -> np.ndarray:
     return ptr
 
 
-def _tuples(flat: np.ndarray, ptr: np.ndarray) -> tuple[tuple[int, ...], ...]:
+def _tuples(flat: np.ndarray, ptr: np.ndarray) -> list[tuple[int, ...]]:
     """The sequences flat[ptr[k]:ptr[k + 1]] as tuples."""
     values, bounds = tuple(flat.tolist()), ptr.tolist()
-    return tuple(map(values.__getitem__, map(slice, bounds, bounds[1:])))
+    return list(map(values.__getitem__, map(slice, bounds, bounds[1:])))
 
 
 @dataclass(frozen=True)
@@ -388,7 +346,7 @@ def _chordal_structure(p: Pattern) -> ChordalStructure:
     sep_size = np.concatenate((size[start[child]], np.zeros_like(joins)))
     by_edge = np.argsort(low * len(rank) + high)
     by_edge = by_edge[np.argsort(-sep_size[by_edge], kind="stable")]
-    tree = CliqueTree._of(
+    tree = CliqueTree(
         *_gather(member, clique_ptr[rank], np.diff(clique_ptr)[rank]),
         np.stack((low[by_edge], high[by_edge]), axis=1),
         *_gather(separator_members, separator_ptr[sep_of[by_edge]], sep_size[by_edge]),
@@ -498,7 +456,8 @@ def maximal_cliques(p: Pattern) -> list[tuple[int, ...]]:
     patterns fall back to Bron-Kerbosch up to 20 vertices.
     """
     if p.structure.chordal:
-        return list(p.structure.tree.cliques)
+        tree = p.structure.tree
+        return _tuples(tree.members, tree.clique_ptr)
     if p.n > _BRUTE_FORCE_CLIQUE_CAP:
         raise TooLarge(
             f"clique enumeration on a non-chordal pattern is capped at "

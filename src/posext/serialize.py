@@ -3,15 +3,16 @@
 Emission goes through a small dumper that writes floats as %.17g, so
 that every finite float except -0.0 round-trips bit-faithfully (-0.0 is
 written "-0", which JSON readers take for the integer 0). A value takes
-one of four paths, and all four give the same bytes:
+one of three paths, and all three give the same bytes:
 
-- A list whose items are all exact ints, or all lists or tuples of
-  exact ints, goes to json's encoder (the C encoder when compact).
-  Floats stay off this path: json writes repr(x), not %.17g.
-- A list of int lists that is held as one flat int array and pointers
-  (`_IntLists`: a clique tree's cliques, edges and separators, and the
-  maximal cliques) is rendered with one % per chunk of `_CHUNK_ROWS`
-  lists, without a look at the type of each value.
+- Int lists are rendered by %d, which writes an int as str(int) does,
+  beyond int64 too. A list whose items are all exact ints is one % over
+  a template made for it. A list whose items are all lists or tuples
+  of exact ints, and a list of int lists held as one flat int array
+  and pointers (`_IntLists`: a clique tree's cliques, edges and
+  separators, and the maximal cliques of a chordal pattern), take one
+  % per chunk of `_CHUNK_ROWS` lists; an `_IntLists` skips the look at
+  the type of each value.
 - The large homogeneous lists (a dense matrix's entries, a completion's
   fill log, a group function's values, a rank-one factor's vector) are
   held as typed columns (`_Table`). Each chunk of `_CHUNK_ROWS` rows is
@@ -75,7 +76,6 @@ from .groupext import (
 from .pattern import (
     CliqueTree,
     Pattern,
-    _compressed,
     _integers,
     clique_tree,
     is_chordal,
@@ -109,32 +109,20 @@ def _emit(value, out: list[str], indent: int | None) -> None:
     elif isinstance(value, dict):
         _emit_items(value.items(), out, indent, "{", "}", key=True)
     elif isinstance(value, (list, tuple)):
-        if _int_lists(value):
-            _emit_int_lists(value, out, indent)
+        kinds = set(map(type, value))
+        flat = list(chain.from_iterable(value)) if kinds <= {list, tuple} else None
+        if kinds <= {int}:  # the empty list too
+            out.append(_list_spec(len(value), indent) % tuple(value))
+        elif flat is not None and set(map(type, flat)) <= {int}:
+            _emit_packed_lists(list(map(len, value)), flat, out, indent)
         else:
             _emit_items(value, out, indent, "[", "]", key=False)
     elif isinstance(value, _Table):
         _emit_table(value, out, indent)
     elif isinstance(value, _IntLists):
-        _emit_packed_lists(value, out, indent)
+        _emit_packed_lists(np.diff(value.ptr).tolist(), value.flat.tolist(), out, indent)
     else:
         raise TypeError(f"cannot serialize value of type {type(value).__name__}")
-
-
-def _int_lists(value) -> bool:
-    """True when the items are all exact ints, or all lists or tuples of exact ints."""
-    kinds = set(map(type, value))
-    if kinds <= {int}:
-        return True
-    return kinds <= {list, tuple} and set(map(type, chain.from_iterable(value))) <= {int}
-
-
-def _emit_int_lists(value, out: list[str], indent: int | None) -> None:
-    """json's encoder writes an int as str(int) and lays out lists as `_emit_items` does."""
-    if indent is None:
-        out.append(json.dumps(value, separators=(",", ":")))
-    else:
-        out.append(json.dumps(value, indent=2).replace("\n", _pad(indent, 0)))
 
 
 def _pad(indent: int | None, depth: int) -> str:
@@ -194,11 +182,6 @@ class _IntLists:
 
     flat: np.ndarray
     ptr: np.ndarray
-
-    @classmethod
-    def of(cls, lists) -> _IntLists:
-        """The int lists of a sequence of int sequences."""
-        return cls(*_compressed(lists))
 
 
 _CHUNK_ROWS = 4096  # rows of a table per byte buffer, lists per % call
@@ -322,9 +305,11 @@ def _int_text(magnitude: np.ndarray, quads: int) -> np.ndarray:
     return words.view(np.uint8).reshape(-1, 4 * quads)
 
 
-def _emit_packed_lists(value: _IntLists, out: list[str], indent: int | None) -> None:
-    """The lists laid out as `_emit_items` lays them out, one % per `_CHUNK_ROWS` lists."""
-    lengths = np.diff(value.ptr).tolist()
+def _emit_packed_lists(lengths: list[int], flat: list, out: list[str], indent: int | None) -> None:
+    """Int lists of the given lengths, taken from flat in turn, laid out as `_emit_items` does.
+
+    One % renders each chunk of `_CHUNK_ROWS` lists.
+    """
     if not lengths:
         out.append("[]")
         return
@@ -332,18 +317,23 @@ def _emit_packed_lists(value: _IntLists, out: list[str], indent: int | None) -> 
     spec = {k: _tuple_spec(k, inner) for k in set(lengths)}
     sep = "," + _pad(indent, 1)
     out.append("[" + _pad(indent, 1))
+    start = 0
     for a in range(0, len(lengths), _CHUNK_ROWS):
-        b = min(a + _CHUNK_ROWS, len(lengths))
-        template = sep.join(map(spec.__getitem__, lengths[a:b]))
-        out.append(template % tuple(value.flat[value.ptr[a] : value.ptr[b]].tolist()))
+        chunk = lengths[a : a + _CHUNK_ROWS]
+        stop = start + sum(chunk)
+        out.append(sep.join(map(spec.__getitem__, chunk)) % tuple(flat[start:stop]))
         out.append(sep)
+        start = stop
     out[-1] = _pad(indent, 0) + "]"  # the last separator closes the list
 
 
-@functools.lru_cache(maxsize=256)
-def _tuple_spec(k: int, indent: int | None) -> str:
+def _list_spec(k: int, indent: int | None) -> str:
+    """The % template of a list of k ints laid out as `_emit_items` lays it out."""
     sep = "," + _pad(indent, 1)
     return f"[{_pad(indent, 1)}{sep.join(['%d'] * k)}{_pad(indent, 0)}]" if k else "[]"
+
+
+_tuple_spec = functools.lru_cache(maxsize=256)(_list_spec)  # for lists of lists, whose lengths repeat
 
 
 # -- %.17g of a float column in numpy (see the module docstring) ---------------
@@ -534,7 +524,7 @@ def cliques_to_json(p: Pattern) -> dict:
     if is_chordal(p):
         t = clique_tree(p)
         return {"cliques": _IntLists(t.members, t.clique_ptr)}
-    return {"cliques": _IntLists.of(maximal_cliques(p))}
+    return {"cliques": maximal_cliques(p)}
 
 
 # -- dense Hermitian matrices -------------------------------------------------

@@ -6,6 +6,7 @@ import heapq
 import itertools
 import json
 import math
+from typing import NamedTuple
 
 import numpy as np
 from hypothesis import HealthCheck, settings
@@ -176,6 +177,46 @@ def simplicial_cliques(p: Pattern) -> list[tuple[int, ...]]:
     return sorted(tuple(sorted(c)) for c in set(cand) if not any(c < d for d in cand))
 
 
+def packed(seqs) -> tuple[np.ndarray, np.ndarray]:
+    """Int sequences as one flat int64 array and the pointers to where each starts and ends."""
+    seqs = [list(s) for s in seqs]
+    flat = np.array([v for s in seqs for v in s], dtype=np.int64)
+    return flat, np.cumsum([0] + [len(s) for s in seqs], dtype=np.int64)
+
+
+def int_lists(lists) -> _IntLists:
+    """The int lists of a sequence of int sequences, held as a flat array and pointers."""
+    return _IntLists(*packed(lists))
+
+
+def clique_tree_of(cliques, tree_edges, separators) -> CliqueTree:
+    """A clique tree from its cliques and separators as int sequences and its edges as int pairs."""
+    edges = np.array(tree_edges, dtype=np.int64).reshape(-1, 2)
+    return CliqueTree(*packed(cliques), edges, *packed(separators))
+
+
+class TreeViews(NamedTuple):
+    """A clique tree's arrays read back as tuples."""
+
+    cliques: tuple[tuple[int, ...], ...]
+    tree_edges: tuple[tuple[int, int], ...]
+    separators: tuple[tuple[int, ...], ...]
+
+
+def tree_views(tree: CliqueTree) -> TreeViews:
+    """The cliques, the tree edges and their separators of a clique tree as tuples."""
+
+    def slices(flat, ptr):
+        values, bounds = flat.tolist(), ptr.tolist()
+        return tuple(tuple(values[a:b]) for a, b in zip(bounds, bounds[1:]))
+
+    return TreeViews(
+        slices(tree.members, tree.clique_ptr),
+        tuple(map(tuple, tree.edge_array.tolist())),
+        slices(tree.separator_members, tree.separator_ptr),
+    )
+
+
 def assert_valid_clique_tree(p: Pattern, tree) -> None:
     """Maximal cliques joined by a spanning tree, all in canonical order.
 
@@ -185,6 +226,7 @@ def assert_valid_clique_tree(p: Pattern, tree) -> None:
     (running intersection), and edges must be sorted by decreasing
     separator size, then by (i, j) with i < j.
     """
+    tree = tree_views(tree)
     assert list(tree.cliques) == simplicial_cliques(p)
     cliques = [set(c) for c in tree.cliques]
     assert len(tree.tree_edges) == max(len(cliques) - 1, 0)
@@ -442,6 +484,27 @@ def ref_partially_positive(m, tol=None):
     return True, None
 
 
+def ref_root_first(tree: CliqueTree) -> list[tuple[int, int | None, tuple[int, ...]]]:
+    """Reference for completion's walk: breadth-first from clique 0, children in ascending index.
+
+    Each entry is (clique, parent, separator shared with the parent); the
+    root has parent None and an empty separator.
+    """
+    tree = tree_views(tree)
+    neighbors: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in tree.cliques]
+    for (i, j), sep in zip(tree.tree_edges, tree.separators):
+        neighbors[i].append((j, sep))
+        neighbors[j].append((i, sep))
+    walk = [(0, None, ())] if tree.cliques else []
+    seen = {0}
+    for at, _, _ in walk:  # also visits the entries appended below
+        for nxt, sep in sorted(neighbors[at]):
+            if nxt not in seen:
+                seen.add(nxt)
+                walk.append((nxt, at, sep))
+    return walk
+
+
 def ref_positive_completion(m, tol=None):
     """Reference for positive_completion: (matrix, fill_log) or raises.
 
@@ -449,7 +512,6 @@ def ref_positive_completion(m, tol=None):
     block when its step comes and logging every filled pair.
     """
     from posext import clique_tree, expand, linalg
-    from posext.completion import _root_first
     from posext.errors import NotChordal, NotPartiallyPositive
 
     if not is_chordal(m.pattern):
@@ -463,11 +525,12 @@ def ref_positive_completion(m, tol=None):
         return [v * d + a for v in vertices for a in range(d)]
 
     tree = clique_tree(m.pattern)
+    cliques = tree_views(tree).cliques
     log = []
     d = m.d
     seen_vertices = set()
-    for k, _, sep in _root_first(tree):
-        new = sorted(set(tree.cliques[k]) - seen_vertices)
+    for k, _, sep in ref_root_first(tree):
+        new = sorted(set(cliques[k]) - seen_vertices)
         old = sorted(seen_vertices - set(sep))
         if new and old:
             rows = expand_indices(old, d)
@@ -613,9 +676,7 @@ def ref_chordal_structure(p: Pattern):
     ]
     edges += [(0, r, ()) for r in sorted(lowest.values())[1:]]
     edges.sort(key=lambda e: (-len(e[2]), e[0], e[1]))
-    tree = CliqueTree(
-        tuple(keys[k] for k in rank),
-        tuple((i, j) for i, j, _ in edges),
-        tuple(sep for _, _, sep in edges),
+    tree = clique_tree_of(
+        [keys[k] for k in rank], [(i, j) for i, j, _ in edges], [sep for _, _, sep in edges]
     )
     return ChordalStructure(order, True, tree)

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import random_chordal_components
-from posext import Pattern, clique_tree, maximal_cliques, validate_pattern, verify_extension
+from conftest import random_chordal_components, tree_views
+from posext import Pattern, clique_tree, is_psd, maximal_cliques, validate_pattern, verify_extension
 from posext import cli
 from posext import serialize as ser
 from posext.cli import main
@@ -272,6 +272,29 @@ def test_complete_with_a_fill_beyond_the_float_range_exits_2(capsys):
     assert proc.stderr == "error: InputError: entry (0,2) of the completion overflows\n"
 
 
+def test_decompose_drops_part_eigenvalues_that_elimination_pushes_below_tol(capsys):
+    """A rank-8 sum of one v v^T per clique of band-2 n = 10 that is_psd accepts.
+
+    Elimination leaves a part with eigenvalue -8.0e-06, below -tol = -2.2e-09;
+    that eigenvalue gives no factor, and the call exits 0.
+    """
+    files = fx("matrix_band2_n10_rank8.json"), fx("pattern_band2_n10.json")
+    t = ser.matrix_from_json(ser.load_json(files[0]))
+    p = ser.pattern_from_json(ser.load_json(files[1]))
+    assert is_psd(t) and np.linalg.matrix_rank(t) == 8
+    code, out = run_cli(capsys, "decompose", *files)
+    assert code == 0
+    factors = json.loads(out)["factors"]
+    cliques = [set(c) for c in maximal_cliques(p)]
+    recon = np.zeros((p.n, p.n), dtype=complex)
+    for f in factors:
+        v = np.array([complex(x["re"], x["im"]) for x in f["vector"]])
+        held = set(f["support"]) | set(np.flatnonzero(v).tolist())
+        assert any(held <= c for c in cliques)
+        recon += np.outer(v, v.conj())
+    assert np.abs(recon - t).max() <= 1e-5 * np.abs(t).max()
+
+
 def test_pd_check_on_a_non_chordal_subset_of_a_large_group(tmp_path, capsys):
     """Only the cliques inside E = {0, 1, 20} are enumerated, not those of Z_21."""
     n = 21
@@ -341,7 +364,7 @@ def _json_text(doc, pretty: bool) -> str:
 def _assert_tree_and_cliques_emit_as_json(p: Pattern, pretty: bool) -> None:
     flag = ["--pretty"] if pretty else []
     tree = clique_tree(p)
-    views = {"cliques": tree.cliques, "tree_edges": tree.tree_edges, "separators": tree.separators}
+    views = tree_views(tree)._asdict()
     assert _stdout_on(p, "clique-tree", "pattern.json", *flag) == _json_text(views, pretty)
     cliques = {"cliques": maximal_cliques(p)}
     assert _stdout_on(p, "cliques", "pattern.json", *flag) == _json_text(cliques, pretty)
@@ -392,7 +415,7 @@ def test_clique_tree_stdout_of_a_big_clique_with_pendant_vertices(pretty):
     pendants = [(75 * k, 1500 + k) for k in range(20)]
     edges = np.concatenate((np.stack((i, j), axis=1), pendants))
     p = Pattern(n, edges[np.argsort(edges[:, 0] * n + edges[:, 1])])
-    assert len(clique_tree(p).cliques) == 22
+    assert len(tree_views(clique_tree(p)).cliques) == 22
     _assert_tree_and_cliques_emit_as_json(p, pretty)
 
 

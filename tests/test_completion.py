@@ -376,6 +376,31 @@ def test_rank_one_decomposition_random(seed):
         assert any(set(f.support) <= c for c in cliques)
 
 
+@given(st.integers(0, 2**32 - 1), st.sampled_from([None, 1e-12, 1e-6]))
+def test_decomposition_of_clique_sums_raises_not_psd_only_when_is_psd_does(seed, tol):
+    """Sums of one v v* per maximal clique, so rank-deficient: is_psd at the same tol is the verdict."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 16))
+    if rng.random() < 0.5:
+        p = band_pattern(n, int(rng.integers(1, 4)))
+    else:
+        p = random_chordal_components(rng, n, int(rng.integers(1, 4)), density=0.5)
+    cliques = maximal_cliques(p)
+    t = np.zeros((n, n), dtype=complex)
+    for clique in cliques:
+        k = len(clique)
+        v = np.zeros(n, dtype=complex)
+        v[list(clique)] = rng.standard_normal(k) + 1j * rng.standard_normal(k) * (rng.random() < 0.5)
+        v *= 10.0 ** rng.uniform(-2, 2)
+        t += np.outer(v, v.conj())
+    if not is_psd(t, tol):
+        with pytest.raises(NotPSD):
+            rank_one_positive_decomposition(t, p, tol)
+        return
+    for f in rank_one_positive_decomposition(t, p, tol):
+        assert any(set(f.support) <= set(c) for c in cliques)
+
+
 def test_completion_and_decomposition_on_empty_pattern():
     p = validate_pattern(0, [])
     result = positive_completion(PartialHermitianMatrix(p, 1, {}))
@@ -632,7 +657,7 @@ def test_completion_matches_the_clique_by_clique_loops(d, seed):
     got = positive_completion(m, tol)
     assert bits(got.matrix) == bits(matrix)
     assert got.fill_log == log
-    assert len(got.fills) == max(len(clique_tree(p).cliques) - 1, 0)
+    assert len(got.fills) == len(clique_tree(p).edge_array)  # one per tree edge
 
 
 @pytest.mark.parametrize("d", [1, 2])

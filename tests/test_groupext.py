@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -52,6 +54,7 @@ from posext.errors import (
     TooLarge,
 )
 from posext import groupext
+from posext import serialize as ser
 from posext.groupext import _generators, _right_cosets
 
 
@@ -549,6 +552,48 @@ def test_extension_errors_match_the_completion_route():
     for (e, u), want in zip(cases, expected):
         assert _outcome(positive_definite_extension, s3, e, u) == want
         assert _outcome(ref_positive_definite_extension, s3, e, u) == want
+
+
+S3_TABLE = Path(__file__).parent / "fixtures" / "group_s3.json"
+
+
+def _automorphism(data):
+    """(g, phi): x -> -x on Z_n, or conjugation by a drawn element on the S3 of the fixture."""
+    if data.draw(st.booleans()):
+        n = data.draw(st.integers(1, 12))
+        return cyclic_group(n), [(-x) % n for x in range(n)]
+    g = ser.group_from_json(ser.load_json(S3_TABLE))
+    a = data.draw(st.integers(0, g.order - 1))
+    return g, [g.mul(g.mul(a, x), g.inverse[a]) for x in range(g.order)]
+
+
+@given(st.data())
+def test_extension_commutes_with_group_automorphisms(data):
+    """Extending u o phi^-1 on phi(H) gives v o phi^-1, and fails exactly when extending u fails.
+
+    On H the values agree bit for bit. Off H both are zero, but not
+    always of the same sign: the extension conjugates at the larger
+    index of each inverse pair, and phi can swap which one that is.
+    """
+    g, phi = _automorphism(data)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    for e in symmetric_subsets(g):
+        if not is_chordal_subset(g, e):
+            continue
+        image = validate_subset(g, {phi[x] for x in e.members})
+        inside = sorted(e.members)
+        outside = sorted(set(range(g.order)) - e.members)
+        for u in [random_pd_function(rng, g, e), _random_hermitian(rng, g, e)]:
+            moved = group_function(g, {phi[x]: z for x, z in u.values.items()})
+            try:
+                v = positive_definite_extension(g, e, u)
+            except NotPositiveDefinite:
+                with pytest.raises(NotPositiveDefinite):
+                    positive_definite_extension(g, image, moved)
+                continue
+            w = positive_definite_extension(g, image, moved)
+            assert bits([w(phi[x]) for x in inside]) == bits([v(x) for x in inside])
+            assert not any(w(phi[x]) for x in outside) and not any(v(x) for x in outside)
 
 
 def test_right_cosets_are_the_cliques_in_order():

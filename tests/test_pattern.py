@@ -6,6 +6,7 @@ from conftest import (
     assert_valid_clique_tree,
     band_pattern,
     brute_force_maximal_cliques,
+    clique_tree_of,
     complete_pattern,
     cycle_pattern,
     dense_mask,
@@ -14,6 +15,7 @@ from conftest import (
     random_chordal_pattern,
     random_pattern,
     ref_chordal_structure,
+    tree_views,
 )
 from posext import (
     CliqueTree,
@@ -111,13 +113,13 @@ def _pairs(clique):
 def test_clique_tree_band1_is_path():
     p = band_pattern(4, 1)
     tree = clique_tree(p)
-    assert tree.cliques == ((0, 1), (1, 2), (2, 3))
-    assert set(tree.separators) == {(1,), (2,)}
+    assert tree_views(tree).cliques == ((0, 1), (1, 2), (2, 3))
+    assert set(tree_views(tree).separators) == {(1,), (2,)}
     assert_valid_clique_tree(p, tree)
 
 
 def test_clique_tree_single_clique():
-    tree = clique_tree(complete_pattern(3))
+    tree = tree_views(clique_tree(complete_pattern(3)))
     assert tree.cliques == ((0, 1, 2),)
     assert tree.tree_edges == ()
 
@@ -125,8 +127,8 @@ def test_clique_tree_single_clique():
 def test_clique_tree_disconnected_components_join_with_empty_separator():
     p = validate_pattern(4, [(0, 1), (2, 3)])
     tree = clique_tree(p)
-    assert tree.cliques == ((0, 1), (2, 3))
-    assert tree.separators == ((),)
+    assert tree_views(tree).cliques == ((0, 1), (2, 3))
+    assert tree_views(tree).separators == ((),)
     assert_valid_clique_tree(p, tree)
 
 
@@ -240,18 +242,21 @@ def test_clique_tree_arrays_are_read_only_and_back_the_tuple_views():
     assert tree.edge_array.tolist() == [[1, 2], [0, 1], [2, 3]]
     assert tree.separator_members.tolist() == [2, 3, 1, 4]
     assert tree.separator_ptr.tolist() == [0, 2, 3, 4]
-    again = CliqueTree(tree.cliques, tree.tree_edges, tree.separators)
-    assert again == tree and hash(again) == hash(tree)
-    assert repr(again) == (
-        "CliqueTree(cliques=((0, 1), (1, 2, 3), (2, 3, 4), (4, 5)), "
-        "tree_edges=((1, 2), (0, 1), (2, 3)), separators=((2, 3), (1,), (4,)))"
+    views = tree_views(tree)
+    assert views == (
+        ((0, 1), (1, 2, 3), (2, 3, 4), (4, 5)),
+        ((1, 2), (0, 1), (2, 3)),
+        ((2, 3), (1,), (4,)),
     )
-    assert CliqueTree(tree.cliques, tree.tree_edges[::-1], tree.separators[::-1]) != tree
+    again = CliqueTree(*(np.array(a) for a in vars(tree).values()))
+    assert again == tree and hash(again) == hash(tree)
+    assert clique_tree_of(*views) == tree
+    assert clique_tree_of(views.cliques, views.tree_edges[::-1], views.separators[::-1]) != tree
 
 
 def test_clique_tree_empty_pattern():
     p = validate_pattern(0, [])
-    assert clique_tree(p) == CliqueTree((), (), ())
+    assert clique_tree(p) == clique_tree_of((), (), ())
     assert maximal_cliques(p) == []
     assert perfect_elimination_order(p).order == ()
 
@@ -260,7 +265,7 @@ def test_clique_tree_components_join_clique_zero_in_order():
     # components {0}, {1, 4}, {2, 5, 6}, {3}: two isolated vertices
     p = validate_pattern(7, [(1, 4), (2, 5), (5, 6), (2, 6)])
     tree = clique_tree(p)
-    assert tree == CliqueTree(
+    assert tree == clique_tree_of(
         ((0,), (1, 4), (2, 5, 6), (3,)), ((0, 1), (0, 2), (0, 3)), ((), (), ())
     )
     assert_valid_clique_tree(p, tree)
@@ -269,7 +274,7 @@ def test_clique_tree_components_join_clique_zero_in_order():
 def test_clique_tree_edges_sorted_by_separator_size():
     # two triangles sharing an edge, a pendant edge on each side
     p = validate_pattern(6, [(0, 1), (1, 2), (1, 3), (2, 3), (2, 4), (3, 4), (4, 5)])
-    tree = clique_tree(p)
+    tree = tree_views(clique_tree(p))
     assert tree.cliques == ((0, 1), (1, 2, 3), (2, 3, 4), (4, 5))
     assert tree.tree_edges == ((1, 2), (0, 1), (2, 3))
     assert tree.separators == ((2, 3), (1,), (4,))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import bits, random_chordal_pattern, random_psd, ref_dumps
+from conftest import bits, int_lists, random_chordal_pattern, random_psd, ref_dumps
 from posext import (
     PartialHermitianMatrix,
     RankOneFactor,
@@ -83,7 +83,7 @@ _LEAVES = st.one_of(
     st.lists(_INT_ROWS, max_size=4),
     st.lists(_INT_ROWS, max_size=4).map(tuple),
     tables(),
-    st.lists(st.lists(st.integers(-(2**63), 2**63 - 1), max_size=4), max_size=4).map(ser._IntLists.of),
+    st.lists(st.lists(st.integers(-(2**63), 2**63 - 1), max_size=4), max_size=4).map(int_lists),
 )
 _DOCUMENTS = st.recursive(
     _LEAVES,
@@ -99,7 +99,7 @@ _DOCUMENTS = st.recursive(
 @settings(max_examples=400)
 @given(_DOCUMENTS, st.booleans())
 def test_dumps_matches_the_value_by_value_walk(doc, pretty):
-    """Integer lists go through json's encoder; mixed lists, floats and tables do not."""
+    """Int lists and `_IntLists` take the % path, tables byte buffers, the rest the generic walk."""
     assert ser.dumps(doc, pretty) == ref_dumps(doc, pretty)
 
 
@@ -210,7 +210,7 @@ def test_int_lists_of_several_chunks_emit_like_json(count, pretty):
     rng = np.random.default_rng(count)
     lists = [rng.integers(-(2**40), 2**40, int(k)).tolist() for k in rng.integers(0, 5, count)]
     lists[-1] = list(range(3000))  # one list longer than a chunk's count of lists
-    got = ser.dumps({"lists": ser._IntLists.of(lists)}, pretty)
+    got = ser.dumps({"lists": int_lists(lists)}, pretty)
     assert got == json.dumps({"lists": lists}, **({"indent": 2} if pretty else {"separators": (",", ":")}))
 
 
