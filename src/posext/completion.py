@@ -39,6 +39,7 @@ from .errors import (
 from .pattern import CliqueTree, Pattern, clique_tree, is_chordal, maximal_cliques
 
 _SUPPORT_REL = 1e-10
+_RESIDUAL_REL = 1e-5  # decompose: largest |sum v v* - T| entry, relative to max |T|
 MAX_DENSE_DIM = 4096  # a dense complex matrix this size takes 256 MiB
 
 
@@ -310,9 +311,10 @@ def rank_one_positive_decomposition(
     processed recursively. Every factor support lies inside a maximal
     clique and the factors sum back to the input. Each part gives one
     factor per eigenvalue above tol (by default 1e-9 (1 + its largest
-    diagonal entry)). The PSD check of the whole input is the only
-    verdict: eigenvalues of a part that elimination error pushes below
-    -tol give no factor, just as those in [-tol, tol] give none.
+    diagonal entry)). Eigenvalues of a part that elimination error pushes
+    below -tol give no factor, just as those in [-tol, tol] give none.
+    NotPSD is raised when the input fails is_psd, or when a part had such
+    an eigenvalue and an entry of sum v v* - T exceeds 1e-5 max |T|.
     """
     t = np.array(t, dtype=complex)
     if t.shape != (p.n, p.n):
@@ -324,6 +326,8 @@ def rank_one_positive_decomposition(
     _check_supported(t, p)
 
     residue = t.copy()
+    recon = np.zeros_like(t)
+    lowest = 0.0  # the least part eigenvalue below its tol
     factors: list[linalg.RankOneFactor] = []
     for clique, sep in reversed(_root_first(clique_tree(p))):
         if len(sep):
@@ -342,11 +346,23 @@ def rank_one_positive_decomposition(
             part = residue[np.ix_(clique, clique)]
         w, v = linalg.eigh(part)
         part_tol = linalg.default_psd_tol(part) if tol is None else tol
+        if w[0] < -part_tol:
+            lowest = min(lowest, w[0])
         members = clique.tolist()
-        for factor in linalg.eigen_factors(w, v, part_tol):
+        kept = linalg.eigen_factors(w, v, part_tol)
+        for factor in kept:
             vec = np.zeros(p.n, dtype=complex)
             vec[clique] = factor.vector
             factors.append(linalg.RankOneFactor(vec, tuple(members[a] for a in factor.support)))
+        if kept:
+            local = np.array([f.vector for f in kept])
+            recon[np.ix_(clique, clique)] += local.T @ local.conj()
+    miss, bound = np.abs(recon - t).max(initial=0.0), _RESIDUAL_REL * np.abs(t).max(initial=0.0)
+    if lowest < 0.0 and miss > bound:
+        raise NotPSD(
+            f"clique part eigenvalue {lowest:.3e} leaves the factors {miss:.3e} from the matrix,"
+            f" above {bound:.3e}"
+        )
     return factors
 
 

@@ -120,7 +120,7 @@ def _emit(value, out: list[str], indent: int | None) -> None:
     elif isinstance(value, _Table):
         _emit_table(value, out, indent)
     elif isinstance(value, _IntLists):
-        _emit_packed_lists(np.diff(value.ptr).tolist(), value.flat.tolist(), out, indent)
+        _emit_packed_lists(np.diff(value.ptr).tolist(), value.flat, out, indent)
     else:
         raise TypeError(f"cannot serialize value of type {type(value).__name__}")
 
@@ -305,10 +305,11 @@ def _int_text(magnitude: np.ndarray, quads: int) -> np.ndarray:
     return words.view(np.uint8).reshape(-1, 4 * quads)
 
 
-def _emit_packed_lists(lengths: list[int], flat: list, out: list[str], indent: int | None) -> None:
+def _emit_packed_lists(lengths: list[int], flat, out: list[str], indent: int | None) -> None:
     """Int lists of the given lengths, taken from flat in turn, laid out as `_emit_items` does.
 
-    One % renders each chunk of `_CHUNK_ROWS` lists.
+    flat is a list of ints or an int array; one % renders each chunk of
+    `_CHUNK_ROWS` lists, so an array becomes Python ints a chunk at a time.
     """
     if not lengths:
         out.append("[]")
@@ -321,7 +322,9 @@ def _emit_packed_lists(lengths: list[int], flat: list, out: list[str], indent: i
     for a in range(0, len(lengths), _CHUNK_ROWS):
         chunk = lengths[a : a + _CHUNK_ROWS]
         stop = start + sum(chunk)
-        out.append(sep.join(map(spec.__getitem__, chunk)) % tuple(flat[start:stop]))
+        items = flat[start:stop]
+        items = items.tolist() if isinstance(items, np.ndarray) else items
+        out.append(sep.join(map(spec.__getitem__, chunk)) % tuple(items))
         out.append(sep)
         start = stop
     out[-1] = _pad(indent, 0) + "]"  # the last separator closes the list

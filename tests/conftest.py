@@ -6,7 +6,6 @@ import heapq
 import itertools
 import json
 import math
-from typing import NamedTuple
 
 import numpy as np
 from hypothesis import HealthCheck, settings
@@ -27,7 +26,7 @@ from posext import (
     validate_pattern,
     validate_subset,
 )
-from posext.pattern import ChordalStructure, CliqueTree
+from posext.pattern import ChordalStructure, CliqueTree, _tuples
 from posext.serialize import _Coded, _IntLists, _Table
 
 settings.register_profile(
@@ -189,32 +188,13 @@ def int_lists(lists) -> _IntLists:
     return _IntLists(*packed(lists))
 
 
-def clique_tree_of(cliques, tree_edges, separators) -> CliqueTree:
-    """A clique tree from its cliques and separators as int sequences and its edges as int pairs."""
-    edges = np.array(tree_edges, dtype=np.int64).reshape(-1, 2)
-    return CliqueTree(*packed(cliques), edges, *packed(separators))
-
-
-class TreeViews(NamedTuple):
-    """A clique tree's arrays read back as tuples."""
-
-    cliques: tuple[tuple[int, ...], ...]
-    tree_edges: tuple[tuple[int, int], ...]
-    separators: tuple[tuple[int, ...], ...]
-
-
-def tree_views(tree: CliqueTree) -> TreeViews:
-    """The cliques, the tree edges and their separators of a clique tree as tuples."""
-
-    def slices(flat, ptr):
-        values, bounds = flat.tolist(), ptr.tolist()
-        return tuple(tuple(values[a:b]) for a, b in zip(bounds, bounds[1:]))
-
-    return TreeViews(
-        slices(tree.members, tree.clique_ptr),
-        tuple(map(tuple, tree.edge_array.tolist())),
-        slices(tree.separator_members, tree.separator_ptr),
-    )
+def tree_views(tree: CliqueTree) -> dict[str, list[tuple[int, ...]]]:
+    """A clique tree's cliques, tree edges and separators as lists of tuples, keyed as clique-tree prints them."""
+    return {
+        "cliques": _tuples(tree.members, tree.clique_ptr),
+        "tree_edges": list(map(tuple, tree.edge_array.tolist())),
+        "separators": _tuples(tree.separator_members, tree.separator_ptr),
+    }
 
 
 def assert_valid_clique_tree(p: Pattern, tree) -> None:
@@ -226,17 +206,18 @@ def assert_valid_clique_tree(p: Pattern, tree) -> None:
     (running intersection), and edges must be sorted by decreasing
     separator size, then by (i, j) with i < j.
     """
-    tree = tree_views(tree)
-    assert list(tree.cliques) == simplicial_cliques(p)
-    cliques = [set(c) for c in tree.cliques]
-    assert len(tree.tree_edges) == max(len(cliques) - 1, 0)
-    assert _connected(range(len(cliques)), tree.tree_edges)
-    for (i, j), sep in zip(tree.tree_edges, tree.separators):
+    views = tree_views(tree)
+    edges = views["tree_edges"]
+    assert views["cliques"] == simplicial_cliques(p)
+    cliques = [set(c) for c in views["cliques"]]
+    assert len(edges) == max(len(cliques) - 1, 0)
+    assert _connected(range(len(cliques)), edges)
+    for (i, j), sep in zip(edges, views["separators"]):
         assert i < j and sep == tuple(sorted(cliques[i] & cliques[j]))
-    keys = [(-len(s), i, j) for (i, j), s in zip(tree.tree_edges, tree.separators)]
+    keys = [(-len(s), i, j) for (i, j), s in zip(edges, views["separators"])]
     assert keys == sorted(keys)
     for v in range(p.n):
-        assert _connected([k for k, c in enumerate(cliques) if v in c], tree.tree_edges)
+        assert _connected([k for k, c in enumerate(cliques) if v in c], edges)
 
 
 def brute_force_maximal_cliques(p: Pattern) -> list[tuple[int, ...]]:
@@ -490,12 +471,12 @@ def ref_root_first(tree: CliqueTree) -> list[tuple[int, int | None, tuple[int, .
     Each entry is (clique, parent, separator shared with the parent); the
     root has parent None and an empty separator.
     """
-    tree = tree_views(tree)
-    neighbors: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in tree.cliques]
-    for (i, j), sep in zip(tree.tree_edges, tree.separators):
+    views = tree_views(tree)
+    neighbors: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in views["cliques"]]
+    for (i, j), sep in zip(views["tree_edges"], views["separators"]):
         neighbors[i].append((j, sep))
         neighbors[j].append((i, sep))
-    walk = [(0, None, ())] if tree.cliques else []
+    walk = [(0, None, ())] if neighbors else []
     seen = {0}
     for at, _, _ in walk:  # also visits the entries appended below
         for nxt, sep in sorted(neighbors[at]):
@@ -525,7 +506,7 @@ def ref_positive_completion(m, tol=None):
         return [v * d + a for v in vertices for a in range(d)]
 
     tree = clique_tree(m.pattern)
-    cliques = tree_views(tree).cliques
+    cliques = tree_views(tree)["cliques"]
     log = []
     d = m.d
     seen_vertices = set()
@@ -676,7 +657,9 @@ def ref_chordal_structure(p: Pattern):
     ]
     edges += [(0, r, ()) for r in sorted(lowest.values())[1:]]
     edges.sort(key=lambda e: (-len(e[2]), e[0], e[1]))
-    tree = clique_tree_of(
-        [keys[k] for k in rank], [(i, j) for i, j, _ in edges], [sep for _, _, sep in edges]
+    tree = CliqueTree(
+        *packed(keys[k] for k in rank),
+        np.array([(i, j) for i, j, _ in edges], dtype=np.int64).reshape(-1, 2),
+        *packed(sep for _, _, sep in edges),
     )
     return ChordalStructure(order, True, tree)

@@ -295,6 +295,18 @@ def test_decompose_drops_part_eigenvalues_that_elimination_pushes_below_tol(caps
     assert np.abs(recon - t).max() <= 1e-5 * np.abs(t).max()
 
 
+def test_decompose_exits_3_where_dropped_part_eigenvalues_would_miss_the_matrix(capsys):
+    """Band-1 n = 3 with T[2,2] = 1e-8, T[1,2]^2 = 1.1e-8: is_psd accepts it (least eigenvalue -1e-9).
+
+    The leaf step leaves the root part an eigenvalue -0.1; dropping it would
+    give factors that sum to 1.1 at (1,1), where T has 1.
+    """
+    files = fx("matrix_band1_n3_near_indefinite.json"), fx("pattern_band1_n3.json")
+    assert is_psd(ser.matrix_from_json(ser.load_json(files[0])))
+    code, out = run_cli(capsys, "decompose", *files)
+    assert (code, out) == (3, "")
+
+
 def test_pd_check_on_a_non_chordal_subset_of_a_large_group(tmp_path, capsys):
     """Only the cliques inside E = {0, 1, 20} are enumerated, not those of Z_21."""
     n = 21
@@ -364,7 +376,7 @@ def _json_text(doc, pretty: bool) -> str:
 def _assert_tree_and_cliques_emit_as_json(p: Pattern, pretty: bool) -> None:
     flag = ["--pretty"] if pretty else []
     tree = clique_tree(p)
-    views = tree_views(tree)._asdict()
+    views = tree_views(tree)
     assert _stdout_on(p, "clique-tree", "pattern.json", *flag) == _json_text(views, pretty)
     cliques = {"cliques": maximal_cliques(p)}
     assert _stdout_on(p, "cliques", "pattern.json", *flag) == _json_text(cliques, pretty)
@@ -415,7 +427,7 @@ def test_clique_tree_stdout_of_a_big_clique_with_pendant_vertices(pretty):
     pendants = [(75 * k, 1500 + k) for k in range(20)]
     edges = np.concatenate((np.stack((i, j), axis=1), pendants))
     p = Pattern(n, edges[np.argsort(edges[:, 0] * n + edges[:, 1])])
-    assert len(tree_views(clique_tree(p)).cliques) == 22
+    assert len(clique_tree(p).clique_ptr) == 23
     _assert_tree_and_cliques_emit_as_json(p, pretty)
 
 

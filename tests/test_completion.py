@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from conftest import (
     assert_valid_clique_tree,
@@ -376,9 +376,17 @@ def test_rank_one_decomposition_random(seed):
         assert any(set(f.support) <= c for c in cliques)
 
 
+@example(663, None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from([None, 1e-12, 1e-6]))
-def test_decomposition_of_clique_sums_raises_not_psd_only_when_is_psd_does(seed, tol):
-    """Sums of one v v* per maximal clique, so rank-deficient: is_psd at the same tol is the verdict."""
+def test_decomposition_of_clique_sums_sums_back_to_the_matrix_or_raises_not_psd(seed, tol):
+    """Sums of one v v* per maximal clique, so rank-deficient, with clique weights 1e-4 to 1e4.
+
+    An input that is_psd rejects at the same tol raises NotPSD. Otherwise
+    the factors sum back to it within 1e-5 max |T|, or, when elimination
+    error leaves a clique part an eigenvalue too negative for that, the
+    call raises NotPSD too. Seed 663 is such a case: a band-1 chain of 14
+    cliques whose part eigenvalue -0.82 would put the factors 0.82 off.
+    """
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 16))
     if rng.random() < 0.5:
@@ -397,8 +405,16 @@ def test_decomposition_of_clique_sums_raises_not_psd_only_when_is_psd_does(seed,
         with pytest.raises(NotPSD):
             rank_one_positive_decomposition(t, p, tol)
         return
-    for f in rank_one_positive_decomposition(t, p, tol):
+    try:
+        factors = rank_one_positive_decomposition(t, p, tol)
+    except NotPSD as e:
+        assert str(e).startswith("clique part eigenvalue")
+        return
+    recon = np.zeros((n, n), dtype=complex)
+    for f in factors:
         assert any(set(f.support) <= set(c) for c in cliques)
+        recon += np.outer(f.vector, f.vector.conj())
+    assert np.abs(recon - t).max() <= 1e-5 * np.abs(t).max()
 
 
 def test_completion_and_decomposition_on_empty_pattern():

@@ -6,7 +6,6 @@ from conftest import (
     assert_valid_clique_tree,
     band_pattern,
     brute_force_maximal_cliques,
-    clique_tree_of,
     complete_pattern,
     cycle_pattern,
     dense_mask,
@@ -113,22 +112,20 @@ def _pairs(clique):
 def test_clique_tree_band1_is_path():
     p = band_pattern(4, 1)
     tree = clique_tree(p)
-    assert tree_views(tree).cliques == ((0, 1), (1, 2), (2, 3))
-    assert set(tree_views(tree).separators) == {(1,), (2,)}
+    assert tree.members.tolist() == [0, 1, 1, 2, 2, 3]
+    assert sorted(tree.separator_members.tolist()) == [1, 2]
     assert_valid_clique_tree(p, tree)
 
 
 def test_clique_tree_single_clique():
-    tree = tree_views(clique_tree(complete_pattern(3)))
-    assert tree.cliques == ((0, 1, 2),)
-    assert tree.tree_edges == ()
+    tree = clique_tree(complete_pattern(3))
+    assert tree_views(tree) == {"cliques": [(0, 1, 2)], "tree_edges": [], "separators": []}
 
 
 def test_clique_tree_disconnected_components_join_with_empty_separator():
     p = validate_pattern(4, [(0, 1), (2, 3)])
     tree = clique_tree(p)
-    assert tree_views(tree).cliques == ((0, 1), (2, 3))
-    assert tree_views(tree).separators == ((),)
+    assert tree_views(tree) == {"cliques": [(0, 1), (2, 3)], "tree_edges": [(0, 1)], "separators": [()]}
     assert_valid_clique_tree(p, tree)
 
 
@@ -242,21 +239,15 @@ def test_clique_tree_arrays_are_read_only_and_back_the_tuple_views():
     assert tree.edge_array.tolist() == [[1, 2], [0, 1], [2, 3]]
     assert tree.separator_members.tolist() == [2, 3, 1, 4]
     assert tree.separator_ptr.tolist() == [0, 2, 3, 4]
-    views = tree_views(tree)
-    assert views == (
-        ((0, 1), (1, 2, 3), (2, 3, 4), (4, 5)),
-        ((1, 2), (0, 1), (2, 3)),
-        ((2, 3), (1,), (4,)),
-    )
     again = CliqueTree(*(np.array(a) for a in vars(tree).values()))
     assert again == tree and hash(again) == hash(tree)
-    assert clique_tree_of(*views) == tree
-    assert clique_tree_of(views.cliques, views.tree_edges[::-1], views.separators[::-1]) != tree
+    arrays = vars(tree) | {"edge_array": tree.edge_array[::-1]}
+    assert CliqueTree(**arrays) != tree
 
 
 def test_clique_tree_empty_pattern():
     p = validate_pattern(0, [])
-    assert clique_tree(p) == clique_tree_of((), (), ())
+    assert tree_views(clique_tree(p)) == {"cliques": [], "tree_edges": [], "separators": []}
     assert maximal_cliques(p) == []
     assert perfect_elimination_order(p).order == ()
 
@@ -265,19 +256,22 @@ def test_clique_tree_components_join_clique_zero_in_order():
     # components {0}, {1, 4}, {2, 5, 6}, {3}: two isolated vertices
     p = validate_pattern(7, [(1, 4), (2, 5), (5, 6), (2, 6)])
     tree = clique_tree(p)
-    assert tree == clique_tree_of(
-        ((0,), (1, 4), (2, 5, 6), (3,)), ((0, 1), (0, 2), (0, 3)), ((), (), ())
-    )
+    assert tree_views(tree) == {
+        "cliques": [(0,), (1, 4), (2, 5, 6), (3,)],
+        "tree_edges": [(0, 1), (0, 2), (0, 3)],
+        "separators": [(), (), ()],
+    }
     assert_valid_clique_tree(p, tree)
 
 
 def test_clique_tree_edges_sorted_by_separator_size():
     # two triangles sharing an edge, a pendant edge on each side
     p = validate_pattern(6, [(0, 1), (1, 2), (1, 3), (2, 3), (2, 4), (3, 4), (4, 5)])
-    tree = tree_views(clique_tree(p))
-    assert tree.cliques == ((0, 1), (1, 2, 3), (2, 3, 4), (4, 5))
-    assert tree.tree_edges == ((1, 2), (0, 1), (2, 3))
-    assert tree.separators == ((2, 3), (1,), (4,))
+    assert tree_views(clique_tree(p)) == {
+        "cliques": [(0, 1), (1, 2, 3), (2, 3, 4), (4, 5)],
+        "tree_edges": [(1, 2), (0, 1), (2, 3)],
+        "separators": [(2, 3), (1,), (4,)],
+    }
 
 
 @given(st.integers(0, 10 ** 6))
