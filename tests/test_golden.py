@@ -47,6 +47,14 @@ CASES = ALL_COMMANDS + [
     ]
 ] + [
     ("cliques", "pattern_cycle4.json"),
+] + [
+    (*argv, *flags)
+    for argv in [
+        ("square-partition", "pattern_nonchordal_components.json"),
+        ("square-partition", "pattern_chordal_components.json"),
+        ("peo", "pattern_chordal_components.json"),
+    ]
+    for flags in [(), ("--pretty",)]
 ]
 
 
