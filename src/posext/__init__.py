@@ -58,7 +58,6 @@ from .linalg import (
 )
 from .pattern import (
     CliqueTree,
-    EliminationOrder,
     Pattern,
     chordless_cycles,
     clique_tree,

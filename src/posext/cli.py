@@ -44,8 +44,7 @@ def _cmd_chordal(args):
 
 
 def _cmd_peo(args):
-    order = pat.perfect_elimination_order(_load_pattern(args.pattern))
-    return {"order": list(order.order)}
+    return {"order": pat.perfect_elimination_order(_load_pattern(args.pattern)).tolist()}
 
 
 def _cmd_cliques(args):

@@ -36,10 +36,11 @@ from .errors import (
     NotSupported,
     TooLarge,
 )
-from .pattern import CliqueTree, Pattern, clique_tree, is_chordal, maximal_cliques
+from .pattern import CliqueTree, Pattern, _are_pairs, clique_tree, is_chordal, maximal_cliques
 
 _SUPPORT_REL = 1e-10
 _RESIDUAL_REL = 1e-5  # decompose: largest |sum v v* - T| entry, relative to max |T|
+_DAMPING_REL = 1e-12  # decompose: mu, added to each eliminated block's diagonal, relative to max |T|
 MAX_DENSE_DIM = 4096  # a dense complex matrix this size takes 256 MiB
 
 
@@ -123,16 +124,17 @@ def _missing(p: Pattern, blocks: Mapping) -> list[tuple[int, int]]:
 def _extraneous(p: Pattern, blocks: Mapping) -> list:
     """The four least keys of blocks that are not pairs of p."""
 
-    def is_pair(key) -> bool:
-        if key in p.edges:
-            return True
+    def ends(key) -> tuple[int, int]:  # (-1, -1) unless 0 <= i <= j < n
         try:
-            i, j = key
-            return i == j and 0 <= operator.index(i) < p.n
+            i, j = map(operator.index, key)
         except (TypeError, ValueError):  # not a pair of integers
-            return False
+            return -1, -1
+        return (i, j) if 0 <= i <= j < p.n else (-1, -1)
 
-    return sorted(k for k in blocks if not is_pair(k))[:4]
+    keys = list(blocks)
+    i, j = np.array(list(map(ends, keys)), dtype=np.int64).reshape(-1, 2).T
+    is_pair = _are_pairs(p, i, j) & (i >= 0)
+    return sorted(key for key, ok in zip(keys, is_pair.tolist()) if not ok)[:4]
 
 
 @dataclass(frozen=True, eq=False)
@@ -306,12 +308,14 @@ def rank_one_positive_decomposition(
 
     Walks the clique tree from the leaves: a leaf clique C with separator
     S absorbs its exclusive rows/columns B = C - S into a PSD part R with
-    R[S,S] = T[S,B] (T[B,B])^+ T[B,S], which is eigendecomposed into rank
-    ones; the residue T - R is supported on the remaining cliques and is
-    processed recursively. Every factor support lies inside a maximal
-    clique and the factors sum back to the input. Each part gives one
-    factor per eigenvalue above tol (by default 1e-9 (1 + its largest
-    diagonal entry)). Eigenvalues of a part that elimination error pushes
+    R[B,B] = T[B,B] + mu I, R[S,S] = T[S,B] (T[B,B] + mu I)^-1 T[B,S] and
+    mu = 1e-12 max |T|, which is eigendecomposed into rank ones; the
+    residue T - R is supported on the remaining cliques and is processed
+    recursively. The damping keeps small pivots from amplifying rounding
+    along the tree. Every factor support lies inside a maximal clique and
+    the factors sum back to the input, up to mu on the B diagonals. Each
+    part gives one factor per eigenvalue above tol (by default 1e-9 (1 +
+    its largest diagonal entry)). Eigenvalues of a part that elimination error pushes
     below -tol give no factor, just as those in [-tol, tol] give none.
     NotPSD is raised when the input fails is_psd, or when a part had such
     an eigenvalue and an entry of sum v v* - T exceeds 1e-5 max |T|.
@@ -324,7 +328,10 @@ def rank_one_positive_decomposition(
     if not linalg.is_psd(t, tol):
         raise NotPSD("matrix is not PSD within tolerance")
     _check_supported(t, p)
-
+    top = np.abs(t).max(initial=0.0)
+    if top == 0.0:
+        return []
+    mu = _DAMPING_REL * top
     residue = t.copy()
     recon = np.zeros_like(t)
     lowest = 0.0  # the least part eigenvalue below its tol
@@ -335,8 +342,13 @@ def rank_one_positive_decomposition(
             own = clique[~inner]
             t_bs = residue[np.ix_(own, sep)]
             t_sb = t_bs.conj().T
-            r_ss = t_sb @ linalg.pseudo_inverse(residue[np.ix_(own, own)]) @ t_bs
+            t_bb = residue[np.ix_(own, own)] + mu * np.eye(len(own))
+            try:
+                r_ss = t_sb @ np.linalg.solve(t_bb, t_bs)
+            except np.linalg.LinAlgError:  # the own block has the eigenvalue -mu exactly
+                r_ss = t_sb @ linalg.pseudo_inverse(t_bb) @ t_bs
             part = residue[np.ix_(clique, clique)]
+            part[np.ix_(~inner, ~inner)] = t_bb
             part[np.ix_(inner, ~inner)] = t_sb
             part[np.ix_(inner, inner)] = r_ss
             residue[np.ix_(sep, sep)] -= r_ss
@@ -357,7 +369,7 @@ def rank_one_positive_decomposition(
         if kept:
             local = np.array([f.vector for f in kept])
             recon[np.ix_(clique, clique)] += local.T @ local.conj()
-    miss, bound = np.abs(recon - t).max(initial=0.0), _RESIDUAL_REL * np.abs(t).max(initial=0.0)
+    miss, bound = np.abs(recon - t).max(initial=0.0), _RESIDUAL_REL * top
     if lowest < 0.0 and miss > bound:
         raise NotPSD(
             f"clique part eigenvalue {lowest:.3e} leaves the factors {miss:.3e} from the matrix,"

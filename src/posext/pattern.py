@@ -5,8 +5,8 @@ implicit: every diagonal pair is considered present and is never stored.
 It is held sparse. `edge_array` is one read-only (m, 2) int64 array of
 the edges (i, j), i < j, sorted; the compressed sparse rows `indptr`
 and `indices` (both orientations, each row sorted) and the row-major
-`pairs` of the support are built from it in O(n + m). The frozenset
-views `edges` and `adjacency` are made only when asked for.
+`pairs` of the support are built from it in O(n + m). Every edge and
+neighbour query is answered from these arrays.
 
 One maximum cardinality search per pattern, cached on the pattern, gives
 its elimination order and recognises chordality; on chordal patterns the
@@ -24,6 +24,7 @@ and a brute-force chordless-cycle oracle is provided for cross-checking.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -62,11 +63,6 @@ class Pattern:
     def __hash__(self) -> int:
         return hash((self.n, self.edge_array.tobytes()))
 
-    @cached_property
-    def edges(self) -> frozenset[tuple[int, int]]:
-        """The edges as (i, j) tuples with i < j."""
-        return frozenset(map(tuple, self.edge_array.tolist()))
-
     @property
     def indptr(self) -> np.ndarray:
         """Read-only CSR row pointers: the neighbours of v are indices[indptr[v]:indptr[v + 1]]."""
@@ -95,11 +91,6 @@ class Pattern:
         return indptr, indices
 
     @cached_property
-    def adjacency(self) -> tuple[frozenset[int], ...]:
-        ptr, nbr = self.indptr.tolist(), self.indices.tolist()
-        return tuple(frozenset(nbr[a:b]) for a, b in zip(ptr, ptr[1:]))
-
-    @cached_property
     def pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only (rows, cols) of the pairs i <= j of the support, in row-major order."""
         n, (i, j) = self.n, self.edge_array.T
@@ -118,13 +109,6 @@ class Pattern:
     def structure(self) -> ChordalStructure:
         """The chordal structure, computed once per pattern."""
         return _chordal_structure(self)
-
-
-@dataclass(frozen=True)
-class EliminationOrder:
-    """A vertex order in which each vertex's later neighbours form a clique."""
-
-    order: tuple[int, ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,16 +155,16 @@ def _tuples(flat: np.ndarray, ptr: np.ndarray) -> list[tuple[int, ...]]:
     return list(map(values.__getitem__, map(slice, bounds, bounds[1:])))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChordalStructure:
     """What one maximum cardinality search reveals about a pattern.
 
-    order is the reversed visit order; it is a perfect elimination order
-    exactly when chordal is True. tree is the clique tree of a chordal
-    pattern and None otherwise.
+    order is the reversed visit order, a read-only int64 array; it is a
+    perfect elimination order exactly when chordal is True. tree is the
+    clique tree of a chordal pattern and None otherwise.
     """
 
-    order: tuple[int, ...]
+    order: np.ndarray
     chordal: bool
     tree: CliqueTree | None
 
@@ -293,17 +277,20 @@ def _chordal_structure(p: Pattern) -> ChordalStructure:
                     key[u] = x = x + n
                     follower[u] = v  # the last such v before u is visited is its follower
                     push(heap, -x)
-    order = tuple(reversed(visit))
     visit = np.array(visit, dtype=np.int64)
+    visit.flags.writeable = False  # so order, its reversed view, is read-only too
+    order = visit[::-1]
 
-    # Each edge (i, j) seen from its later endpoint: u is an earlier neighbour of later.
+    # Each edge (i, j) seen from its later endpoint: u is an earlier neighbour
+    # of later. u was visited no later than the follower f of later, so u is
+    # an earlier neighbour of f exactly when it is f or adjacent to f.
     at = np.empty(n, dtype=np.int64)
     at[visit] = np.arange(n)
     i, j = p.edge_array.T
     later = np.where(at[i] > at[j], i, j)
     u = i + j - later
     follower_of = np.array(follower, dtype=np.int64)
-    if not _is_perfect(p, u, follower_of[later]):
+    if not _are_pairs(p, u, follower_of[later]).all():
         return ChordalStructure(order, False, None)
 
     # Blair-Peyton, by visit position k: k opens a clique unless it has more
@@ -400,23 +387,16 @@ def _gather(flat: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> tuple[
     return flat[np.arange(ptr[-1]) + np.repeat(starts - ptr[:-1], lengths)], ptr
 
 
-def _is_perfect(p: Pattern, u: np.ndarray, f: np.ndarray) -> bool:
-    """True iff u[k] is adjacent to f[k] wherever the two differ.
+def _are_pairs(p: Pattern, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Whether each (a[k], b[k]) of vertices is a pair of the support: equal, or an edge.
 
-    For edge k seen from its later endpoint v, u[k] is an earlier
-    neighbour of v and f[k] the follower of v. Such a u was visited
-    before f, since f is the last earlier neighbour visited, so u
-    adjacent to f is u an earlier neighbour of f. The pairs are looked
-    up by binary search among the sorted edge keys i n + j.
+    Edges are found by one binary search among the sorted edge keys i n + j,
+    closed by n n, which is above every key of two vertices and fits in int64.
     """
     n, (i, j) = p.n, p.edge_array.T
-    u, f = u[u != f], f[u != f]
-    if not len(u):
-        return True
-    sought = np.minimum(u, f) * n + np.maximum(u, f)
-    have = i * n + j
-    at = np.minimum(np.searchsorted(have, sought), len(have) - 1)
-    return bool((have[at] == sought).all())
+    have = np.append(i * n + j, n * n)
+    sought = np.minimum(a, b) * n + np.maximum(a, b)
+    return (a == b) | (have[np.searchsorted(have, sought)] == sought)
 
 
 def is_chordal(p: Pattern) -> bool:
@@ -424,24 +404,25 @@ def is_chordal(p: Pattern) -> bool:
     return p.structure.chordal
 
 
-def perfect_elimination_order(p: Pattern) -> EliminationOrder:
-    """Return a perfect elimination order, or raise NotChordal."""
+def perfect_elimination_order(p: Pattern) -> np.ndarray:
+    """Return a perfect elimination order as a read-only int64 array, or raise NotChordal."""
     if not p.structure.chordal:
         raise NotChordal("pattern admits no perfect elimination order")
-    return EliminationOrder(p.structure.order)
+    return p.structure.order
 
 
 def _bron_kerbosch(p: Pattern) -> list[frozenset[int]]:
-    adj = p.adjacency
+    ptr, nbr = p.indptr.tolist(), p.indices.tolist()
     out: list[frozenset[int]] = []
 
     def walk(r: set[int], cand: set[int], excl: set[int]) -> None:
         if not cand and not excl:
             out.append(frozenset(r))
             return
-        pivot = min(cand | excl, key=lambda u: (-len(cand & adj[u]), u))
-        for v in sorted(cand - adj[pivot]):
-            walk(r | {v}, cand & adj[v], excl & adj[v])
+        pivot = min(cand | excl, key=lambda u: (-len(cand.intersection(nbr[ptr[u] : ptr[u + 1]])), u))
+        for v in sorted(cand.difference(nbr[ptr[pivot] : ptr[pivot + 1]])):
+            row = nbr[ptr[v] : ptr[v + 1]]
+            walk(r | {v}, cand.intersection(row), excl.intersection(row))
             cand.discard(v)
             excl.add(v)
 
@@ -491,15 +472,14 @@ def chordless_cycles(p: Pattern, max_len: int) -> list[list[int]]:
         raise TooLarge(
             f"chordless-cycle enumeration is capped at n <= {_CYCLE_ORACLE_CAP}"
         )
-    adj = p.adjacency
+    ptr, nbr = p.indptr.tolist(), p.indices.tolist()
     found: list[list[int]] = []
 
     def extend(path: list[int]) -> None:
-        last = path[-1]
-        for u in sorted(adj[last]):
+        for u in nbr[ptr[path[-1]] : ptr[path[-1] + 1]]:
             if u <= path[0] or u in path:
                 continue
-            hits = [k for k in range(len(path) - 1) if u in adj[path[k]]]
+            hits = [k for k in range(len(path) - 1) if u in nbr[ptr[path[k]] : ptr[path[k] + 1]]]
             if not hits:
                 if len(path) < max_len:
                     extend(path + [u])
@@ -508,7 +488,7 @@ def chordless_cycles(p: Pattern, max_len: int) -> list[list[int]]:
 
     if max_len >= 4:
         for s in range(p.n):
-            for t in sorted(adj[s]):
+            for t in nbr[ptr[s] : ptr[s + 1]]:
                 if t > s:
                     extend([s, t])
     return sorted(found, key=lambda c: (len(c), c))
@@ -517,19 +497,21 @@ def chordless_cycles(p: Pattern, max_len: int) -> list[list[int]]:
 def square_partition(p: Pattern) -> list[tuple[int, ...]]:
     """Partition the vertices into cliques, greedily.
 
-    Repeatedly extracts the lexicographically least maximal clique of the
-    pattern induced on the remaining vertices; singletons always work
-    because the diagonal is implicit.
+    Each block is the lexicographically least maximal clique of the
+    pattern induced on the vertices not yet taken: the least such vertex
+    and those of its neighbours, ascending, that are adjacent to every
+    member so far (a binary search in their CSR row).
     """
-    adj = p.adjacency
-    remaining = list(range(p.n))
+    ptr, nbr = p.indptr.tolist(), p.indices.tolist()
+    taken = bytearray(p.n)
     blocks: list[tuple[int, ...]] = []
-    while remaining:
-        block = [remaining[0]]
-        for w in remaining[1:]:
-            if adj[w].issuperset(block):
-                block.append(w)
-        blocks.append(tuple(block))
-        taken = set(block)
-        remaining = [v for v in remaining if v not in taken]
+    for v in range(p.n):
+        if taken[v]:
+            continue
+        taken[v], block = 1, (v,)
+        for u in map(nbr.__getitem__, range(ptr[v], ptr[v + 1])):
+            lo, hi = ptr[u], ptr[u + 1]
+            if not taken[u] and all((at := bisect_left(nbr, w, lo, hi)) < hi and nbr[at] == w for w in block):
+                taken[u], block = 1, block + (u,)
+        blocks.append(block)
     return blocks

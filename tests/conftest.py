@@ -93,7 +93,7 @@ def random_chordal_components(
     edges = []
     for piece in np.split(np.array(labels, dtype=int), cuts):
         sub = random_chordal_pattern(rng, len(piece), density)
-        edges.extend((int(piece[i]), int(piece[j])) for i, j in sub.edges)
+        edges.extend((int(piece[i]), int(piece[j])) for i, j in sub.edge_array.tolist())
     return validate_pattern(n, edges)
 
 
@@ -122,7 +122,7 @@ def psd_supported_on(rng: np.random.Generator, p: Pattern) -> np.ndarray:
 def dense_mask(p: Pattern) -> np.ndarray:
     """Oracle: the n x n support of a pattern, the diagonal and both orientations of each edge."""
     out = np.eye(p.n, dtype=bool)
-    for i, j in p.edges:
+    for i, j in p.edge_array.tolist():
         out[i, j] = out[j, i] = True
     return out
 
@@ -131,7 +131,7 @@ def is_valid_elimination_order(p: Pattern, order) -> bool:
     pos = {v: k for k, v in enumerate(order)}
     mask = dense_mask(p)
     for v in order:
-        later = [w for w in p.adjacency[v] if pos[w] > pos[v]]
+        later = [w for w in range(p.n) if mask[v, w] and pos[w] > pos[v]]
         for a in range(len(later)):
             for b in range(a + 1, len(later)):
                 if not mask[later[a], later[b]]:
@@ -162,18 +162,45 @@ def simplicial_cliques(p: Pattern) -> list[tuple[int, ...]]:
     Repeatedly removes the lowest vertex whose remaining neighbours form
     a clique; every maximal clique is such a vertex plus those neighbours.
     """
+    adj = [set() for _ in range(p.n)]
+    for i, j in p.edge_array.tolist():
+        adj[i].add(j)
+        adj[j].add(i)
     live = set(range(p.n))
     cand = []
     while live:
         for v in sorted(live):
-            nbrs = p.adjacency[v] & live
-            if all(nbrs - {a} <= p.adjacency[a] for a in nbrs):
+            nbrs = adj[v] & live
+            if all(nbrs - {a} <= adj[a] for a in nbrs):
                 break
         else:
             raise AssertionError("pattern has no simplicial vertex, so is not chordal")
         cand.append(frozenset(nbrs | {v}))
         live.remove(v)
     return sorted(tuple(sorted(c)) for c in set(cand) if not any(c < d for d in cand))
+
+
+def ref_square_partition(p: Pattern) -> list[tuple[int, ...]]:
+    """Reference for square_partition: the remaining vertices rebuilt after every block.
+
+    Each block is the lexicographically least maximal clique of the
+    pattern induced on the remaining vertices.
+    """
+    adj = [set() for _ in range(p.n)]
+    for i, j in p.edge_array.tolist():
+        adj[i].add(j)
+        adj[j].add(i)
+    remaining = list(range(p.n))
+    blocks = []
+    while remaining:
+        block = [remaining[0]]
+        for w in remaining[1:]:
+            if adj[w].issuperset(block):
+                block.append(w)
+        blocks.append(tuple(block))
+        taken = set(block)
+        remaining = [v for v in remaining if v not in taken]
+    return blocks
 
 
 def packed(seqs) -> tuple[np.ndarray, np.ndarray]:
@@ -386,7 +413,7 @@ def ref_kernel_blocks(g: FiniteGroup, u, p: Pattern) -> dict:
     blocks = {}
     for i in range(g.order):
         blocks[(i, i)] = np.array([[u(g.identity)]], dtype=complex)
-    for i, j in p.edges:
+    for i, j in p.edge_array.tolist():
         blocks[(i, j)] = np.array([[u(g.mul(j, g.inverse[i]))]], dtype=complex)
     return blocks
 
@@ -604,7 +631,10 @@ def _ref_emit_items(items, out, indent, open_ch, close_ch, key: bool) -> None:
 
 def ref_chordal_structure(p: Pattern):
     """Reference for _chordal_structure: followers found after the search ends."""
-    adj = p.adjacency
+    adj = [set() for _ in range(p.n)]
+    for i, j in p.edge_array.tolist():
+        adj[i].add(j)
+        adj[j].add(i)
     weight = [0] * p.n
     heap = [(0, -v) for v in range(p.n)]
     heapq.heapify(heap)
@@ -621,7 +651,7 @@ def ref_chordal_structure(p: Pattern):
             if earlier[u] is None:
                 weight[u] += 1
                 heapq.heappush(heap, (-weight[u], -u))
-    order = tuple(reversed(visit))
+    order = np.array(visit[::-1], dtype=np.int64)
 
     pos = {v: k for k, v in enumerate(visit)}
     follower = {v: max(earlier[v], key=pos.__getitem__) for v in visit if earlier[v]}

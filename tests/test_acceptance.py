@@ -58,7 +58,7 @@ def report(number: int, ok: bool, label: str) -> None:
 def _equiv_holds(p) -> bool:
     chordal = is_chordal(p)
     try:
-        peo_ok = is_valid_elimination_order(p, perfect_elimination_order(p).order)
+        peo_ok = is_valid_elimination_order(p, perfect_elimination_order(p).tolist())
     except NotChordal:
         peo_ok = False
     cycle_free = chordless_cycles(p, p.n) == []

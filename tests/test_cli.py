@@ -272,16 +272,12 @@ def test_complete_with_a_fill_beyond_the_float_range_exits_2(capsys):
     assert proc.stderr == "error: InputError: entry (0,2) of the completion overflows\n"
 
 
-def test_decompose_drops_part_eigenvalues_that_elimination_pushes_below_tol(capsys):
-    """A rank-8 sum of one v v^T per clique of band-2 n = 10 that is_psd accepts.
-
-    Elimination leaves a part with eigenvalue -8.0e-06, below -tol = -2.2e-09;
-    that eigenvalue gives no factor, and the call exits 0.
-    """
-    files = fx("matrix_band2_n10_rank8.json"), fx("pattern_band2_n10.json")
+def _assert_decompose_sums_back(capsys, matrix, pattern, rank):
+    """decompose exits 0, each factor lies inside a clique, and the factors miss T by at most 1e-5 max |T|."""
+    files = fx(matrix), fx(pattern)
     t = ser.matrix_from_json(ser.load_json(files[0]))
     p = ser.pattern_from_json(ser.load_json(files[1]))
-    assert is_psd(t) and np.linalg.matrix_rank(t) == 8
+    assert is_psd(t) and np.linalg.matrix_rank(t) == rank
     code, out = run_cli(capsys, "decompose", *files)
     assert code == 0
     factors = json.loads(out)["factors"]
@@ -293,6 +289,28 @@ def test_decompose_drops_part_eigenvalues_that_elimination_pushes_below_tol(caps
         assert any(held <= c for c in cliques)
         recon += np.outer(v, v.conj())
     assert np.abs(recon - t).max() <= 1e-5 * np.abs(t).max()
+
+
+def test_decompose_drops_part_eigenvalues_that_elimination_pushes_below_tol(capsys):
+    """A rank-8 sum of one v v^T per clique of band-2 n = 10 that is_psd accepts.
+
+    Undamped, elimination left a part the eigenvalue -8.0e-06, below
+    -tol = -2.2e-09, and dropping it put the factors 4.7e-06 off. The
+    damped leaf step keeps every part eigenvalue above -tol: 9 factors,
+    9.3e-12 off.
+    """
+    _assert_decompose_sums_back(capsys, "matrix_band2_n10_rank8.json", "pattern_band2_n10.json", 8)
+
+
+def test_decompose_of_a_rank_deficient_band2_clique_sum(capsys):
+    """One real standard-normal 3-vector per clique of band-2 n = 100 (seed 0), rank 98.
+
+    Undamped, small pivots amplified the rounding along the tree until the
+    root part had the eigenvalue -7.2, and the call exited 3.
+    """
+    _assert_decompose_sums_back(
+        capsys, "matrix_band2_n100_rank_deficient.json", "pattern_band2_n100.json", 98
+    )
 
 
 def test_decompose_exits_3_where_dropped_part_eigenvalues_would_miss_the_matrix(capsys):

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -133,7 +134,7 @@ def test_partial_matrix_holds_one_read_only_stack_in_pair_order():
     assert not m.values.flags.writeable
     rows, cols = p.pairs
     assert list(zip(rows.tolist(), cols.tolist())) == sorted(
-        [(i, i) for i in range(p.n)] + sorted(p.edges)
+        [(i, i) for i in range(p.n)] + list(map(tuple, p.edge_array.tolist()))
     )
     for k, (i, j) in enumerate(zip(rows.tolist(), cols.tolist())):
         block = a[2 * i : 2 * i + 2, 2 * j : 2 * j + 2]
@@ -166,6 +167,31 @@ def test_block_cover_message_names_the_set_differences(drop, add):
     message = f"(missing {missing}, extraneous {extra})"
     with pytest.raises(InputError, match=re.escape(message) + "$"):
         PartialHermitianMatrix(p, 1, blocks)
+
+
+def test_block_cover_message_on_a_pattern_without_edges():
+    with pytest.raises(InputError, match=re.escape("(missing [], extraneous [(0, 1)])") + "$"):
+        PartialHermitianMatrix(validate_pattern(2, []), 1, {(0, 0): [[1]], (0, 1): [[0]], (1, 1): [[1]]})
+
+
+def test_block_cover_message_on_a_large_pattern_takes_no_object_per_edge():
+    """Band-2 n = 2e5 with 3 blocks: the message names the keys, and memory stays far below
+    the ~100 MB that one (i, j) tuple per edge took."""
+    p = band_pattern(200_000, 2)
+    p.pairs  # the pattern's own arrays are built before the measurement
+    blocks = {(0, 0): [[1]], (0, 3): [[0]], (1, 0): [[0]]}
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError) as info:
+            PartialHermitianMatrix(p, 1, blocks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == (
+        "blocks must cover the pattern pairs exactly "
+        "(missing [(0, 1), (0, 2), (1, 1), (1, 2)], extraneous [(0, 3), (1, 0)])"
+    )
+    assert peak < 25e6
 
 
 @pytest.mark.parametrize(
@@ -335,6 +361,16 @@ def test_rank_one_decomposition_identity_and_zero():
     assert rank_one_positive_decomposition(
         np.zeros((1, 1)), validate_pattern(1, [])
     ) == []
+    assert rank_one_positive_decomposition(np.zeros((3, 3)), p) == []
+
+
+def test_rank_one_decomposition_of_an_own_block_at_minus_mu():
+    """T[2,2] = -1e-12 max |T|, which is_psd accepts: the damped block is exactly
+    singular, so the leaf step falls back to its pseudo-inverse and vertex 2 gives
+    no factor."""
+    p = band_pattern(3, 1)
+    factors = rank_one_positive_decomposition(np.diag([1.0, 1.0, -1e-12]), p)
+    assert sorted(f.support for f in factors) == [(0,), (1,)]
 
 
 def test_rank_one_decomposition_band1_example():
@@ -384,8 +420,9 @@ def test_decomposition_of_clique_sums_sums_back_to_the_matrix_or_raises_not_psd(
     An input that is_psd rejects at the same tol raises NotPSD. Otherwise
     the factors sum back to it within 1e-5 max |T|, or, when elimination
     error leaves a clique part an eigenvalue too negative for that, the
-    call raises NotPSD too. Seed 663 is such a case: a band-1 chain of 14
-    cliques whose part eigenvalue -0.82 would put the factors 0.82 off.
+    call raises NotPSD too. Seed 663, a band-1 chain of 14 cliques, is kept:
+    without the damped leaf step a part eigenvalue of -0.82 put its factors
+    0.82 off, and now they sum back.
     """
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 16))
@@ -594,11 +631,11 @@ def test_multiplier_and_verification_match_reference_loops(d, seed):
     nudged_on = a.copy()
     nudged_off = a.copy()
     nudged_below = a.copy()  # the upper blocks still agree
-    if p.edges:
-        i, j = min(p.edges)
+    if len(p.edge_array):
+        i, j = p.edge_array[0].tolist()
         nudged_on[i * d, j * d] += 1e-3
         nudged_below[j * d, i * d] += 1e-3
-    if len(p.edges) < n * (n - 1) // 2:
+    if len(p.edge_array) < n * (n - 1) // 2:
         i, j = next((i, j) for i in range(n) for j in range(i + 1, n) if not mask[i, j])
         nudged_off[i * d, j * d] += 1e-3
         nudged_off[j * d, i * d] += 1e-3
@@ -708,7 +745,7 @@ def symmetries(rng, m):
     inv = np.argsort(perm)  # vertex v of m becomes perm[v]
     phases = np.exp(2j * np.pi * rng.random(n * d))
     c = 10.0 ** rng.uniform(-3, 3)
-    relabelled = validate_pattern(n, [(int(perm[i]), int(perm[j])) for i, j in m.pattern.edges])
+    relabelled = validate_pattern(n, [(int(perm[i]), int(perm[j])) for i, j in m.pattern.edge_array.tolist()])
     maps = [
         ("relabel", relabelled, lambda x: x.reshape(n, d, n, d)[inv][:, :, inv].reshape(n * d, -1)),
         ("congruence", m.pattern, lambda x: phases[:, None] * x * phases.conj()),

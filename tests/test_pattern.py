@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -14,6 +16,7 @@ from conftest import (
     random_chordal_pattern,
     random_pattern,
     ref_chordal_structure,
+    ref_square_partition,
     tree_views,
 )
 from posext import (
@@ -33,12 +36,12 @@ from posext.pattern import MAX_VERTICES, _lexicographic_order
 def test_validate_merges_duplicates_and_reversals():
     p = validate_pattern(4, [(0, 1), (1, 0), (2, 3)])
     assert p.n == 4
-    assert p.edges == frozenset({(0, 1), (2, 3)})
+    assert p.edge_array.tolist() == [[0, 1], [2, 3]]
 
 
 def test_validate_empty_edges_keeps_diagonal_only():
     p = validate_pattern(3, [])
-    assert p.edges == frozenset()
+    assert p.edge_array.tolist() == []
     assert dense_mask(p)[1, 1]
     assert not dense_mask(p)[0, 1]
 
@@ -61,13 +64,19 @@ def test_band2_pattern_is_chordal_and_cycle_free():
 
 def test_elimination_order_band1():
     p = band_pattern(4, 1)
-    order = perfect_elimination_order(p).order
-    assert order == (0, 1, 2, 3)
+    order = perfect_elimination_order(p).tolist()
+    assert order == [0, 1, 2, 3]
     assert is_valid_elimination_order(p, order)
 
 
+def test_elimination_order_is_a_read_only_int64_array():
+    order = perfect_elimination_order(validate_pattern(5, [(0, 3), (1, 2), (3, 4)]))
+    assert order.dtype == np.int64 and not order.flags.writeable
+    assert order.tolist() == [1, 2, 0, 3, 4]
+
+
 def test_elimination_order_complete_is_identity():
-    assert perfect_elimination_order(complete_pattern(3)).order == (0, 1, 2)
+    assert perfect_elimination_order(complete_pattern(3)).tolist() == [0, 1, 2]
 
 
 def test_elimination_order_cycle4_impossible_exhaustively():
@@ -166,6 +175,35 @@ def test_square_partition_properties(seed):
         assert all(mask[a, b] for a in block for b in block)
 
 
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["random graph", "chordal components", "chordal components less an edge"]),
+)
+def test_square_partition_matches_the_reference_greedy(seed, kind):
+    """n <= 30: non-chordal graphs, several components and isolated vertices included."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(0, 31))
+    if kind == "random graph":
+        p = random_pattern(rng, n, n * (n - 1) // 2)
+    else:
+        p = random_chordal_components(rng, n, int(rng.integers(1, 6)), density=0.5)
+        edges = p.edge_array.tolist()
+        if kind.endswith("less an edge") and edges:
+            del edges[int(rng.integers(len(edges)))]
+            p = validate_pattern(n, edges)
+    assert square_partition(p) == ref_square_partition(p)
+
+
+def test_square_partition_of_a_long_band_is_one_pass():
+    """Band-2 n = 50,000 within 5 s; rebuilding the remaining vertices after each block is
+    quadratic, about 40 s here."""
+    p = band_pattern(50_000, 2)
+    start = time.perf_counter()
+    blocks = square_partition(p)
+    assert time.perf_counter() - start < 5.0
+    assert len(blocks) == 16_667 and blocks[0] == (0, 1, 2) and blocks[-1] == (49_998, 49_999)
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_chordality_equivalence_randomized(seed):
     rng = np.random.default_rng(seed)
@@ -174,7 +212,7 @@ def test_chordality_equivalence_randomized(seed):
         p = random_pattern(rng, n, 16)
         chordal = is_chordal(p)
         try:
-            order = perfect_elimination_order(p).order
+            order = perfect_elimination_order(p).tolist()
             peo_ok = is_valid_elimination_order(p, order)
         except NotChordal:
             peo_ok = False
@@ -196,7 +234,7 @@ def test_maximal_cliques_invariants(seed):
         for d in cliques:
             assert not (set(c) < set(d))
     covered = {e for c in cliques for e in _pairs(c)}
-    assert p.edges <= covered
+    assert set(map(tuple, p.edge_array.tolist())) <= covered
 
 
 @given(st.integers(0, 10 ** 6))
@@ -249,7 +287,7 @@ def test_clique_tree_empty_pattern():
     p = validate_pattern(0, [])
     assert tree_views(clique_tree(p)) == {"cliques": [], "tree_edges": [], "separators": []}
     assert maximal_cliques(p) == []
-    assert perfect_elimination_order(p).order == ()
+    assert perfect_elimination_order(p).tolist() == []
 
 
 def test_clique_tree_components_join_clique_zero_in_order():
@@ -281,7 +319,12 @@ def test_clique_tree_on_several_components(seed):
     p = random_chordal_components(rng, n, int(rng.integers(3, 7)))
     tree = clique_tree(p)
     assert_valid_clique_tree(p, tree)
-    assert is_valid_elimination_order(p, perfect_elimination_order(p).order)
+    assert is_valid_elimination_order(p, perfect_elimination_order(p).tolist())
+
+
+def _fields(s):
+    """A chordal structure as values that compare with ==: the order as a list."""
+    return s.order.tolist(), s.chordal, s.tree
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -297,10 +340,11 @@ def test_structure_matches_the_reference_search(seed):
             p = random_pattern(rng, n, 2 * n)
         else:
             p = random_chordal_components(rng, n, int(rng.integers(1, 4)), density=0.3)
-            if p.edges:
-                gone = sorted(p.edges)[int(rng.integers(len(p.edges)))]
-                p = validate_pattern(n, p.edges - {gone})
-        assert p.structure == ref_chordal_structure(p)
+            edges = p.edge_array.tolist()
+            if edges:
+                del edges[int(rng.integers(len(edges)))]
+                p = validate_pattern(n, edges)
+        assert _fields(p.structure) == _fields(ref_chordal_structure(p))
         chordal += p.structure.chordal
     assert 0 < chordal < 50
 
@@ -315,7 +359,7 @@ def raw_edge_lists(draw):
     n = draw(st.integers(0, 14))
     if n and draw(st.booleans()):
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-        edges = sorted(random_chordal_components(rng, n, draw(st.integers(1, 4))).edges)
+        edges = list(map(tuple, random_chordal_components(rng, n, draw(st.integers(1, 4))).edge_array.tolist()))
     else:
         vertex = st.integers(0, max(n - 1, 0))
         edges = draw(st.lists(st.tuples(vertex, vertex), max_size=3 * n)) if n else []
@@ -335,28 +379,26 @@ def _dense_oracle(n, edges) -> np.ndarray:
 
 @given(raw_edge_lists())
 def test_sparse_pattern_matches_the_dense_oracle(case):
-    """pairs, CSR, adjacency and edges agree with a dense mask of the raw list."""
+    """pairs, CSR and edge_array agree with a dense mask of the raw list."""
     n, raw = case
     p = validate_pattern(n, raw)
     dense = _dense_oracle(n, raw)
     rows, cols = p.pairs
     expected = np.nonzero(np.triu(dense))
     assert rows.tolist() == expected[0].tolist() and cols.tolist() == expected[1].tolist()
-    assert p.edges == frozenset((min(i, j), max(i, j)) for i, j in raw if i != j)
-    assert p.edge_array.tolist() == sorted(map(list, p.edges))
+    assert p.edge_array.tolist() == sorted(map(list, {(min(i, j), max(i, j)) for i, j in raw if i != j}))
     off_diagonal = dense & ~np.eye(n, dtype=bool)
     for v in range(n):
         neighbours = np.flatnonzero(off_diagonal[v]).tolist()
         assert p.indices[p.indptr[v] : p.indptr[v + 1]].tolist() == neighbours
-        assert p.adjacency[v] == frozenset(neighbours)
     assert not any(a.flags.writeable for a in (p.edge_array, p.indptr, p.indices, rows, cols))
-    assert p.structure == ref_chordal_structure(p)
+    assert _fields(p.structure) == _fields(ref_chordal_structure(p))
 
 
 @given(raw_edge_lists(), raw_edge_lists())
 def test_patterns_are_equal_exactly_when_n_and_edges_are(first, second):
     p, q = validate_pattern(*first), validate_pattern(*second)
-    assert (p == q) == (p.n == q.n and p.edges == q.edges)
+    assert (p == q) == (p.n == q.n and p.edge_array.tolist() == q.edge_array.tolist())
     again = validate_pattern(first[0], [(j, i) for i, j in reversed(first[1])])
     assert again == p and hash(again) == hash(p)
     assert p != validate_pattern(p.n + 1, first[1])
@@ -391,11 +433,11 @@ def test_bad_edge_lists_name_the_first_bad_edge(n, edges, error, message):
 
 def test_whole_number_floats_and_numpy_ints_are_edges():
     p = validate_pattern(3, [[0, 2.0], (np.int64(2), np.int64(1)), [1.0, 1]])
-    assert p.edges == frozenset({(0, 2), (1, 2)})
+    assert p.edge_array.tolist() == [[0, 2], [1, 2]]
 
 
 def test_vertex_count_above_the_cap_is_too_large():
     """Edge keys i n + j must fit in int64; the parent accepted such n and failed later."""
-    assert validate_pattern(MAX_VERTICES, [(0, MAX_VERTICES - 1)]).edges == {(0, MAX_VERTICES - 1)}
+    assert validate_pattern(MAX_VERTICES, [(0, MAX_VERTICES - 1)]).edge_array.tolist() == [[0, MAX_VERTICES - 1]]
     with pytest.raises(TooLarge, match=r"^vertex count 3037000500 exceeds the cap of 3037000499$"):
         validate_pattern(MAX_VERTICES + 1, [])
