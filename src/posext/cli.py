@@ -2,8 +2,10 @@
 
 Every command reads JSON files, writes a single JSON document to stdout,
 and reports problems on stderr. Exit codes: 0 success (boolean predicate
-results are data, not failures), 2 malformed input, 3 mathematical
-infeasibility, 4 size-limit violations (a cap, or memory running out).
+results are data, not failures), 2 malformed input or a stdout that
+cannot take the output (a reader that closed the pipe early), 3
+mathematical infeasibility, 4 size-limit violations (a cap, or memory
+running out).
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 
@@ -36,7 +39,7 @@ def _load_matrix(path):
 
 
 def _load_group(path):
-    return ser.group_from_json(ser.load_json(path))
+    return ser.group_from_json(ser.load_group_json(path))
 
 
 def _cmd_chordal(args):
@@ -295,9 +298,32 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    sys.stdout.write(ser.dumps(doc, pretty=args.pretty))
-    sys.stdout.write("\n")
+    text = ser.dumps(doc, pretty=args.pretty)
+    try:
+        sys.stdout.write(text)
+        sys.stdout.write("\n")
+        sys.stdout.flush()
+    except OSError as exc:  # a reader that closed the pipe early, a full disk
+        _drop_stdout()
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
     return 0
+
+
+def _drop_stdout() -> None:
+    """Point the stdout file descriptor at os.devnull.
+
+    What stdout still buffers then goes nowhere when the interpreter
+    flushes it at exit, instead of failing again with an "Exception
+    ignored" message.
+    """
+    try:
+        fd = sys.stdout.fileno()
+    except (OSError, ValueError):  # not backed by a file descriptor
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def console() -> None:

@@ -20,9 +20,12 @@ it over right translations gives back u extended by zero (Rudin 1963).
 The extension therefore checks each coset block for positivity and
 extends by zero, without building the pattern or the completion.
 
-Each group caches its multiplication table as one array and one
-quotient table Q[s, t] = t s^{-1}; the pattern of E, the subgroup test
-and the kernels of functions on E or on G are lookups into them.
+Each group holds its multiplication table as one read-only int64 array
+and caches one quotient table Q[s, t] = t s^{-1}; the pattern of E, the
+subgroup test and the kernels of functions on E or on G are lookups
+into them. `validate_group` checks an int64 array as it is, as the CLI's
+reader and the group constructors hand it over, and any other table row
+by row.
 """
 
 from __future__ import annotations
@@ -51,24 +54,40 @@ from .pattern import Pattern, _integers
 _WORD_ORACLE_CAP = 8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteGroup:
-    """Finite group given by its multiplication table, elements 0..n-1."""
+    """Finite group given by its multiplication table, elements 0..n-1.
+
+    table_array is the int64 table M[s, t] = s t; the group takes the
+    array over and makes it read-only. Two groups are equal when they
+    have the same order, identity and table.
+    """
 
     order: int
-    table: tuple[tuple[int, ...], ...]
+    table_array: np.ndarray
     identity: int
     inverse: tuple[int, ...]
 
-    def mul(self, s: int, t: int) -> int:
-        return self.table[s][t]
+    def __post_init__(self) -> None:
+        self.table_array.flags.writeable = False
 
-    @cached_property
-    def table_array(self) -> np.ndarray:
-        """Read-only array of the table, M[s, t] = s t."""
-        m = np.array(self.table)
-        m.flags.writeable = False
-        return m
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FiniteGroup):
+            return NotImplemented
+        return (self.order, self.identity) == (other.order, other.identity) and np.array_equal(
+            self.table_array, other.table_array
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.order, self.identity, self.table_array.tobytes()))
+
+    @property
+    def table(self) -> tuple[tuple[int, ...], ...]:
+        """The table as a tuple of rows of ints, made on each call."""
+        return tuple(map(tuple, self.table_array.tolist()))
+
+    def mul(self, s: int, t: int) -> int:
+        return int(self.table_array[s, t])
 
     @cached_property
     def quotient(self) -> np.ndarray:
@@ -107,16 +126,22 @@ def validate_group(table, identity: int) -> FiniteGroup:
     a greedy one has at most log2(n) elements. Only when it fails is the
     table scanned for the lexicographically first failing triple.
 
-    Raises InputError for a non-integer entry or identity, NotLatinSquare,
-    NoIdentity, NoInverse or NotAssociative as appropriate.
+    table is an int64 array, which is checked as it is and which the
+    group takes over, or any sequence of rows of ints. Raises InputError
+    for a non-integer entry or identity, NotLatinSquare, NoIdentity,
+    NoInverse or NotAssociative as appropriate.
     """
-    rows = [_integers(row) for row in table]
+    if isinstance(table, np.ndarray) and table.ndim == 2 and table.dtype == np.int64:
+        rows, lengths = table, {table.shape[1]}
+    else:
+        rows = [_integers(row) for row in table]
+        lengths = set(map(len, rows))
     n = len(rows)
     if n == 0:
         raise NoIdentity("empty multiplication table")
-    if any(len(row) != n for row in rows):
+    if lengths != {n}:
         raise NotLatinSquare("multiplication table is not square")
-    mul = np.array(rows)  # dtype object if an entry exceeds int64
+    mul = np.asarray(rows)  # dtype object if an entry exceeds int64
     elements = np.arange(n)
     if (np.sort(mul, axis=1) != elements).any():
         raise NotLatinSquare("some row is not a permutation")
@@ -139,10 +164,7 @@ def validate_group(table, identity: int) -> FiniteGroup:
             if len(bad):
                 b, c = bad[0].tolist()
                 raise NotAssociative(f"({a}*{b})*{c} != {a}*({b}*{c})")
-    g = FiniteGroup(n, tuple(rows), e, tuple(inverse.tolist()))
-    mul.flags.writeable = False
-    vars(g)["table_array"] = mul  # the checked array seeds the cached property
-    return g
+    return FiniteGroup(n, mul, e, tuple(inverse.tolist()))
 
 
 def _generators(mul: np.ndarray, e: int) -> list[int]:
@@ -171,7 +193,7 @@ def _generators(mul: np.ndarray, e: int) -> list[int]:
 def cyclic_group(n: int) -> FiniteGroup:
     """Additive group of integers modulo n."""
     a = np.arange(n)
-    return validate_group(((a[:, None] + a) % n).tolist(), 0)
+    return validate_group((a[:, None] + a) % n, 0)
 
 
 def dihedral_group(n: int) -> FiniteGroup:
@@ -181,7 +203,7 @@ def dihedral_group(n: int) -> FiniteGroup:
     # x = (f, a) is s^f r^a, and x * (g, b) = (f xor g, b + a if g == 0 else b - a)
     flip, rot = np.divmod(np.arange(2 * n), n)
     table = (flip[:, None] ^ flip) * n + (rot + (1 - 2 * flip) * rot[:, None]) % n
-    return validate_group(table.tolist(), 0)
+    return validate_group(table, 0)
 
 
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
@@ -189,7 +211,7 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     n, m = g.order, h.order
     gt, ht = g.table_array, h.table_array
     table = (gt[:, None, :, None] * m + ht[None, :, None, :]).reshape(n * m, n * m)
-    return validate_group(table.tolist(), g.identity * m + h.identity)
+    return validate_group(table, g.identity * m + h.identity)
 
 
 def klein_four_group() -> FiniteGroup:

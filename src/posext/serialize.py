@@ -1,5 +1,10 @@
 """JSON schemas for every value the CLI reads or writes.
 
+Reading goes through json, except for a group's multiplication table:
+`load_group_json` reads it as one int64 array with np.fromstring when
+its text is strictly a list of equal-length lists of canonical ints, and
+leaves any other text to json (see `_read_table`).
+
 Emission goes through a small dumper that writes floats as %.17g, so
 that every finite float except -0.0 round-trips bit-faithfully (-0.0 is
 written "-0", which JSON readers take for the integer 0). A value takes
@@ -56,6 +61,7 @@ import cmath
 import functools
 import json
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -87,6 +93,115 @@ from .pattern import (
 def load_json(path) -> dict:
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def load_group_json(path) -> dict:
+    """A group document, its "table" an int64 array when `_read_table` takes the text.
+
+    Any other text is read by `load_json`, so it gives the same
+    document, or raises the same error, as it always did.
+    """
+    with open(path, "rb") as fh:
+        doc = _read_table(fh.read())
+    return load_json(path) if doc is None else doc
+
+
+_WS = b" \t\n\r"  # JSON's whitespace
+_WS_TO_SPACE = bytes.maketrans(b"\t\n\r", b"   ")
+_AFTER_KEY = re.compile(rb"[ \t\n\r]*:[ \t\n\r]*")
+_MAX_TABLE_INT = 10**18 - 1  # 18 digits: np.fromstring reads them exactly
+
+
+def _read_table(data: bytes) -> dict | None:
+    """The JSON document data with its "table" read as one int64 array, or None.
+
+    The table is taken only when its text is a list of equal-length,
+    nonempty lists of canonical JSON ints: an optional minus sign, no
+    leading zeros, at most 18 digits. One np.fromstring parses it, and
+    json.loads parses the rest of the document with the table replaced
+    by []. Anything else gives None: the document needs the json route,
+    which gives the same answer or raises the same error.
+
+    np.fromstring reads "-" as 0 and "007" as 7, stops at a trailing
+    comma, saturates past int64 and skips whitespace after a minus sign,
+    so the text is checked around it:
+
+    - Without a backslash in data every string reads as it is written,
+      so the one "table" in data is the top-level key when json.loads
+      finds that key in the rest.
+    - Without whitespace the text starts with [[, ends with a digit and
+      ]], and splits at "],[" into rows with the same number of commas.
+      So it has at least the rows' brackets, and np.fromstring is asked
+      for one value per comma and row, which it allocates at once. It
+      raises at whitespace between digits and at an empty item; only
+      an empty last item would end the text early and leave values
+      unread, and the last item is not empty. A minus sign before
+      whitespace is refused.
+    - What is left of the text is digits, minus signs and any bracket
+      or byte beyond the rows'. An item never has fewer digits than its
+      value written canonically, and the minus signs are counted against
+      the negative values ("-" reads as 0). So the text's length is that
+      of the values written canonically, with the commas and the rows'
+      brackets, exactly when every item is canonical and nothing else is
+      there.
+    """
+    key = data.find(b'"table"')
+    colon = _AFTER_KEY.match(data, key + 7) if key >= 0 and b"\\" not in data else None
+    if colon is None:
+        return None
+    start = colon.end()
+    stop = data.find(b'"', start)  # the table's text ends before the next key or "}"
+    stop = len(data) if stop < 0 else stop
+    brace = data.find(b"}", start, stop)
+    end = data.rfind(b"]", start, stop if brace < 0 else brace) + 1
+    layout = _table_layout(data[start:end])
+    if layout is None or b'"table"' in data[stop:]:
+        return None
+    n_rows, width, minus, length = layout
+    flat = data[start:end].translate(_WS_TO_SPACE, b"[]")
+    if minus and b"- " in flat:
+        return None
+    try:
+        values = np.fromstring(flat, dtype=np.int64, count=n_rows * width, sep=",")
+    except ValueError:
+        return None
+    low, high = int(values.min()), int(values.max())
+    if low < -_MAX_TABLE_INT or high > _MAX_TABLE_INT or np.count_nonzero(values < 0) != minus:
+        return None
+    magnitude = np.abs(values)
+    expected = values.size + minus + (values.size - 1) + 2 * (n_rows + 1)  # digits, signs, commas, brackets
+    power = 10
+    while power <= max(-low, high):  # a digit more for each power of ten a value reaches
+        expected += np.count_nonzero(magnitude >= power)
+        power *= 10
+    if expected != length:
+        return None
+    try:
+        doc = json.loads((data[:start] + b"[]" + data[end:]).decode("utf-8"))
+    except ValueError:  # the json route raises it again, with its own text
+        return None
+    if type(doc) is not dict or "table" not in doc:
+        return None
+    doc["table"] = values.reshape(n_rows, width)
+    return doc
+
+
+def _table_layout(text: bytes) -> tuple[int, int, int, int] | None:
+    """(rows, items per row, minus signs, length without whitespace) of a table's text, or None.
+
+    None unless, without whitespace, the text starts with [[, ends with a
+    digit and ]], and splits at "],[" into rows with the same number of
+    commas.
+    """
+    compact = text.translate(None, _WS)
+    if compact[:2] != b"[[" or compact[-2:] != b"]]" or not compact[-3:-2].isdigit():
+        return None
+    rows = compact[1:-1].split(b"],[")
+    widths = {row.count(b",") for row in rows}
+    if len(widths) != 1:
+        return None
+    minus = compact.count(b"-") if b"-" in compact else 0  # `in` finds a byte faster than count
+    return len(rows), widths.pop() + 1, minus, len(compact)
 
 
 def dumps(doc, pretty: bool = False) -> str:
@@ -641,7 +756,7 @@ def partial_from_json(doc) -> PartialHermitianMatrix:
 def group_to_json(g: FiniteGroup) -> dict:
     return {
         "order": g.order,
-        "table": [list(row) for row in g.table],
+        "table": g.table_array.tolist(),
         "identity": g.identity,
     }
 

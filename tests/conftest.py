@@ -372,10 +372,67 @@ def ref_dihedral_table(n: int) -> list[list[int]]:
 
 def ref_direct_product_table(g: FiniteGroup, h: FiniteGroup) -> list[list[int]]:
     n, m = g.order, h.order
+    gt, ht = g.table, h.table
     return [
-        [g.table[x // m][y // m] * m + h.table[x % m][y % m] for y in range(n * m)]
+        [gt[x // m][y // m] * m + ht[x % m][y % m] for y in range(n * m)]
         for x in range(n * m)
     ]
+
+
+# Item texts that are not canonical JSON ints, or not JSON at all.
+NON_CANONICAL_ITEMS = [
+    "true", "1.0", "1e3", "-0", "-", "007", "-05", "1 2", "- 5", "+5", "0x10", "[7]",
+    str(2**63), str(-(2**63) - 1), str(10**18), str(-(10**18)), "99999999999999999999",
+]
+
+
+def malformed_group_documents() -> list[tuple[str, bytes]]:
+    """(id, text) of group documents whose table the array reader must leave to json.
+
+    Each starts from Z_3. The item cases replace the entry (2, 2); the
+    others break the table's layout or put the "table" key where only
+    a full JSON reader finds it. Some are still valid groups to json.
+    """
+    z3 = [["0", "1", "2"], ["1", "2", "0"], ["2", "0", "1"]]
+
+    def table(rows) -> str:
+        return "[" + ", ".join("[" + ", ".join(row) + "]" for row in rows) + "]"
+
+    def doc(text: str) -> bytes:
+        return ('{"order": 3, "table": ' + text + ', "identity": 0}').encode()
+
+    out = [(f"item-{item}", doc(table(z3[:2] + [["2", "0", item]]))) for item in NON_CANONICAL_ITEMS]
+    for name, text in [
+        ("empty", "[]"),
+        ("empty-row", "[[]]"),
+        ("ragged", "[[0, 1], [1]]"),
+        ("trailing-comma", "[[0, 1,], [1, 0]]"),
+        ("trailing-comma-in-the-last-row", "[[0, 1], [1, 0,]]"),
+        ("trailing-comma-after-leading-zeros", "[[0, 1, 2], [1, 2, 0], [2, 000,]]"),
+        ("empty-last-row", "[[0], []]"),
+        ("doubled-comma", "[[0,, 1], [1, 0]]"),
+        ("third-level", "[[[0, 1], [1, 0]]]"),
+        ("item-between-rows", "[[0, 1] 5, [1, 0]]"),
+        ("ragged-rows-of-equal-mean", table([["0"] * 4, ["0"] * 10, ["0"] * 16])),
+        ("one-level", "[0, 1]"),
+        ("one-level-leading-zeros", "[000, 1]"),
+        ("one-level-leading-zero-and-bracket", "[00, 1]]"),
+        ("unclosed", "[[0, 1], [1, 0]"),
+        ("unclosed-leading-zero", "[[00, 1]"),
+    ]:
+        out.append((name, doc(text)))
+    z3_text = table(z3)
+    out += [
+        ("duplicate-key", ('{"table": [[0]], "table": ' + z3_text + ', "identity": 0}').encode()),
+        ("table-in-a-string", ('{"note": "table", "table": ' + z3_text + ', "identity": 0}').encode()),
+        ("escaped-key", ('{"t\\u0061ble": ' + z3_text + ', "identity": 0}').encode()),
+        ("escaped-key-and-decoy", ('{"x\\"table": [[0]], "t\\u0061ble": ' + z3_text + ', "identity": 0}').encode()),
+        ("nested-key", ('{"meta": {"table": ' + z3_text + '}, "identity": 0}').encode()),
+        ("missing-key", b'{"order": 3, "identity": 0}'),
+        ("bom", b"\xef\xbb\xbf" + doc(z3_text)),
+        ("invalid-utf-8", doc(z3_text)[:-1] + b', "note": "\xff"}'),
+    ]
+    return out
 
 
 def ref_star_edges(g: FiniteGroup, e: SymmetricSubset) -> set[tuple[int, int]]:

@@ -11,11 +11,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import random_chordal_components, tree_views
+from conftest import malformed_group_documents, random_chordal_components, tree_views
 from posext import Pattern, clique_tree, is_psd, maximal_cliques, validate_pattern, verify_extension
 from posext import cli
 from posext import serialize as ser
 from posext.cli import main
+from posext.errors import InputError
+from posext.groupext import validate_group
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -731,3 +733,37 @@ def test_cached_parser_is_reentrant(tmp_path, capsys, monkeypatch):
     assert (args.tol, args.pretty, args.block_size) == (None, False, 1)
     assert cli._parser() is cli._parser()
     assert cli.build_parser() is not cli.build_parser()
+
+
+def _group_validate_by_json(path):
+    """What group-validate gives when the table is read by json and checked as lists."""
+    try:
+        doc = ser.load_json(path)
+        g = validate_group(doc["table"], doc["identity"])
+    except (InputError, OSError, KeyError, TypeError, ValueError) as exc:
+        return 2, "", f"error: {type(exc).__name__}: {exc}\n"
+    return 0, ser.dumps({"valid": True, "order": g.order, "identity": g.identity}) + "\n", ""
+
+
+@pytest.mark.parametrize("data", [d for _, d in malformed_group_documents()],
+                         ids=[name for name, _ in malformed_group_documents()])
+def test_group_validate_on_malformed_tables_answers_as_the_json_route(tmp_path, capsys, data):
+    path = tmp_path / "group.json"
+    path.write_bytes(data)
+    code = main(["group-validate", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == _group_validate_by_json(path)
+    assert (captured.out + captured.err).count("\n") == 1
+
+
+def test_a_reader_that_closes_the_pipe_early_gets_one_error_line():
+    """Output beyond the pipe's buffer meets a closed pipe: exit 2 and one stderr line, no traceback."""
+    argv = ["decompose", fx("matrix_band2_n100_rank_deficient.json"), fx("pattern_band2_n100.json")]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "posext", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    )
+    assert proc.stdout.read(100).startswith(b'{"factors":[{"vector":')
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait() == 2
+    assert err == "error: BrokenPipeError: [Errno 32] Broken pipe\n"

@@ -735,3 +735,45 @@ def test_light_test_on_a_non_abelian_direct_product():
             want = _validation_outcome(ref_validate_group, rows, g.identity)
             assert want[0] is NotAssociative
             assert _validation_outcome(validate_group, rows, g.identity) == want
+
+
+@st.composite
+def _int_tables(draw):
+    """(rows, identity): a random loop, often with an entry changed, or random ints of a random shape."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        rows, e = _random_loop(rng, draw(st.integers(1, 9)))
+        if draw(st.booleans()):
+            r, c = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+            rows[r][c] = draw(st.integers(-2, len(rows) + 1))
+    else:
+        shape = (draw(st.integers(1, 5)), draw(st.integers(1, 5)))
+        rows = rng.integers(-1, max(shape) + 1, size=shape).tolist()
+        e = draw(st.integers(-1, shape[0]))
+    return rows, e
+
+
+@given(_int_tables())
+def test_an_int64_array_validates_as_its_rows_do(case):
+    """validate_group on np.array(rows) gives the group, or the error, that it gives on the rows and the reference gives."""
+    rows, e = case
+    want = _validation_outcome(ref_validate_group, rows, e)
+    got = _validation_outcome(validate_group, np.array(rows), e)
+    assert got == _validation_outcome(validate_group, rows, e)
+    if isinstance(got, tuple):
+        assert got == want
+    else:
+        assert got.table_array.dtype == np.int64 and not got.table_array.flags.writeable
+        assert (got.order, got.table, got.identity, got.inverse) == want
+
+
+def test_a_group_holds_its_table_as_one_read_only_array():
+    table = np.array(_Z3)
+    g = validate_group(table, 0)
+    assert g.table_array is table and not table.flags.writeable  # taken over as it is
+    assert "table" not in vars(g)
+    assert g.table == tuple(map(tuple, _Z3)) and g.mul(2, 2) == 1 and type(g.mul(2, 2)) is int
+    same = validate_group(_Z3, 0)
+    assert g == same and hash(g) == hash(same) and len({g, same}) == 1
+    relabelled = validate_group([[2, 0, 1], [0, 1, 2], [1, 2, 0]], 1)  # Z_3 with 0 and 1 swapped
+    assert g != relabelled and g != cyclic_group(4)

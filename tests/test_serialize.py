@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import bits, int_lists, random_chordal_pattern, random_psd, ref_dumps
+from conftest import (
+    NON_CANONICAL_ITEMS,
+    bits,
+    int_lists,
+    malformed_group_documents,
+    random_chordal_pattern,
+    random_psd,
+    ref_dumps,
+)
 from posext import (
     PartialHermitianMatrix,
     RankOneFactor,
@@ -388,3 +396,126 @@ def test_circleset_roundtrip_including_cut_pieces():
     ]:
         doc = json.loads(ser.dumps(ser.circleset_to_json(e)))
         assert ser.circleset_from_json(doc) == e
+
+
+# -- the array reader of a group's table ------------------------------------------
+
+_EDGE_INTS = [0, 1, 9, 10, 99, 100, -1, -10, 10**17, 10**18 - 1, -(10**18 - 1)]
+
+
+def _table_text(tokens, layout: str, ws) -> str:
+    """The rows of item texts laid out as the layout says; ws draws the random layout's whitespace."""
+    if layout == "random":
+        def join(items):
+            return "[" + ws() + ("," + ws()).join(f"{t}{ws()}" for t in items) + "]"
+        return join([join(row) for row in tokens])
+    sep, row_sep, pad, outer_pad = {  # pad opens a list; without its last indent it closes it
+        "compact": (",", ",", "", ""),
+        "spaced": (", ", ", ", "", ""),
+        "indent": (",\n    ", ",\n  ", "\n    ", "\n  "),
+    }[layout]
+    rows = ["[" + pad + sep.join(row) + pad[:-2] + "]" for row in tokens]
+    return "[" + outer_pad + row_sep.join(rows) + outer_pad[:-2] + "]"
+
+
+@st.composite
+def _table_documents(draw):
+    """(document bytes, whether it is unmutated): the reader must take exactly the unmutated ones."""
+    n_rows, width = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    ints = st.integers(-(10**18 - 1), 10**18 - 1) | st.integers(0, 20) | st.sampled_from(_EDGE_INTS)
+    tokens = [[str(draw(ints)) for _ in range(width)] for _ in range(n_rows)]
+    mutation = draw(st.sampled_from(
+        [None, None, "item", "trailing-comma", "empty-item", "ragged", "[]", "[[]]",
+         "duplicate-key", "string-value", "nested-key", "bom", "invalid-utf-8", "missing-key"]
+    ))
+    r, c = draw(st.integers(0, n_rows - 1)), draw(st.integers(0, width - 1))
+    if mutation == "item":
+        tokens[r][c] = draw(st.sampled_from(NON_CANONICAL_ITEMS))
+    elif mutation == "trailing-comma":
+        tokens[r][-1] += ","
+    elif mutation == "empty-item":
+        tokens[r].insert(c, "")
+    elif mutation == "ragged":
+        tokens.append(["0"] * (width + 1))
+    layout = draw(st.sampled_from(["compact", "spaced", "indent", "random"]))
+    text = _table_text(tokens, layout, lambda: draw(st.text(" \t\n\r", max_size=2)))
+    if mutation in ("[]", "[[]]"):
+        text = mutation
+    fields = [f'"order": {n_rows}', f'"table": {text}', '"identity": 0']
+    if mutation == "duplicate-key":
+        fields.append('"table": [[0]]')
+    elif mutation == "string-value":
+        fields.append('"note": "table"')
+    elif mutation == "nested-key":
+        fields[1] = '"meta": {"table": [[0]]}'
+    elif mutation == "invalid-utf-8":
+        fields.append('"note": "\udcff"')
+    elif mutation == "missing-key":
+        fields[1] = fields[1].replace('"table"', '"tables"')
+    fields = draw(st.permutations(fields))
+    data = ("{" + ", ".join(fields) + "}").encode("utf-8", "surrogateescape")
+    if mutation == "bom":
+        data = b"\xef\xbb\xbf" + data
+    return data, mutation is None
+
+
+@settings(max_examples=400, deadline=None)
+@given(_table_documents())
+def test_table_reader_gives_what_json_gives_or_declines(case):
+    """The reader's document is json's with the table as np.array(table), or it declines.
+
+    It takes every table of canonical ints, in any JSON layout, and
+    declines every table or document that is mutated away from one.
+    """
+    data, canonical = case
+    got = ser._read_table(data)
+    if not canonical:
+        assert got is None
+        return
+    want = json.loads(data.decode("utf-8"))
+    table = np.array(want.pop("table"))
+    assert got["table"].dtype == np.int64 and got["table"].shape == table.shape
+    assert (got.pop("table") == table).all()
+    assert got == want
+
+
+@pytest.mark.parametrize("layout", ["compact", "spaced", "indent"])
+@pytest.mark.parametrize("item", NON_CANONICAL_ITEMS)
+def test_table_reader_declines_each_non_canonical_item(item, layout):
+    tokens = [["0", "1"], ["1", item]]
+    data = ('{"table": ' + _table_text(tokens, layout, None) + ', "identity": 0}').encode()
+    assert ser._read_table(data) is None
+
+
+@pytest.mark.parametrize("data", [d for _, d in malformed_group_documents()],
+                         ids=[name for name, _ in malformed_group_documents()])
+def test_table_reader_declines_documents_that_need_json(data):
+    assert ser._read_table(data) is None
+
+
+@pytest.mark.parametrize("text", [b"[[0, 1], [1, 0,]]", b"[[2, 000,]]", b"[[0], []]", b"[[]]"])
+def test_table_layout_refuses_an_empty_last_item(text):
+    """np.fromstring, asked for one value per item, would leave the last value unread and uninitialised."""
+    assert ser._table_layout(text) is None
+
+
+def test_table_reader_on_the_edges_of_its_range():
+    """±(10**18 - 1) are read; 10**18 and 2**63, which np.fromstring misreads or saturates, are not."""
+    edge = [[10**18 - 1, -(10**18 - 1)], [0, -1]]
+    doc = ser._read_table(json.dumps({"table": edge, "identity": 0}).encode())
+    assert doc["table"].tolist() == edge and doc["identity"] == 0
+    for big in (10**18, -(10**18), 2**63, 2**63 - 1, -(2**63), 2**64 + 5):
+        assert ser._read_table(json.dumps({"table": [[0, big]], "identity": 0}).encode()) is None
+
+
+def test_group_documents_read_as_json_reads_them(tmp_path):
+    """load_group_json gives load_json's document, its table an int64 array when the text allows."""
+    for layout in (None, 2):
+        path = tmp_path / "group.json"
+        table = np.arange(12).reshape(3, 4) - 5
+        path.write_text(json.dumps({"order": 3, "table": table.tolist(), "identity": 1}, indent=layout))
+        doc = ser.load_group_json(path)
+        assert doc["table"].dtype == np.int64 and (doc["table"] == table).all()
+        assert doc == {**ser.load_json(path), "table": doc["table"]}
+    path.write_text('{"table": [[0, 1], [1, 0.0]], "identity": 0}')
+    assert ser.load_group_json(path) == ser.load_json(path) == {"table": [[0, 1], [1, 0.0]], "identity": 0}
