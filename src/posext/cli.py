@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
@@ -27,11 +26,11 @@ from .errors import InfeasibleError, InputError, TooLarge
 
 
 def _load_pattern(path):
-    return ser.pattern_from_json(ser.load_json(path))
+    return ser.pattern_from_json(ser.load_json(path, ("edges",)))
 
 
 def _load_partial(path):
-    return ser.partial_from_json(ser.load_json(path))
+    return ser.partial_from_json(ser.load_json(path, ("pattern", "edges")))
 
 
 def _load_matrix(path):
@@ -39,7 +38,7 @@ def _load_matrix(path):
 
 
 def _load_group(path):
-    return ser.group_from_json(ser.load_group_json(path))
+    return ser.group_from_json(ser.load_json(path, ("table",)))
 
 
 def _cmd_chordal(args):
@@ -288,14 +287,7 @@ def main(argv=None) -> int:
     except InfeasibleError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    except (
-        InputError,
-        OSError,
-        json.JSONDecodeError,
-        KeyError,
-        TypeError,
-        ValueError,
-    ) as exc:
+    except (InputError, OSError, KeyError, TypeError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     text = ser.dumps(doc, pretty=args.pretty)

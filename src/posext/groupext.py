@@ -23,9 +23,9 @@ extends by zero, without building the pattern or the completion.
 Each group holds its multiplication table as one read-only int64 array
 and caches one quotient table Q[s, t] = t s^{-1}; the pattern of E, the
 subgroup test and the kernels of functions on E or on G are lookups
-into them. `validate_group` checks an int64 array as it is, as the CLI's
-reader and the group constructors hand it over, and any other table row
-by row.
+into them. `validate_group` checks an int64 array as it is, as
+`serialize.load_json` and the group constructors hand it over, and any
+other table row by row, as `validate_pattern` treats edges.
 """
 
 from __future__ import annotations

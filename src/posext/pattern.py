@@ -27,7 +27,6 @@ import heapq
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -187,18 +186,21 @@ def validate_pattern(n: int, edge_list: Iterable[Sequence[int]]) -> Pattern:
     """Build a normalized pattern from a raw edge list.
 
     Duplicate and reversed pairs are merged; loops are dropped (the
-    diagonal is implicit). Raises InputError unless every edge is two
-    integers, and IndexOutOfRange for endpoints outside [0, n); the
-    first bad edge in list order is the one named. TooLarge for n above
-    MAX_VERTICES.
+    diagonal is implicit). An (m, 2) int64 array, as the CLI's reader
+    hands it over, is taken as it is; any other edge list, an array as
+    its .tolist(), is checked edge by edge. Raises InputError unless
+    every edge is two integers, and IndexOutOfRange for endpoints
+    outside [0, n); the first bad edge in list order is the one named.
+    TooLarge for n above MAX_VERTICES.
     """
     if n < 0:
         raise IndexOutOfRange(f"vertex count must be nonnegative, got {n}")
     if n > MAX_VERTICES:
         raise TooLarge(f"vertex count {n} exceeds the cap of {MAX_VERTICES}")
-    edge_list = list(edge_list)
-    e = _edge_array(edge_list)
-    if e is None:
+    if isinstance(edge_list, np.ndarray) and edge_list.dtype == np.int64 and edge_list.shape[1:] == (2,):
+        e = edge_list
+    else:
+        edge_list = edge_list.tolist() if isinstance(edge_list, np.ndarray) else list(edge_list)
         e = np.array(_checked_edges(n, edge_list), dtype=np.int64).reshape(-1, 2)
     if len(e) and (e.min() < 0 or e.max() >= n):
         i, j = e[((e < 0) | (e >= n)).any(axis=1).argmax()].tolist()
@@ -207,22 +209,6 @@ def validate_pattern(n: int, edge_list: Iterable[Sequence[int]]) -> Pattern:
     keys = np.sort(np.where(a < b, a * n + b, b * n + a)[a != b])
     keys = keys[np.diff(keys, prepend=-1) != 0]  # np.unique, without its fixed cost
     return Pattern(n, np.stack(np.divmod(keys, n), axis=1))
-
-
-def _edge_array(edge_list: list) -> np.ndarray | None:
-    """The edges as an (m, 2) int64 array when all are pairs of exact ints in int64, else None."""
-    try:
-        if not set(map(len, edge_list)) <= {2}:
-            return None
-    except TypeError:  # an edge without a length
-        return None
-    flat = list(chain.from_iterable(edge_list))
-    if not set(map(type, flat)) <= {int}:
-        return None
-    try:
-        return np.fromiter(flat, np.int64, len(flat)).reshape(-1, 2)
-    except OverflowError:
-        return None
 
 
 def _checked_edges(n: int, edge_list: list) -> list[tuple[int, int]]:

@@ -1,9 +1,12 @@
 """JSON schemas for every value the CLI reads or writes.
 
-Reading goes through json, except for a group's multiplication table:
-`load_group_json` reads it as one int64 array with np.fromstring when
-its text is strictly a list of equal-length lists of canonical ints, and
-leaves any other text to json (see `_read_table`).
+Reading goes through json, except for the one int-rows field of a
+document, which its kind locates: a group's "table", a pattern's
+"edges", a partial matrix's "pattern"/"edges". `load_json` reads that
+field as one int64 array with np.fromstring when its text is strictly a
+list of equal-length lists of canonical ints, and leaves any other text
+to json (see `_read_rows`). A document nested deeper than json can
+follow is an InputError.
 
 Emission goes through a small dumper that writes floats as %.17g, so
 that every finite float except -0.0 round-trips bit-faithfully (-0.0 is
@@ -90,35 +93,47 @@ from .pattern import (
 )
 
 
-def load_json(path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+def load_json(path, field: tuple[str, ...] = ()) -> dict:
+    """The JSON document at path, its int-rows field an int64 array when `_read_rows` takes the text.
 
-
-def load_group_json(path) -> dict:
-    """A group document, its "table" an int64 array when `_read_table` takes the text.
-
-    Any other text is read by `load_json`, so it gives the same
-    document, or raises the same error, as it always did.
+    field is the key path of that field, which the document's kind
+    fixes: ("table",) for a group, ("edges",) for a pattern and
+    ("pattern", "edges") for a partial matrix. Any other text, and a
+    document read without a field, goes through json, so it gives the
+    same document, or raises the same error, as json does. A document
+    nested deeper than json can follow raises InputError.
     """
-    with open(path, "rb") as fh:
-        doc = _read_table(fh.read())
-    return load_json(path) if doc is None else doc
+    if field:
+        with open(path, "rb") as fh:
+            doc = _read_rows(fh.read(), field)
+        if doc is not None:
+            return doc
+    with open(path, encoding="utf-8") as fh:
+        return _loads(fh.read())
+
+
+def _loads(text):
+    """json.loads of text; InputError where json runs out of recursion depth."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise InputError("document nested too deeply: maximum recursion depth exceeded") from None
 
 
 _WS = b" \t\n\r"  # JSON's whitespace
 _WS_TO_SPACE = bytes.maketrans(b"\t\n\r", b"   ")
 _AFTER_KEY = re.compile(rb"[ \t\n\r]*:[ \t\n\r]*")
-_MAX_TABLE_INT = 10**18 - 1  # 18 digits: np.fromstring reads them exactly
+_MAX_ROWS_INT = 10**18 - 1  # 18 digits: np.fromstring reads them exactly
 
 
-def _read_table(data: bytes) -> dict | None:
-    """The JSON document data with its "table" read as one int64 array, or None.
+def _read_rows(data: bytes, field: tuple[str, ...]) -> dict | None:
+    """The JSON document data with its field read as one int64 array, or None.
 
-    The table is taken only when its text is a list of equal-length,
+    field is the key path from the top of the document to the field.
+    The field is taken only when its text is a list of equal-length,
     nonempty lists of canonical JSON ints: an optional minus sign, no
     leading zeros, at most 18 digits. One np.fromstring parses it, and
-    json.loads parses the rest of the document with the table replaced
+    json.loads parses the rest of the document with the field replaced
     by []. Anything else gives None: the document needs the json route,
     which gives the same answer or raises the same error.
 
@@ -127,8 +142,8 @@ def _read_table(data: bytes) -> dict | None:
     so the text is checked around it:
 
     - Without a backslash in data every string reads as it is written,
-      so the one "table" in data is the top-level key when json.loads
-      finds that key in the rest.
+      so the one occurrence of the field's key in data is the field when
+      json.loads finds that key at the end of the path in the rest.
     - Without whitespace the text starts with [[, ends with a digit and
       ]], and splits at "],[" into rows with the same number of commas.
       So it has at least the rows' brackets, and np.fromstring is asked
@@ -145,17 +160,19 @@ def _read_table(data: bytes) -> dict | None:
       brackets, exactly when every item is canonical and nothing else is
       there.
     """
-    key = data.find(b'"table"')
-    colon = _AFTER_KEY.match(data, key + 7) if key >= 0 and b"\\" not in data else None
+    name = field[-1]
+    key = b'"' + name.encode() + b'"'
+    at = data.find(key)
+    colon = _AFTER_KEY.match(data, at + len(key)) if at >= 0 and b"\\" not in data else None
     if colon is None:
         return None
     start = colon.end()
-    stop = data.find(b'"', start)  # the table's text ends before the next key or "}"
+    stop = data.find(b'"', start)  # the field's text ends before the next key or "}"
     stop = len(data) if stop < 0 else stop
     brace = data.find(b"}", start, stop)
     end = data.rfind(b"]", start, stop if brace < 0 else brace) + 1
-    layout = _table_layout(data[start:end])
-    if layout is None or b'"table"' in data[stop:]:
+    layout = _rows_layout(data[start:end])
+    if layout is None or key in data[stop:]:
         return None
     n_rows, width, minus, length = layout
     flat = data[start:end].translate(_WS_TO_SPACE, b"[]")
@@ -166,7 +183,7 @@ def _read_table(data: bytes) -> dict | None:
     except ValueError:
         return None
     low, high = int(values.min()), int(values.max())
-    if low < -_MAX_TABLE_INT or high > _MAX_TABLE_INT or np.count_nonzero(values < 0) != minus:
+    if low < -_MAX_ROWS_INT or high > _MAX_ROWS_INT or np.count_nonzero(values < 0) != minus:
         return None
     magnitude = np.abs(values)
     expected = values.size + minus + (values.size - 1) + 2 * (n_rows + 1)  # digits, signs, commas, brackets
@@ -177,17 +194,20 @@ def _read_table(data: bytes) -> dict | None:
     if expected != length:
         return None
     try:
-        doc = json.loads((data[:start] + b"[]" + data[end:]).decode("utf-8"))
+        doc = _loads((data[:start] + b"[]" + data[end:]).decode("utf-8"))
     except ValueError:  # the json route raises it again, with its own text
         return None
-    if type(doc) is not dict or "table" not in doc:
+    parent = doc
+    for step in field[:-1]:
+        parent = parent.get(step) if type(parent) is dict else None
+    if type(parent) is not dict or name not in parent:
         return None
-    doc["table"] = values.reshape(n_rows, width)
+    parent[name] = values.reshape(n_rows, width)
     return doc
 
 
-def _table_layout(text: bytes) -> tuple[int, int, int, int] | None:
-    """(rows, items per row, minus signs, length without whitespace) of a table's text, or None.
+def _rows_layout(text: bytes) -> tuple[int, int, int, int] | None:
+    """(rows, items per row, minus signs, length without whitespace) of an int-rows text, or None.
 
     None unless, without whitespace, the text starts with [[, ends with a
     digit and ]], and splits at "],[" into rows with the same number of

@@ -386,23 +386,44 @@ NON_CANONICAL_ITEMS = [
 ]
 
 
-def malformed_group_documents() -> list[tuple[str, bytes]]:
-    """(id, text) of group documents whose table the array reader must leave to json.
+# The key path of the int-rows field of each kind of document, and the
+# document around it: "@" stands for the entries of the field's object that
+# come before its other keys.
+ROWS_FIELDS = {"group": ("table",), "pattern": ("edges",), "partial": ("pattern", "edges")}
+_ROWS_TEMPLATES = {
+    "group": '{"order": 3, @"identity": 0}',
+    "pattern": '{@"n": 3}',
+    "partial": '{"pattern": {@"n": 3}, "n": 3, "d": 1, "blocks": []}',
+}
 
-    Each starts from Z_3. The item cases replace the entry (2, 2); the
-    others break the table's layout or put the "table" key where only
-    a full JSON reader finds it. Some are still valid groups to json.
+
+def rows_document(kind: str, entries: str) -> bytes:
+    """A document of the kind whose field's object starts with the entries (each ending in ", ")."""
+    return _ROWS_TEMPLATES[kind].replace("@", entries).encode()
+
+
+def malformed_documents(kind: str) -> list[tuple[str, bytes]]:
+    """(id, text) of documents of the kind whose int-rows field the array reader must leave to json.
+
+    Each starts from three rows: Z_3's table for a group, a triangle's
+    edges for a pattern or a partial matrix. The item cases replace the
+    last item; the others break the field's layout or put its key where
+    only a full JSON reader finds it. Some are still valid to json.
     """
-    z3 = [["0", "1", "2"], ["1", "2", "0"], ["2", "0", "1"]]
+    name = ROWS_FIELDS[kind][-1]
+    base = [["0", "1", "2"], ["1", "2", "0"], ["2", "0", "1"]]
+    if kind != "group":
+        base = [["0", "1"], ["1", "2"], ["0", "2"]]
+    escaped = name[0] + "\\u%04x" % ord(name[1]) + name[2:]
 
-    def table(rows) -> str:
-        return "[" + ", ".join("[" + ", ".join(row) + "]" for row in rows) + "]"
+    def rows(items) -> str:
+        return "[" + ", ".join("[" + ", ".join(row) + "]" for row in items) + "]"
 
-    def doc(text: str) -> bytes:
-        return ('{"order": 3, "table": ' + text + ', "identity": 0}').encode()
+    def doc(text: str, key: str = name, before: str = "") -> bytes:
+        return rows_document(kind, before + f'"{key}": {text}, ')
 
-    out = [(f"item-{item}", doc(table(z3[:2] + [["2", "0", item]]))) for item in NON_CANONICAL_ITEMS]
-    for name, text in [
+    out = [(f"item-{item}", doc(rows(base[:2] + [base[2][:-1] + [item]]))) for item in NON_CANONICAL_ITEMS]
+    for case, text in [
         ("empty", "[]"),
         ("empty-row", "[[]]"),
         ("ragged", "[[0, 1], [1]]"),
@@ -413,24 +434,24 @@ def malformed_group_documents() -> list[tuple[str, bytes]]:
         ("doubled-comma", "[[0,, 1], [1, 0]]"),
         ("third-level", "[[[0, 1], [1, 0]]]"),
         ("item-between-rows", "[[0, 1] 5, [1, 0]]"),
-        ("ragged-rows-of-equal-mean", table([["0"] * 4, ["0"] * 10, ["0"] * 16])),
+        ("ragged-rows-of-equal-mean", rows([["0"] * 4, ["0"] * 10, ["0"] * 16])),
         ("one-level", "[0, 1]"),
         ("one-level-leading-zeros", "[000, 1]"),
         ("one-level-leading-zero-and-bracket", "[00, 1]]"),
         ("unclosed", "[[0, 1], [1, 0]"),
         ("unclosed-leading-zero", "[[00, 1]"),
     ]:
-        out.append((name, doc(text)))
-    z3_text = table(z3)
+        out.append((case, doc(text)))
+    text = rows(base)
     out += [
-        ("duplicate-key", ('{"table": [[0]], "table": ' + z3_text + ', "identity": 0}').encode()),
-        ("table-in-a-string", ('{"note": "table", "table": ' + z3_text + ', "identity": 0}').encode()),
-        ("escaped-key", ('{"t\\u0061ble": ' + z3_text + ', "identity": 0}').encode()),
-        ("escaped-key-and-decoy", ('{"x\\"table": [[0]], "t\\u0061ble": ' + z3_text + ', "identity": 0}').encode()),
-        ("nested-key", ('{"meta": {"table": ' + z3_text + '}, "identity": 0}').encode()),
-        ("missing-key", b'{"order": 3, "identity": 0}'),
-        ("bom", b"\xef\xbb\xbf" + doc(z3_text)),
-        ("invalid-utf-8", doc(z3_text)[:-1] + b', "note": "\xff"}'),
+        ("duplicate-key", doc(text, before=f'"{name}": [[0]], ')),
+        (f"{name}-in-a-string", doc(text, before=f'"note": "{name}", ')),
+        ("escaped-key", doc(text, key=escaped)),
+        ("escaped-key-and-decoy", doc(text, key=escaped, before=f'"x\\"{name}": [[0]], ')),
+        ("nested-key", doc(f'{{"{name}": {text}}}', key="meta")),
+        ("missing-key", rows_document(kind, "")),
+        ("bom", b"\xef\xbb\xbf" + doc(text)),
+        ("invalid-utf-8", doc(text)[:-1] + b', "note": "\xff"}'),
     ]
     return out
 

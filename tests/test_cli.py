@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import malformed_group_documents, random_chordal_components, tree_views
+from conftest import ROWS_FIELDS, malformed_documents, random_chordal_components, rows_document, tree_views
 from posext import Pattern, clique_tree, is_psd, maximal_cliques, validate_pattern, verify_extension
 from posext import cli
 from posext import serialize as ser
@@ -745,8 +745,8 @@ def _group_validate_by_json(path):
     return 0, ser.dumps({"valid": True, "order": g.order, "identity": g.identity}) + "\n", ""
 
 
-@pytest.mark.parametrize("data", [d for _, d in malformed_group_documents()],
-                         ids=[name for name, _ in malformed_group_documents()])
+@pytest.mark.parametrize("data", [d for _, d in malformed_documents("group")],
+                         ids=[name for name, _ in malformed_documents("group")])
 def test_group_validate_on_malformed_tables_answers_as_the_json_route(tmp_path, capsys, data):
     path = tmp_path / "group.json"
     path.write_bytes(data)
@@ -754,6 +754,63 @@ def test_group_validate_on_malformed_tables_answers_as_the_json_route(tmp_path, 
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == _group_validate_by_json(path)
     assert (captured.out + captured.err).count("\n") == 1
+
+
+def _outcome(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+_MALFORMED_EDGES = [
+    (command, data, f"{kind}-{name}")
+    for kind, command in [("pattern", "peo"), ("partial", "partially-positive")]
+    for name, data in malformed_documents(kind)
+]
+
+
+@pytest.mark.parametrize("command, data", [c[:2] for c in _MALFORMED_EDGES], ids=[c[2] for c in _MALFORMED_EDGES])
+def test_malformed_edges_answer_as_the_json_route(tmp_path, capsys, monkeypatch, command, data):
+    """A pattern's or a partial matrix's edges the reader declines give what json's lists give."""
+    path = tmp_path / "doc.json"
+    path.write_bytes(data)
+    got = _outcome(capsys, command, str(path))
+    monkeypatch.setattr(ser, "_read_rows", lambda data, field: None)
+    assert got == _outcome(capsys, command, str(path))
+    assert (got[1] + got[2]).count("\n") == 1
+
+
+@pytest.mark.parametrize("kind, command", [("pattern", "chordal"), ("partial", "complete"), ("group", "group-validate")])
+def test_canonical_rows_answer_as_the_json_route(tmp_path, capsys, monkeypatch, kind, command):
+    """Int rows the reader takes as an array give what json's lists give, results and errors alike."""
+    name = ROWS_FIELDS[kind][-1]
+    path = tmp_path / "doc.json"
+    for text in ["[[0, 1], [1, 2], [0, 2]]", "[[0,1],[2,1]]", "[[0, 1, 2], [1, 2, 0], [2, 0, 1]]",
+                 "[[0, 3]]", "[[-1, 0]]", "[[0, 1], [999999999999999999, 0]]", "[[1, 0], [0, 1]]"]:
+        path.write_bytes(rows_document(kind, f'"{name}": {text}, '))
+        assert ser._read_rows(path.read_bytes(), ROWS_FIELDS[kind]) is not None
+        got = _outcome(capsys, command, str(path))
+        with monkeypatch.context() as m:
+            m.setattr(ser, "_read_rows", lambda data, field: None)
+            assert got == _outcome(capsys, command, str(path))
+        assert (got[1] + got[2]).count("\n") == 1
+
+
+_DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['{"n": 2, "edges": ' + _DEEP + "}", '{"n": 2, "edges": [[0, 1]], "meta": ' + _DEEP + "}"],
+    ids=["in-the-edges", "beside-canonical-edges"],
+)
+def test_a_document_nested_too_deeply_exits_2_with_one_line(tmp_path, capsys, text):
+    """json runs out of recursion depth on 10**5 brackets, on the json route and on the reader's."""
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    code, out, err = _outcome(capsys, "chordal", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: InputError: document nested too deeply: maximum recursion depth exceeded\n"
 
 
 def test_a_reader_that_closes_the_pipe_early_gets_one_error_line():

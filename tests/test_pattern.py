@@ -431,6 +431,44 @@ def test_bad_edge_lists_name_the_first_bad_edge(n, edges, error, message):
     assert type(info.value) is error and str(info.value) == message
 
 
+@st.composite
+def raw_edge_arrays(draw):
+    """(n, edges): a raw edge list as an int64 array, some with endpoints outside [0, n)."""
+    n, edges = draw(raw_edge_lists())
+    edges = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    for _ in range(draw(st.integers(0, 2))):
+        if len(edges):
+            edges[draw(st.integers(0, len(edges) - 1)), draw(st.integers(0, 1))] = draw(
+                st.integers(-(2**62), -1) | st.integers(n, n + 3) | st.integers(n, 2**62)
+            )
+    return n, edges
+
+
+def _validated(n, edges):
+    try:
+        return validate_pattern(n, edges)
+    except InputError as exc:
+        return type(exc), str(exc)
+
+
+@given(raw_edge_arrays())
+def test_an_int64_edge_array_validates_as_its_list_does(case):
+    """The array route gives the list route's pattern, or its error naming the same first bad edge."""
+    n, edges = case
+    assert _validated(n, edges) == _validated(n, edges.tolist())
+
+
+@pytest.mark.parametrize("edges", [np.zeros((2, 2), dtype=np.int32), np.array([[0, 1.5]]), np.array([0, 1])])
+def test_other_edge_arrays_are_checked_as_their_lists(edges):
+    """An array that is not (m, 2) int64 is checked as its .tolist(), so messages read as json's lists do."""
+    assert _validated(3, edges) == _validated(3, edges.tolist())
+
+
+def test_a_width_3_edge_array_names_the_edge_as_a_list():
+    with pytest.raises(InputError, match=r"^edge \[0, 1, 2\] is not a pair of integers$"):
+        validate_pattern(3, np.array([[0, 1, 2]], dtype=np.int64))
+
+
 def test_whole_number_floats_and_numpy_ints_are_edges():
     p = validate_pattern(3, [[0, 2.0], (np.int64(2), np.int64(1)), [1.0, 1]])
     assert p.edge_array.tolist() == [[0, 2], [1, 2]]

@@ -8,12 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (
     NON_CANONICAL_ITEMS,
+    ROWS_FIELDS,
     bits,
     int_lists,
-    malformed_group_documents,
+    malformed_documents,
     random_chordal_pattern,
     random_psd,
     ref_dumps,
+    rows_document,
 )
 from posext import (
     PartialHermitianMatrix,
@@ -398,7 +400,7 @@ def test_circleset_roundtrip_including_cut_pieces():
         assert ser.circleset_from_json(doc) == e
 
 
-# -- the array reader of a group's table ------------------------------------------
+# -- the array reader of int-rows fields -------------------------------------------
 
 _EDGE_INTS = [0, 1, 9, 10, 99, 100, -1, -10, 10**17, 10**18 - 1, -(10**18 - 1)]
 
@@ -418,15 +420,28 @@ def _table_text(tokens, layout: str, ws) -> str:
     return "[" + outer_pad + row_sep.join(rows) + outer_pad[:-2] + "]"
 
 
+def _field_parent(doc, field):
+    """The object that holds the field at the key path, or None."""
+    for step in field[:-1]:
+        doc = doc.get(step) if type(doc) is dict else None
+    return doc if type(doc) is dict and field[-1] in doc else None
+
+
+def _obj(draw, entries) -> str:
+    return "{" + ", ".join(draw(st.permutations(entries))) + "}"
+
+
 @st.composite
-def _table_documents(draw):
-    """(document bytes, whether it is unmutated): the reader must take exactly the unmutated ones."""
+def _rows_documents(draw):
+    """(kind, document bytes, whether it is unmutated): the reader must take exactly the unmutated ones."""
+    kind = draw(st.sampled_from(sorted(ROWS_FIELDS)))
+    name = ROWS_FIELDS[kind][-1]
     n_rows, width = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     ints = st.integers(-(10**18 - 1), 10**18 - 1) | st.integers(0, 20) | st.sampled_from(_EDGE_INTS)
     tokens = [[str(draw(ints)) for _ in range(width)] for _ in range(n_rows)]
     mutation = draw(st.sampled_from(
         [None, None, "item", "trailing-comma", "empty-item", "ragged", "[]", "[[]]",
-         "duplicate-key", "string-value", "nested-key", "bom", "invalid-utf-8", "missing-key"]
+         "duplicate-key", "string-value", "nested-key", "moved", "bom", "invalid-utf-8", "missing-key"]
     ))
     r, c = draw(st.integers(0, n_rows - 1)), draw(st.integers(0, width - 1))
     if mutation == "item":
@@ -441,81 +456,114 @@ def _table_documents(draw):
     text = _table_text(tokens, layout, lambda: draw(st.text(" \t\n\r", max_size=2)))
     if mutation in ("[]", "[[]]"):
         text = mutation
-    fields = [f'"order": {n_rows}', f'"table": {text}', '"identity": 0']
+    entry = f'"{name}": {text}'
+    inner = {"group": [f'"order": {n_rows}', '"identity": 0'], "pattern": ['"n": 3'], "partial": ['"n": 3']}[kind]
+    outer = ['"n": 3', '"d": 1', '"blocks": []']  # a partial matrix's, around its pattern
     if mutation == "duplicate-key":
-        fields.append('"table": [[0]]')
+        inner.append(f'"{name}": [[0]]')
     elif mutation == "string-value":
-        fields.append('"note": "table"')
+        (outer if kind == "partial" and draw(st.booleans()) else inner).append(f'"note": "{name}"')
     elif mutation == "nested-key":
-        fields[1] = '"meta": {"table": [[0]]}'
+        entry = f'"meta": {{"{name}": [[0]]}}'
+    elif mutation == "moved":  # the whole field one level down, or to the top of a partial matrix
+        if kind == "partial":
+            outer.append(entry)
+        else:
+            inner.append(f'"meta": {{{entry}}}')
+        entry = None
     elif mutation == "invalid-utf-8":
-        fields.append('"note": "\udcff"')
+        inner.append('"note": "\udcff"')
     elif mutation == "missing-key":
-        fields[1] = fields[1].replace('"table"', '"tables"')
-    fields = draw(st.permutations(fields))
-    data = ("{" + ", ".join(fields) + "}").encode("utf-8", "surrogateescape")
+        entry = entry.replace(f'"{name}"', f'"{name}s"')
+    text = _obj(draw, inner + ([entry] if entry else []))
+    if kind == "partial":
+        text = _obj(draw, outer + [f'"pattern": {text}'])
+    data = text.encode("utf-8", "surrogateescape")
     if mutation == "bom":
         data = b"\xef\xbb\xbf" + data
-    return data, mutation is None
+    return kind, data, mutation is None
 
 
-@settings(max_examples=400, deadline=None)
-@given(_table_documents())
+@settings(max_examples=600, deadline=None)
+@given(_rows_documents())
 def test_table_reader_gives_what_json_gives_or_declines(case):
-    """The reader's document is json's with the table as np.array(table), or it declines.
+    """The reader's document is json's with the field as np.array(field), or it declines.
 
-    It takes every table of canonical ints, in any JSON layout, and
-    declines every table or document that is mutated away from one.
+    It takes every field of canonical ints, in any JSON layout, in a
+    group, a pattern or a partial matrix, and declines every field or
+    document that is mutated away from one.
     """
-    data, canonical = case
-    got = ser._read_table(data)
+    kind, data, canonical = case
+    field = ROWS_FIELDS[kind]
+    got = ser._read_rows(data, field)
     if not canonical:
         assert got is None
         return
     want = json.loads(data.decode("utf-8"))
-    table = np.array(want.pop("table"))
-    assert got["table"].dtype == np.int64 and got["table"].shape == table.shape
-    assert (got.pop("table") == table).all()
+    rows = np.array(_field_parent(want, field).pop(field[-1]))
+    got_rows = _field_parent(got, field).pop(field[-1])
+    assert got_rows.dtype == np.int64 and got_rows.shape == rows.shape
+    assert (got_rows == rows).all()
     assert got == want
 
 
-@pytest.mark.parametrize("layout", ["compact", "spaced", "indent"])
-@pytest.mark.parametrize("item", NON_CANONICAL_ITEMS)
-def test_table_reader_declines_each_non_canonical_item(item, layout):
-    tokens = [["0", "1"], ["1", item]]
-    data = ('{"table": ' + _table_text(tokens, layout, None) + ', "identity": 0}').encode()
-    assert ser._read_table(data) is None
+# A group's cases keep the ids they had before patterns and partial matrices joined.
+@pytest.mark.parametrize(
+    "kind, item, layout",
+    [
+        pytest.param(kind, item, layout, id=("" if kind == "group" else kind + "-") + f"{item}-{layout}")
+        for kind in sorted(ROWS_FIELDS)
+        for item in NON_CANONICAL_ITEMS
+        for layout in ["compact", "spaced", "indent"]
+    ],
+)
+def test_table_reader_declines_each_non_canonical_item(kind, item, layout):
+    name = ROWS_FIELDS[kind][-1]
+    data = rows_document(kind, f'"{name}": ' + _table_text([["0", "1"], ["1", item]], layout, None) + ", ")
+    assert ser._read_rows(data, ROWS_FIELDS[kind]) is None
 
 
-@pytest.mark.parametrize("data", [d for _, d in malformed_group_documents()],
-                         ids=[name for name, _ in malformed_group_documents()])
-def test_table_reader_declines_documents_that_need_json(data):
-    assert ser._read_table(data) is None
+@pytest.mark.parametrize(
+    "kind, data",
+    [
+        pytest.param(kind, data, id=("" if kind == "group" else kind + "-") + name)
+        for kind in sorted(ROWS_FIELDS)
+        for name, data in malformed_documents(kind)
+    ],
+)
+def test_table_reader_declines_documents_that_need_json(kind, data):
+    assert ser._read_rows(data, ROWS_FIELDS[kind]) is None
 
 
 @pytest.mark.parametrize("text", [b"[[0, 1], [1, 0,]]", b"[[2, 000,]]", b"[[0], []]", b"[[]]"])
 def test_table_layout_refuses_an_empty_last_item(text):
     """np.fromstring, asked for one value per item, would leave the last value unread and uninitialised."""
-    assert ser._table_layout(text) is None
+    assert ser._rows_layout(text) is None
 
 
 def test_table_reader_on_the_edges_of_its_range():
     """±(10**18 - 1) are read; 10**18 and 2**63, which np.fromstring misreads or saturates, are not."""
     edge = [[10**18 - 1, -(10**18 - 1)], [0, -1]]
-    doc = ser._read_table(json.dumps({"table": edge, "identity": 0}).encode())
-    assert doc["table"].tolist() == edge and doc["identity"] == 0
-    for big in (10**18, -(10**18), 2**63, 2**63 - 1, -(2**63), 2**64 + 5):
-        assert ser._read_table(json.dumps({"table": [[0, big]], "identity": 0}).encode()) is None
+    for kind, field in ROWS_FIELDS.items():
+        name = field[-1]
+        doc = ser._read_rows(rows_document(kind, f'"{name}": {json.dumps(edge)}, '), field)
+        assert _field_parent(doc, field)[name].tolist() == edge
+        for big in (10**18, -(10**18), 2**63, 2**63 - 1, -(2**63), 2**64 + 5):
+            assert ser._read_rows(rows_document(kind, f'"{name}": [[0, {big}]], '), field) is None
 
 
 def test_group_documents_read_as_json_reads_them(tmp_path):
-    """load_group_json gives load_json's document, its table an int64 array when the text allows."""
-    for layout in (None, 2):
-        path = tmp_path / "group.json"
-        table = np.arange(12).reshape(3, 4) - 5
-        path.write_text(json.dumps({"order": 3, "table": table.tolist(), "identity": 1}, indent=layout))
-        doc = ser.load_group_json(path)
-        assert doc["table"].dtype == np.int64 and (doc["table"] == table).all()
-        assert doc == {**ser.load_json(path), "table": doc["table"]}
-    path.write_text('{"table": [[0, 1], [1, 0.0]], "identity": 0}')
-    assert ser.load_group_json(path) == ser.load_json(path) == {"table": [[0, 1], [1, 0.0]], "identity": 0}
+    """load_json with a field gives json's document, the field an int64 array when the text allows."""
+    path = tmp_path / "doc.json"
+    rows = np.arange(12).reshape(3, 4) - 5
+    for kind, field in ROWS_FIELDS.items():
+        for layout in (None, 2):
+            doc = json.loads(rows_document(kind, f'"{field[-1]}": {json.dumps(rows.tolist())}, '))
+            path.write_text(json.dumps(doc, indent=layout))
+            got, want = ser.load_json(path, field), ser.load_json(path)
+            got_rows = _field_parent(got, field).pop(field[-1])
+            assert got_rows.dtype == np.int64 and (got_rows == rows).all()
+            assert _field_parent(want, field).pop(field[-1]) == rows.tolist()
+            assert got == want
+        path.write_bytes(rows_document(kind, f'"{field[-1]}": [[0, 1], [1, 0.0]], '))
+        assert ser.load_json(path, field) == ser.load_json(path) == json.loads(path.read_text())
