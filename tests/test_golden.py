@@ -53,8 +53,13 @@ CASES = ALL_COMMANDS + [
         ("square-partition", "pattern_nonchordal_components.json"),
         ("square-partition", "pattern_chordal_components.json"),
         ("peo", "pattern_chordal_components.json"),
+        ("clique-tree", "pattern_chordal_components.json"),
     ]
     for flags in [(), ("--pretty",)]
+] + [
+    ("cliques", "pattern_chordal_components.json"),
+    ("clique-tree", "pattern_empty.json"),
+    ("cliques", "pattern_empty.json"),
 ]
 
 
