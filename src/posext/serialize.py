@@ -5,22 +5,25 @@ document, which its kind locates: a group's "table", a pattern's
 "edges", a partial matrix's "pattern"/"edges". `load_json` reads that
 field as one int64 array with np.fromstring when its text is strictly a
 list of equal-length lists of canonical ints, and leaves any other text
-to json (see `_read_rows`). A document nested deeper than json can
-follow is an InputError.
+to json (see `_read_rows`). The rows and their widths are found with
+numpy on the text's bytes, with no Python object per row. A document
+nested deeper than json can follow is an InputError.
 
 Emission goes through a small dumper that writes floats as %.17g, so
 that every finite float except -0.0 round-trips bit-faithfully (-0.0 is
 written "-0", which JSON readers take for the integer 0). A value takes
-one of three paths, and all three give the same bytes:
+one of four paths, and all four give the same bytes:
 
-- Int lists are rendered by %d, which writes an int as str(int) does,
-  beyond int64 too. A list whose items are all exact ints is one % over
-  a template made for it. A list whose items are all lists or tuples
-  of exact ints, and a list of int lists held as one flat int array
-  and pointers (`_IntLists`: a clique tree's cliques, edges and
-  separators, and the maximal cliques of a chordal pattern), take one
-  % per chunk of `_CHUNK_ROWS` lists; an `_IntLists` skips the look at
-  the type of each value.
+- A list whose items are all exact ints is one % over a template made
+  for it; %d writes an int as str(int) does, beyond int64 too.
+- A list of int lists held as one flat int array and pointers
+  (`_IntLists`: a clique tree's cliques, edges and separators, the
+  maximal cliques of a chordal pattern, a pattern's edges, a group's
+  table), and a list of lists or tuples of exact ints within int64,
+  are one uint8 buffer per chunk of `_CHUNK_ROWS` ints, a row per int
+  and per empty list: the list's opening or closing text and the
+  separators around the int, and its digits as a table's int slot
+  holds them (below).
 - The large homogeneous lists (a dense matrix's entries, a completion's
   fill log, a group function's values, a rank-one factor's vector) are
   held as typed columns (`_Table`). Each chunk of `_CHUNK_ROWS` rows is
@@ -145,8 +148,8 @@ def _read_rows(data: bytes, field: tuple[str, ...]) -> dict | None:
       so the one occurrence of the field's key in data is the field when
       json.loads finds that key at the end of the path in the rest.
     - Without whitespace the text starts with [[, ends with a digit and
-      ]], and splits at "],[" into rows with the same number of commas.
-      So it has at least the rows' brackets, and np.fromstring is asked
+      ]], and its "],[" breaks part it into rows with the same number of
+      commas (`_rows_layout`). So it has at least the rows' brackets, and np.fromstring is asked
       for one value per comma and row, which it allocates at once. It
       raises at whitespace between digits and at an empty item; only
       an empty last item would end the text early and leave values
@@ -210,18 +213,27 @@ def _rows_layout(text: bytes) -> tuple[int, int, int, int] | None:
     """(rows, items per row, minus signs, length without whitespace) of an int-rows text, or None.
 
     None unless, without whitespace, the text starts with [[, ends with a
-    digit and ]], and splits at "],[" into rows with the same number of
-    commas.
+    digit and ]], and its "],[" row breaks part it into rows with the
+    same number of commas: width - 1 before the first break, and width
+    from each break to the next. Those counts are taken modulo 256 when
+    width < 256. Each count plus one for the first is then at least its
+    residue, and the counts add up to rows * width - 1; so if each
+    matches width modulo 256, each is exact.
     """
     compact = text.translate(None, _WS)
     if compact[:2] != b"[[" or compact[-2:] != b"]]" or not compact[-3:-2].isdigit():
         return None
-    rows = compact[1:-1].split(b"],[")
-    widths = {row.count(b",") for row in rows}
-    if len(widths) != 1:
+    chars = np.frombuffer(compact, dtype=np.uint8)
+    breaks = np.flatnonzero(chars[:-2] == ord("]"))  # a break never ends the text, which ends in "]]"
+    breaks = breaks[(chars[breaks + 1] == ord(",")) & (chars[breaks + 2] == ord("["))]
+    comma = (chars == ord(",")).view(np.uint8)
+    items, rows = int(np.count_nonzero(comma)) + 1, len(breaks) + 1
+    width = items // rows
+    counts = np.add.reduceat(comma, np.r_[0, breaks], dtype=np.uint8 if width < 256 else np.uint32)
+    if items != rows * width or counts[0] != width - 1 or (counts[1:] != width).any():
         return None
     minus = compact.count(b"-") if b"-" in compact else 0  # `in` finds a byte faster than count
-    return len(rows), widths.pop() + 1, minus, len(compact)
+    return rows, width, minus, len(compact)
 
 
 def dumps(doc, pretty: bool = False) -> str:
@@ -246,16 +258,18 @@ def _emit(value, out: list[str], indent: int | None) -> None:
     elif isinstance(value, (list, tuple)):
         kinds = set(map(type, value))
         flat = list(chain.from_iterable(value)) if kinds <= {list, tuple} else None
+        ints = flat is not None and set(map(type, flat)) <= {int}
         if kinds <= {int}:  # the empty list too
             out.append(_list_spec(len(value), indent) % tuple(value))
-        elif flat is not None and set(map(type, flat)) <= {int}:
-            _emit_packed_lists(list(map(len, value)), flat, out, indent)
+        elif ints and -(2**63) <= min(flat, default=0) <= max(flat, default=0) < 2**63:
+            lists = _IntLists(np.array(flat, dtype=np.int64), np.cumsum([0, *map(len, value)]))
+            _emit_int_lists(lists, out, indent)
         else:
             _emit_items(value, out, indent, "[", "]", key=False)
     elif isinstance(value, _Table):
         _emit_table(value, out, indent)
     elif isinstance(value, _IntLists):
-        _emit_packed_lists(np.diff(value.ptr).tolist(), value.flat, out, indent)
+        _emit_int_lists(value, out, indent)
     else:
         raise TypeError(f"cannot serialize value of type {type(value).__name__}")
 
@@ -318,8 +332,13 @@ class _IntLists:
     flat: np.ndarray
     ptr: np.ndarray
 
+    @staticmethod
+    def of_rows(a: np.ndarray) -> _IntLists:
+        """The rows of a 2-D int array as lists."""
+        return _IntLists(a.ravel(), np.arange(len(a) + 1) * a.shape[1])
 
-_CHUNK_ROWS = 4096  # rows of a table per byte buffer, lists per % call
+
+_CHUNK_ROWS = 4096  # rows of a byte buffer
 _KERNEL_MIN_ROWS = 512  # fewer nonzero floats in a chunk go through one % call
 
 
@@ -440,29 +459,51 @@ def _int_text(magnitude: np.ndarray, quads: int) -> np.ndarray:
     return words.view(np.uint8).reshape(-1, 4 * quads)
 
 
-def _emit_packed_lists(lengths: list[int], flat, out: list[str], indent: int | None) -> None:
-    """Int lists of the given lengths, taken from flat in turn, laid out as `_emit_items` does.
+def _emit_int_lists(lists: _IntLists, out: list[str], indent: int | None) -> None:
+    """The lists laid out as `_emit_items` lays them out, one byte buffer per chunk of `_CHUNK_ROWS` rows.
 
-    flat is a list of ints or an int array; one % renders each chunk of
-    `_CHUNK_ROWS` lists, so an array becomes Python ints a chunk at a time.
+    Each int is one row of a uint8 buffer, and so is each empty list. A
+    row is three NUL-padded parts: "[" and the pad when the int comes
+    first in its list, or "[]" for an empty list; a sign byte and the
+    digits, as `_int_slot` writes them; and "," and the pad, or when the
+    int comes last the closing pad, "]" and the separator of the lists.
+    Dropping the NUL bytes leaves the text.
     """
-    if not lengths:
+    lengths = np.diff(lists.ptr)
+    if not len(lengths):
         out.append("[]")
         return
     inner = None if indent is None else indent + 1
-    spec = {k: _tuple_spec(k, inner) for k in set(lengths)}
     sep = "," + _pad(indent, 1)
+    opens = ("", "[" + _pad(inner, 1), "[]")
+    closes = ("," + _pad(inner, 1), _pad(inner, 0) + "]" + sep, sep)
+    spans = np.maximum(lengths, 1)
+    ends = np.cumsum(spans)
+    kind = np.zeros(ends[-1], dtype=np.uint8)  # row r takes texts[kind[r]]: opens[kind // 3], closes[kind % 3]
+    kind[ends - spans] = 3
+    kind[ends - 1] += 1
+    empty = ends[lengths == 0] - 1
+    kind[empty] = 8
+    values = lists.flat[lists.ptr[0] : lists.ptr[-1]]
+    if len(empty):
+        values = np.insert(values, empty - np.arange(len(empty)), 0)  # written, then cleared
+    width, fill = _int_slot(values)
+    left, right = max(map(len, opens)), max(map(len, closes))
+    texts = [o.encode().ljust(left, b"\0") + bytes(width) + c.encode().rjust(right, b"\0") for o in opens for c in closes]
+    texts = np.frombuffer(b"".join(texts), dtype=np.uint8).reshape(9, -1)
+    buf = np.empty((min(len(kind), _CHUNK_ROWS), texts.shape[1]), dtype=np.uint8)
     out.append("[" + _pad(indent, 1))
-    start = 0
-    for a in range(0, len(lengths), _CHUNK_ROWS):
-        chunk = lengths[a : a + _CHUNK_ROWS]
-        stop = start + sum(chunk)
-        items = flat[start:stop]
-        items = items.tolist() if isinstance(items, np.ndarray) else items
-        out.append(sep.join(map(spec.__getitem__, chunk)) % tuple(items))
-        out.append(sep)
-        start = stop
-    out[-1] = _pad(indent, 0) + "]"  # the last separator closes the list
+    for start in range(0, len(kind), _CHUNK_ROWS):
+        stop = min(start + _CHUNK_ROWS, len(kind))
+        chunk = buf[: stop - start]
+        texts.take(kind[start:stop], axis=0, out=chunk)
+        fill(chunk[:, left : left + width], start, stop)
+        if len(empty):
+            chunk[kind[start:stop] == 8, left : left + width] = 0
+        if stop == len(kind):
+            chunk[-1, -len(sep) :] = 0  # the last list takes no separator; closes are right-aligned
+        out.append(chunk.tobytes().translate(None, b"\0").decode("ascii"))
+    out.append(_pad(indent, 0) + "]")
 
 
 def _list_spec(k: int, indent: int | None) -> str:
@@ -471,7 +512,7 @@ def _list_spec(k: int, indent: int | None) -> str:
     return f"[{_pad(indent, 1)}{sep.join(['%d'] * k)}{_pad(indent, 0)}]" if k else "[]"
 
 
-_tuple_spec = functools.lru_cache(maxsize=256)(_list_spec)  # for lists of lists, whose lengths repeat
+_tuple_spec = functools.lru_cache(maxsize=256)(_list_spec)  # for the tuples of a coded column, whose lengths repeat
 
 
 # -- %.17g of a float column in numpy (see the module docstring) ---------------
@@ -641,7 +682,7 @@ def _complex_from_doc(doc) -> complex:
 # -- patterns ---------------------------------------------------------------
 
 def pattern_to_json(p: Pattern) -> dict:
-    return {"n": p.n, "edges": p.edge_array.tolist()}
+    return {"n": p.n, "edges": _IntLists.of_rows(p.edge_array)}
 
 
 def pattern_from_json(doc) -> Pattern:
@@ -652,7 +693,7 @@ def pattern_from_json(doc) -> Pattern:
 def clique_tree_to_json(t: CliqueTree) -> dict:
     return {
         "cliques": _IntLists(t.members, t.clique_ptr),
-        "tree_edges": _IntLists(t.edge_array.ravel(), np.arange(0, t.edge_array.size + 1, 2)),
+        "tree_edges": _IntLists.of_rows(t.edge_array),
         "separators": _IntLists(t.separator_members, t.separator_ptr),
     }
 
@@ -750,7 +791,7 @@ def partial_to_json(m: PartialHermitianMatrix) -> dict:
     return {
         "n": m.n,
         "d": m.d,
-        "pattern": pattern_to_json(m.pattern),
+        "pattern": {"n": m.n, "edges": m.pattern.edge_array.tolist()},
         "blocks": blocks,
     }
 
@@ -776,7 +817,7 @@ def partial_from_json(doc) -> PartialHermitianMatrix:
 def group_to_json(g: FiniteGroup) -> dict:
     return {
         "order": g.order,
-        "table": g.table_array.tolist(),
+        "table": _IntLists.of_rows(g.table_array),
         "identity": g.identity,
     }
 

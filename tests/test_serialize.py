@@ -1,3 +1,4 @@
+import itertools
 import json
 from fractions import Fraction as F
 from pathlib import Path
@@ -109,14 +110,33 @@ _DOCUMENTS = st.recursive(
 @settings(max_examples=400)
 @given(_DOCUMENTS, st.booleans())
 def test_dumps_matches_the_value_by_value_walk(doc, pretty):
-    """Int lists and `_IntLists` take the % path, tables byte buffers, the rest the generic walk."""
+    """Int lists take the % path; `_IntLists`, lists of int64 lists and tables byte buffers; the rest the generic walk."""
     assert ser.dumps(doc, pretty) == ref_dumps(doc, pretty)
+
+
+_INT64_LISTS = st.lists(st.lists(_INT64, max_size=4), max_size=6) | st.lists(st.just([]), min_size=1, max_size=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_INT64_LISTS, st.booleans(), st.booleans())
+def test_int_lists_emit_like_json(lists, many, pretty):
+    """dumps of an `_IntLists` is json's compact text, and the value-by-value walk's under --pretty.
+
+    With many, the lists repeat until there are more of them than
+    `_CHUNK_ROWS`, so that their rows fill several byte buffers.
+    """
+    if many and lists:
+        lists = lists * (ser._CHUNK_ROWS // len(lists) + 1)
+    got = ser.dumps({"lists": int_lists(lists)}, pretty)
+    want = ref_dumps({"lists": lists}, True) if pretty else json.dumps({"lists": lists}, separators=(",", ":"))
+    same = got == want  # pytest's diff of two long texts would take minutes on each shrinking step
+    assert same
 
 
 def test_pattern_roundtrip_and_normalization():
     doc = {"n": 4, "edges": [[1, 0], [0, 1], [2, 3]]}
     p = ser.pattern_from_json(doc)
-    assert ser.pattern_to_json(p) == {"n": 4, "edges": [[0, 1], [2, 3]]}
+    assert json.loads(ser.dumps(ser.pattern_to_json(p))) == {"n": 4, "edges": [[0, 1], [2, 3]]}
 
 
 def test_matrix_roundtrip():
@@ -539,6 +559,53 @@ def test_table_reader_declines_documents_that_need_json(kind, data):
 def test_table_layout_refuses_an_empty_last_item(text):
     """np.fromstring, asked for one value per item, would leave the last value unread and uninitialised."""
     assert ser._rows_layout(text) is None
+
+
+def _split_rows_layout(text: bytes) -> tuple[int, int, int, int] | None:
+    """The row layout as the reader once found it, by splitting the text into rows: the oracle of `_rows_layout`."""
+    compact = text.translate(None, b" \t\n\r")
+    if compact[:2] != b"[[" or compact[-2:] != b"]]" or not compact[-3:-2].isdigit():
+        return None
+    rows = compact[1:-1].split(b"],[")
+    widths = {row.count(b",") for row in rows}
+    if len(widths) != 1:
+        return None
+    return len(rows), widths.pop() + 1, compact.count(b"-"), len(compact)
+
+
+@st.composite
+def _int_rows_texts(draw):
+    """Int-rows texts with whitespace around every token, at times ragged, with a stray or a missing byte."""
+    pads = itertools.cycle(draw(st.lists(st.text(" \t\n\r", max_size=2), min_size=1, max_size=7)))
+
+    def ws():
+        return next(pads)
+
+    def join(items):
+        return "[" + ws() + ("," + ws()).join(item + ws() for item in items) + "]"
+
+    width = draw(st.sampled_from([1, 2, 3, 255, 256, 257]))
+    tokens = draw(st.lists(st.sampled_from(["0", "7", "-3", "12", "-", "00"]), min_size=1, max_size=3))
+    widths = [width] * draw(st.integers(1, 5))
+    if draw(st.booleans()):  # ragged by one item or by 256, at times with as many items as before
+        step, row = draw(st.sampled_from([-1, 1, 256, -256])), st.integers(0, len(widths) - 1)
+        widths[draw(row)] += step
+        if draw(st.booleans()):
+            widths[draw(row)] -= step
+    text = ws() + join([join((tokens * w)[:w]) for w in widths if w >= 0]) + ws()
+    at = draw(st.integers(0, len(text)))
+    edit = draw(st.sampled_from([None, None, "stray", "missing"]))
+    if edit == "stray":
+        text = text[:at] + draw(st.sampled_from("[],")) + text[at:]
+    elif edit == "missing":
+        text = text[:at] + text[at + 1 :]
+    return text.encode()
+
+
+@settings(max_examples=600, deadline=None)
+@given(_int_rows_texts())
+def test_rows_layout_matches_the_split_rows(text):
+    assert ser._rows_layout(text) == _split_rows_layout(text)
 
 
 def test_table_reader_on_the_edges_of_its_range():
