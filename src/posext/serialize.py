@@ -149,12 +149,12 @@ def _read_rows(data: bytes, field: tuple[str, ...]) -> dict | None:
       json.loads finds that key at the end of the path in the rest.
     - Without whitespace the text starts with [[, ends with a digit and
       ]], and its "],[" breaks part it into rows with the same number of
-      commas (`_rows_layout`). So it has at least the rows' brackets, and np.fromstring is asked
-      for one value per comma and row, which it allocates at once. It
-      raises at whitespace between digits and at an empty item; only
-      an empty last item would end the text early and leave values
-      unread, and the last item is not empty. A minus sign before
-      whitespace is refused.
+      commas (`_rows_layout`). So it has at least the rows' brackets,
+      and np.fromstring is asked for one value per comma and row, which
+      it allocates at once. It raises at whitespace between digits and
+      at an empty item; only an empty last item would end the text early
+      and leave values unread, and the last item is not empty. A minus
+      sign before whitespace is refused.
     - What is left of the text is digits, minus signs and any bracket
       or byte beyond the rows'. An item never has fewer digits than its
       value written canonically, and the minus signs are counted against
