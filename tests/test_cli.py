@@ -66,6 +66,30 @@ def test_group_extend_nonchordal_exits_3(capsys):
     assert code == 3 and out == ""
 
 
+def test_group_extend_failure_names_the_first_coset(tmp_path, capsys):
+    """A relabelled Z_6 with identity 3 and H = {2, 3}: the error names the coset (0, 4), not H."""
+    a = np.arange(6)
+    label = np.array([3, 0, 1, 2, 4, 5])
+    table = np.empty((6, 6), dtype=int)
+    table[label[:, None], label] = label[(a[:, None] + a) % 6]
+    docs = {
+        "group": {"order": 6, "table": table.tolist(), "identity": 3},
+        "subset": {"members": [2, 3]},
+        "function": {"values": [{"g": 3, "re": 1, "im": 0}, {"g": 2, "re": 2, "im": 0}]},
+    }
+    paths = []
+    for name, doc in docs.items():
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(doc))
+    code = main(["group-extend", *map(str, paths)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (
+        3,
+        "",
+        "error: NotPositiveDefinite: kernel fails: clique (0, 4) has a non-PSD block\n",
+    )
+
+
 @pytest.mark.parametrize(
     "group, subset, function",
     [
