@@ -17,13 +17,16 @@ s, t in E, which makes E a subgroup. The clique tree of a subgroup's
 pattern has the right cosets as cliques and only empty separators, so
 the completion of the kernel of u is zero off the cosets, and averaging
 it over right translations gives back u extended by zero (Rudin 1963).
-The extension therefore checks each coset block for positivity and
-extends by zero, without building the pattern or the completion.
+The block on a right coset H s is K[a, b] = u(b a^{-1}) = u(h_b h_a^{-1}),
+the block on H with its rows and columns permuted, so the extension
+checks the block on H alone for positivity and extends by zero, without
+building the pattern or the completion.
 
 Each group holds its multiplication table as one read-only int64 array
-and caches one quotient table Q[s, t] = t s^{-1}; the pattern of E, the
-subgroup test and the kernels of functions on E or on G are lookups
-into them. `validate_group` checks an int64 array as it is, as
+and caches one quotient table Q[s, t] = t s^{-1} for the pattern of E
+and the kernels of functions on G. The subgroup test and the kernel of
+a function on E read Q on E x E only, straight from the table.
+`validate_group` checks an int64 array as it is, as
 `serialize.load_json` and the group constructors hand it over, and any
 other table row by row, as `validate_pattern` treats edges.
 """
@@ -177,16 +180,15 @@ def _generators(mul: np.ndarray, e: int) -> list[int]:
     inside = np.zeros(len(mul), dtype=bool)
     inside[e] = True
     gens = []
-    for x in range(len(mul)):
-        if inside[x]:
-            continue
-        gens.append(x)
-        inside[x] = True
-        size = 0
-        while size < inside.sum():
-            size = inside.sum()
-            members = np.flatnonzero(inside)
-            inside[mul[np.ix_(members, members)]] = True
+    while not inside.all():
+        gens.append(int(inside.argmin()))  # the least element not yet generated
+        inside[gens[-1]] = True
+        members = np.flatnonzero(inside)
+        while True:  # close under the product, one count of the members per round
+            inside[mul[members[:, None], members]] = True
+            size, members = len(members), np.flatnonzero(inside)
+            if len(members) == size:
+                break
     return gens
 
 
@@ -260,13 +262,17 @@ def is_chordal_subset(g: FiniteGroup, e: SymmetricSubset) -> bool:
     """True iff the induced pattern is chordal, that is iff E is a subgroup.
 
     E is inverse-closed and holds the identity, so it is a subgroup iff
-    t s^{-1} lies in E for all s, t in E: |E|^2 lookups into the quotient
-    table.
+    t s^{-1} lies in E for all s, t in E: |E|^2 lookups into the table.
     """
     members = sorted(e.members)
     inside = np.zeros(g.order, dtype=bool)
     inside[members] = True
-    return bool(inside[g.quotient[np.ix_(members, members)]].all())
+    return bool(inside[_subset_quotient(g, members)].all())
+
+
+def _subset_quotient(g: FiniteGroup, members: list[int]) -> np.ndarray:
+    """Q on members x members: entry (a, b) is members[b] members[a]^{-1}."""
+    return g.table_array[np.ix_(members, [g.inverse[x] for x in members])].T
 
 
 def _right_cosets(g: FiniteGroup, h: SymmetricSubset) -> np.ndarray:
@@ -348,8 +354,7 @@ def is_positive_definite_on(
     cliques through the identity, those of the pattern on E, suffice.
     """
     _check_domain(e, u)
-    members = sorted(e.members)
-    q = g.quotient[np.ix_(members, members)]
+    q = _subset_quotient(g, sorted(e.members))
     kernel = restrict_to_pattern(_lookup(g, u)[q], _quotient_pattern(q, e))
     return partially_positive(kernel, tol)[0]
 
@@ -396,22 +401,23 @@ def positive_definite_extension(
     """Extend a positive definite function on a chordal subset to all of G.
 
     A chordal subset is a subgroup H (see the module docstring), whose
-    kernel is block diagonal over the right cosets. u is positive
-    definite iff each coset's |H| x |H| block is PSD. The extension is u
-    extended by zero and made Hermitian as invariantize does, which is
-    bit for bit what completing the kernel along its clique tree and
-    averaging over right translations gives. It restricts to u exactly
-    and has a PSD kernel.
+    kernel is block diagonal over the right cosets, each block the block
+    on H permuted. u is positive definite iff the |H| x |H| block on
+    sorted H is PSD: the matrix that is_positive_definite_on checks, bit
+    for bit, so both decide alike. A failure names the first right
+    coset, the first clique of the pattern; all blocks fail together.
+    The extension is u extended by zero and made Hermitian as
+    invariantize does, which is bit for bit what completing the kernel
+    along its clique tree and averaging over right translations gives.
+    It restricts to u exactly and has a PSD kernel.
     """
     if not is_chordal_subset(g, e):
         raise NotChordalSubset("subset does not induce a chordal pattern")
     _check_domain(e, u)
-    cosets = _right_cosets(g, e)
-    blocks = _lookup(g, u)[g.quotient[cosets[:, :, None], cosets[:, None, :]]]
-    upper = np.triu(np.ones(blocks.shape[1:], dtype=bool))
-    # the lower triangles mirror the upper ones, as completion.expand builds them
-    ok = is_psd(np.where(upper, blocks, blocks.conj().swapaxes(1, 2)), tol)
-    if not ok.all():
-        coset = tuple(cosets[np.flatnonzero(~ok)[0]].tolist())
+    block = _lookup(g, u)[_subset_quotient(g, sorted(e.members))]
+    upper = np.triu(np.ones(block.shape, dtype=bool))
+    # the lower triangle mirrors the upper one, as completion.expand builds it
+    if not is_psd(np.where(upper, block, block.conj().T)[None], tol)[0]:
+        coset = tuple(_right_cosets(g, e)[0].tolist())
         raise NotPositiveDefinite(f"kernel fails: clique {coset} has a non-PSD block")
     return _hermitian(g, {x: u.values.get(x, 0j) for x in range(g.order)})

@@ -658,10 +658,12 @@ def _digit_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     The digits are little-endian uint32 words; those without leading zeros
     are NUL-padded on the left, with 0 written "0". 0 has 4 trailing zeros.
     """
-    n = np.arange(10000)
-    digits = np.stack([n // 1000, n // 100 % 10, n // 10 % 10, n % 10], axis=1)
+    n = np.arange(10000, dtype=np.int16)
+    digits = np.empty((10000, 4), dtype=np.uint8)
+    for k, unit in enumerate((1000, 100, 10, 1)):
+        digits[:, k] = n // unit % 10
     zeros = np.where(n == 0, 4, np.argmax(digits[:, ::-1] != 0, axis=1))
-    text = (digits + ord("0")).astype(np.uint8)
+    text = digits + np.uint8(ord("0"))
     shown = np.logical_or.accumulate(digits != 0, axis=1)
     shown[:, -1] = True
     lead = np.where(shown, text, 0).astype(np.uint8)

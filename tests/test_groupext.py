@@ -2,7 +2,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     all_small_groups,
@@ -53,7 +53,7 @@ from posext.errors import (
     NotPositiveDefinite,
     TooLarge,
 )
-from posext import groupext
+from posext import groupext, linalg
 from posext import serialize as ser
 from posext.groupext import _generators, _right_cosets
 
@@ -339,22 +339,40 @@ def test_extension_failure_names_the_first_coset_when_h_is_not_first():
     assert str(info.value) == "kernel fails: clique (0, 4) has a non-PSD block"
 
 
-def test_extension_checks_all_cosets_at_once_and_names_the_first_that_fails(monkeypatch):
-    """The cosets of a subgroup give permuted copies of one block, so no real
-    input fails on a later coset alone; a stand-in for is_psd fails two of them."""
-    z8 = cyclic_group(8)
-    h = validate_subset(z8, {0, 4})  # cosets (0, 4), (1, 5), (2, 6), (3, 7)
-    u = group_function(z8, {0: 1.0, 4: 0.5})
-    stacks = []
+def _relabelled(g, label):
+    """g with each element x renamed label[x]."""
+    label = np.asarray(label)
+    table = np.empty_like(g.table_array)
+    table[label[:, None], label] = label[g.table_array]
+    return validate_group(table, int(label[g.identity]))
 
-    def verdicts(blocks, tol=None):
-        stacks.append((blocks.shape, tol))
-        return np.array([True, False, True, False])
 
-    monkeypatch.setattr(groupext, "is_psd", verdicts)
-    with pytest.raises(NotPositiveDefinite, match=r"^kernel fails: clique \(1, 5\) has a non-PSD block$"):
-        positive_definite_extension(z8, h, u, 0.25)
-    assert stacks == [((4, 2, 2), 0.25)]
+def test_extension_checks_the_block_on_h_and_names_the_first_coset(monkeypatch):
+    """One (1, |H|, |H|) stack, bit for bit the block that pd-check's clique check gets.
+
+    Z_12 relabelled by x -> 5 x + 7 has identity 7 and H = {1, 4, 7, 10},
+    the image of {0, 3, 6, 9}; its first right coset is (0, 3, 6, 9).
+    """
+    g = _relabelled(cyclic_group(12), [(5 * x + 7) % 12 for x in range(12)])
+    h = validate_subset(g, {1, 4, 7, 10})
+    u = group_function(g, {7: 2.0, 10: 0.5 + 0.25j, 4: 0.5 - 0.25j, 1: -0.3})
+    seen = {}
+
+    def stand_in(key, verdict):
+        def is_psd(blocks, tol=None):
+            seen[key] = (blocks.copy(), tol)
+            return np.array([verdict])
+
+        return is_psd
+
+    monkeypatch.setattr(linalg, "is_psd", stand_in("pd-check", True))
+    assert is_positive_definite_on(g, h, u, 0.25)
+    monkeypatch.setattr(groupext, "is_psd", stand_in("extend", False))
+    with pytest.raises(NotPositiveDefinite, match=r"^kernel fails: clique \(0, 3, 6, 9\) has a non-PSD block$"):
+        positive_definite_extension(g, h, u, 0.25)
+    (stack, tol), (block, pd_tol) = seen["extend"], seen["pd-check"]
+    assert stack.shape == block.shape == (1, 4, 4) and tol == pd_tol == 0.25
+    assert bits(stack) == bits(block)
 
 
 def test_invariantize_examples():
@@ -618,6 +636,91 @@ def test_extension_commutes_with_group_automorphisms(data):
             assert not any(w(phi[x]) for x in outside) and not any(v(x) for x in outside)
 
 
+@st.composite
+def _groups(draw):
+    """A cyclic, dihedral or direct-product group, often relabelled."""
+    kind = draw(st.sampled_from(["cyclic", "dihedral", "product"]))
+    if kind == "cyclic":
+        g = cyclic_group(draw(st.integers(1, 16)))
+    elif kind == "dihedral":
+        g = dihedral_group(draw(st.integers(1, 6)))
+    else:
+        left = draw(st.sampled_from([cyclic_group(2), cyclic_group(3), dihedral_group(3)]))
+        g = direct_product(left, draw(st.sampled_from([cyclic_group(2), cyclic_group(4)])))
+    if draw(st.booleans()):
+        g = _relabelled(g, draw(st.permutations(range(g.order))))
+    return g
+
+
+def _generated_subgroup(g, gens):
+    """The subgroup generated by gens, as a validated subset."""
+    members = {g.identity, *gens}
+    while len(grown := members | {g.mul(a, b) for a in members for b in members}) > len(members):
+        members = grown
+    return validate_subset(g, members)
+
+
+def _extends(g, h, u, tol) -> bool:
+    """Whether positive_definite_extension returns, rather than raising NotPositiveDefinite."""
+    try:
+        positive_definite_extension(g, h, u, tol)
+    except NotPositiveDefinite:
+        return False
+    return True
+
+
+def _kernel_on(g, h, u):
+    """K[a, b] = u(h_b h_a^{-1}) on sorted H, by the group law."""
+    members = sorted(h.members)
+    return np.array([[u(g.mul(b, g.inverse[a])) for b in members] for a in members])
+
+
+@settings(max_examples=200)
+@given(_groups(), st.data())
+def test_extension_fails_exactly_when_pd_check_does(g, data):
+    """positive_definite_extension raises NotPositiveDefinite iff is_positive_definite_on is False.
+
+    u is positive definite, random Hermitian, or random Hermitian shifted
+    at the identity so that the least eigenvalue of its kernel on H lies
+    within a few ulps of -tol, where roundoff decides the verdict.
+    """
+    gens = data.draw(st.lists(st.integers(0, g.order - 1), max_size=2))
+    h = _generated_subgroup(g, gens)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    kind = data.draw(st.sampled_from(["psd", "hermitian", "boundary"]))
+    u = random_pd_function(rng, g, h) if kind == "psd" else _random_hermitian(rng, g, h)
+    tol = data.draw(st.sampled_from([None, 1e-9, 1e-6, 0.25]))
+    if kind == "boundary":
+        kernel = _kernel_on(g, h, u)
+        least = np.linalg.eigvalsh(kernel)[0]
+        ulps = data.draw(st.integers(-8, 8)) * np.spacing(np.abs(kernel).max())
+        diag = u(g.identity).real - least + ulps
+        # the default tol is 1e-9 (1 + the shifted diagonal entry)
+        diag = (diag - 1e-9) / (1 + 1e-9) if tol is None else diag - tol
+        u = group_function(g, {**u.values, g.identity: diag})
+    assert _extends(g, h, u, tol) == is_positive_definite_on(g, h, u, tol)
+
+
+@pytest.mark.parametrize(
+    "tol, values",
+    [
+        (1e-9, ["0x1.8d1aeda7b67ebp+0", "-0x1.ea21ef31206fcp-1", "0x1.f3ca5834344c5p-3", "-0x1.ad068233f0a68p-1"]),
+        (None, ["0x1.f3a4bfa564bb9p+0", "-0x1.1d6331f713659p-1", "0x1.b269f6d5ce410p-2", "0x1.f0b1520229de6p-1"]),
+    ],
+)
+def test_extension_and_pd_check_agree_where_roundoff_straddles_tol(tol, values):
+    """u on H = {0, 2, 5, 7} of D4, shifted at 0 so that the kernel's least eigenvalue is within ulps of -tol.
+
+    The coset blocks are permuted copies of the block on H, and their
+    computed eigenvalues differ in the last bits; checking every coset
+    rejected these u while pd-check accepted them.
+    """
+    g = dihedral_group(4)
+    h = validate_subset(g, {0, 2, 5, 7})
+    u = group_function(g, dict(zip([0, 2, 5, 7], map(float.fromhex, values))))
+    assert _extends(g, h, u, tol) == is_positive_definite_on(g, h, u, tol)
+
+
 def test_right_cosets_are_the_cliques_in_order():
     """The cosets come out as maximal_cliques lists the cliques of the pattern."""
     for _, g in ORACLE_GROUPS:
@@ -742,6 +845,40 @@ def test_elementary_abelian_group_needs_k_generators(k):
 def test_generating_sets_stay_logarithmic():
     for _, g in ORACLE_GROUPS + GROUPS:
         assert len(_generators(g.table_array, g.identity)) <= max(g.order - 1, 0).bit_length()
+
+
+def _ref_generators(mul, e):
+    """_generators as it scanned every element: the reference for the greedy generating set."""
+    inside = np.zeros(len(mul), dtype=bool)
+    inside[e] = True
+    gens = []
+    for x in range(len(mul)):
+        if inside[x]:
+            continue
+        gens.append(x)
+        inside[x] = True
+        size = 0
+        while size < inside.sum():
+            size = inside.sum()
+            members = np.flatnonzero(inside)
+            inside[mul[np.ix_(members, members)]] = True
+    return gens
+
+
+@given(_groups())
+def test_generators_match_the_element_scan_on_groups(g):
+    got = _generators(g.table_array, g.identity)
+    assert got == _ref_generators(g.table_array, g.identity)
+    assert all(type(x) is int for x in got)
+
+
+def test_generators_match_the_element_scan_on_random_loops():
+    """The loops of the Light's test oracle, the non-associative ones included."""
+    for seed in range(300):
+        rng = np.random.default_rng([seed, 6])
+        table, e = _random_loop(rng, int(rng.integers(2, 13)))
+        mul = np.array(table)
+        assert _generators(mul, e) == _ref_generators(mul, e), seed
 
 
 def test_light_test_on_a_non_abelian_direct_product():

@@ -343,6 +343,24 @@ def test_float_kernel_matches_format_17g_on_a_fixed_corpus():
     assert _format_17g(np.array([-0.0, 0.0, -1.5])) == ["-0", "0", "-1.5"]
 
 
+def _int64_digit_tables():
+    """_digit_tables as it was built from int64 digits: the reference for the tables."""
+    n = np.arange(10000)
+    digits = np.stack([n // 1000, n // 100 % 10, n // 10 % 10, n % 10], axis=1)
+    zeros = np.where(n == 0, 4, np.argmax(digits[:, ::-1] != 0, axis=1))
+    text = (digits + ord("0")).astype(np.uint8)
+    shown = np.logical_or.accumulate(digits != 0, axis=1)
+    shown[:, -1] = True
+    lead = np.where(shown, text, 0).astype(np.uint8)
+    return text.view("<u4").ravel(), lead.view("<u4").ravel(), zeros
+
+
+def test_digit_tables_match_the_int64_build():
+    for got, want in zip(ser._digit_tables(), _int64_digit_tables(), strict=True):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("pretty", [False, True])
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0.5, np.nan)])
 def test_non_finite_matrix_entry_is_not_serializable(value, pretty):
