@@ -187,7 +187,7 @@ def _generators(mul: np.ndarray, e: int) -> list[int]:
         while True:  # close under the product, one count of the members per round
             inside[mul[members[:, None], members]] = True
             size, members = len(members), np.flatnonzero(inside)
-            if len(members) == size:
+            if len(members) in (size, len(mul)):  # closed, or nothing is left outside
                 break
     return gens
 

@@ -350,12 +350,13 @@ def _relabelled(g, label):
 def test_extension_checks_the_block_on_h_and_names_the_first_coset(monkeypatch):
     """One (1, |H|, |H|) stack, bit for bit the block that pd-check's clique check gets.
 
-    Z_12 relabelled by x -> 5 x + 7 has identity 7 and H = {1, 4, 7, 10},
-    the image of {0, 3, 6, 9}; its first right coset is (0, 3, 6, 9).
+    Z_12 relabelled by 0, 1, 2, 3 -> 3, 0, 1, 2 has identity 3 and
+    H = {2, 3, 6, 9}, the image of {0, 3, 6, 9}. Its first right coset is
+    (0, 4, 7, 10), whose block is the block on H permuted, not equal.
     """
-    g = _relabelled(cyclic_group(12), [(5 * x + 7) % 12 for x in range(12)])
-    h = validate_subset(g, {1, 4, 7, 10})
-    u = group_function(g, {7: 2.0, 10: 0.5 + 0.25j, 4: 0.5 - 0.25j, 1: -0.3})
+    g = _relabelled(cyclic_group(12), [3, 0, 1, 2, *range(4, 12)])
+    h = validate_subset(g, {2, 3, 6, 9})
+    u = group_function(g, {3: 2.0, 2: 0.5 + 0.25j, 9: 0.5 - 0.25j, 6: -0.3})
     seen = {}
 
     def stand_in(key, verdict):
@@ -368,7 +369,7 @@ def test_extension_checks_the_block_on_h_and_names_the_first_coset(monkeypatch):
     monkeypatch.setattr(linalg, "is_psd", stand_in("pd-check", True))
     assert is_positive_definite_on(g, h, u, 0.25)
     monkeypatch.setattr(groupext, "is_psd", stand_in("extend", False))
-    with pytest.raises(NotPositiveDefinite, match=r"^kernel fails: clique \(0, 3, 6, 9\) has a non-PSD block$"):
+    with pytest.raises(NotPositiveDefinite, match=r"^kernel fails: clique \(0, 4, 7, 10\) has a non-PSD block$"):
         positive_definite_extension(g, h, u, 0.25)
     (stack, tol), (block, pd_tol) = seen["extend"], seen["pd-check"]
     assert stack.shape == block.shape == (1, 4, 4) and tol == pd_tol == 0.25
