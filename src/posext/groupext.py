@@ -184,7 +184,7 @@ def _generators(mul: np.ndarray, e: int) -> list[int]:
         gens.append(int(inside.argmin()))  # the least element not yet generated
         inside[gens[-1]] = True
         members = np.flatnonzero(inside)
-        while True:  # close under the product, one count of the members per round
+        while True:  # close under the product
             inside[mul[members[:, None], members]] = True
             size, members = len(members), np.flatnonzero(inside)
             if len(members) in (size, len(mul)):  # closed, or nothing is left outside

@@ -317,34 +317,23 @@ def test_extension_rejects_nonchordal_or_indefinite():
         )
 
 
-# Z_6 relabelled by x -> [3, 0, 1, 2, 4, 5][x]: the identity is 3, and the
-# subgroup {0, 3} of Z_6 becomes {3, 2}, whose right cosets are (2, 3), (0, 4), (1, 5).
-RELABELLED_Z6 = [
-    [1, 2, 4, 0, 5, 3],
-    [2, 4, 5, 1, 3, 0],
-    [4, 5, 3, 2, 0, 1],
-    [0, 1, 2, 3, 4, 5],
-    [5, 3, 0, 4, 1, 2],
-    [3, 0, 1, 5, 2, 4],
-]
-
-
-def test_extension_failure_names_the_first_coset_when_h_is_not_first():
-    g = validate_group(RELABELLED_Z6, 3)
-    h = validate_subset(g, {2, 3})
-    assert [tuple(c) for c in _right_cosets(g, h).tolist()] == [(0, 4), (1, 5), (2, 3)]
-    u = group_function(g, {3: 1.0, 2: 2.0})  # the block [[1, 2], [2, 1]] is indefinite
-    with pytest.raises(NotPositiveDefinite) as info:
-        positive_definite_extension(g, h, u)
-    assert str(info.value) == "kernel fails: clique (0, 4) has a non-PSD block"
-
-
 def _relabelled(g, label):
     """g with each element x renamed label[x]."""
     label = np.asarray(label)
     table = np.empty_like(g.table_array)
     table[label[:, None], label] = label[g.table_array]
     return validate_group(table, int(label[g.identity]))
+
+
+def test_extension_failure_names_the_first_coset_when_h_is_not_first():
+    """Z_6 relabelled so that its identity is 3 and its subgroup of order 2 is {2, 3}."""
+    g = _relabelled(cyclic_group(6), [3, 0, 1, 2, 4, 5])
+    h = validate_subset(g, {2, 3})
+    assert [tuple(c) for c in _right_cosets(g, h).tolist()] == [(0, 4), (1, 5), (2, 3)]
+    u = group_function(g, {3: 1.0, 2: 2.0})  # the block [[1, 2], [2, 1]] is indefinite
+    with pytest.raises(NotPositiveDefinite) as info:
+        positive_definite_extension(g, h, u)
+    assert str(info.value) == "kernel fails: clique (0, 4) has a non-PSD block"
 
 
 def test_extension_checks_the_block_on_h_and_names_the_first_coset(monkeypatch):
