@@ -50,7 +50,7 @@ def random_pd_function(rng, g, e):
         if xi in vals:
             vals[x] = vals[xi].conjugate()
             continue
-        acc = sum(f[r].conjugate() * f[g.mul(x, r)] for r in range(g.order)) / g.order
+        acc = sum(f[r].conjugate() * f[g.table_array[x, r]] for r in range(g.order)) / g.order
         vals[x] = complex(acc.real, 0.0) if x == xi else acc
     return group_function(g, vals)
 

@@ -37,11 +37,9 @@ from .groupext import (
     direct_product,
     group_function,
     invariant_kernel,
-    invariantize,
     is_chordal_subset,
     is_positive_definite_on,
     klein_four_group,
-    n_transform,
     positive_definite_extension,
     star_pattern,
     validate_group,
@@ -53,13 +51,11 @@ from .linalg import (
     eigh,
     is_psd,
     pseudo_inverse,
-    rank_one_factors,
     smallest_eigenvalues,
 )
 from .pattern import (
     CliqueTree,
     Pattern,
-    chordless_cycles,
     clique_tree,
     is_chordal,
     maximal_cliques,

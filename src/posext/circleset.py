@@ -10,14 +10,21 @@ annotations that only membership tests and canonical equality consult.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import EmptyIntervalWithReversedEndpoints, InputError, NotDecreasing
+from .errors import EmptyIntervalWithReversedEndpoints, InputError, NotDecreasing, TooLarge
 
 _ONE = Fraction(1)
 _MINUS_ONE = Fraction(-1)
+# Fraction("1e<k>") builds the integer 10^|k|, in time superlinear in |k|; 4300 is
+# the number of digits Python itself reads into an int from a string.
+_MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"e[-+]?([\d_]+)\s*\Z", re.IGNORECASE)
+# cexi_truncation builds 2 depth Fractions 1/k: depth 10^4 takes about a second.
+MAX_CEXI_DEPTH = 10_000
 
 
 @dataclass(frozen=True, order=True)
@@ -42,7 +49,11 @@ class CircleSet:
 
 
 def _rational(x) -> Fraction:
-    """Fraction(x); a zero denominator or an infinite float is malformed input."""
+    """Fraction(x); a zero denominator, an infinite float or an exponent beyond 4300 is malformed input."""
+    if isinstance(x, str) and (m := _EXPONENT.search(x)):
+        digits = m[1].replace("_", "").lstrip("0")
+        if len(digits) > len(str(_MAX_EXPONENT)) or int(digits or "0") > _MAX_EXPONENT:
+            raise InputError(f"not a finite rational: {x!r} has an exponent beyond {_MAX_EXPONENT}")
     try:
         return Fraction(x)
     except (ZeroDivisionError, OverflowError) as exc:
@@ -208,10 +219,13 @@ def cexi_truncation(depth: int, t: Sequence | None = None) -> CircleSet:
     negatives for n = 1..depth, where t defaults to t_k = 1/k. The
     sequence must be strictly decreasing, positive, and start at most at
     1; at every finite depth the origin stays isolated, so the set never
-    contains a symmetric neighbourhood of zero.
+    contains a symmetric neighbourhood of zero. A depth above
+    MAX_CEXI_DEPTH raises TooLarge.
     """
     if depth < 1:
         raise InputError(f"depth must be at least 1, got {depth}")
+    if depth > MAX_CEXI_DEPTH:
+        raise TooLarge(f"depth {depth} exceeds the cap of {MAX_CEXI_DEPTH}")
     if t is None:
         seq = [Fraction(1, k) for k in range(1, 2 * depth + 1)]
     else:

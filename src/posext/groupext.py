@@ -39,7 +39,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .completion import PartialHermitianMatrix, partially_positive, restrict_to_pattern
+from .completion import partially_positive, restrict_to_pattern
 from .errors import (
     DomainMismatch,
     InputError,
@@ -51,7 +51,7 @@ from .errors import (
     NotPositiveDefinite,
     TooLarge,
 )
-from .linalg import as_finite_matrix, is_psd
+from .linalg import is_psd
 from .pattern import Pattern, _integers
 
 _WORD_ORACLE_CAP = 8
@@ -83,14 +83,6 @@ class FiniteGroup:
 
     def __hash__(self) -> int:
         return hash((self.order, self.identity, self.table_array.tobytes()))
-
-    @property
-    def table(self) -> tuple[tuple[int, ...], ...]:
-        """The table as a tuple of rows of ints, made on each call."""
-        return tuple(map(tuple, self.table_array.tolist()))
-
-    def mul(self, s: int, t: int) -> int:
-        return int(self.table_array[s, t])
 
     @cached_property
     def quotient(self) -> np.ndarray:
@@ -275,17 +267,6 @@ def _subset_quotient(g: FiniteGroup, members: list[int]) -> np.ndarray:
     return g.table_array[np.ix_(members, [g.inverse[x] for x in members])].T
 
 
-def _right_cosets(g: FiniteGroup, h: SymmetricSubset) -> np.ndarray:
-    """The right cosets H s of a subgroup as sorted rows, by least element.
-
-    Disjoint sorted rows ordered by their first entry are in
-    lexicographic order, the order in which maximal_cliques lists the
-    cliques of the induced pattern.
-    """
-    columns = np.sort(g.table_array[sorted(h.members)], axis=0)  # column s: H s
-    return columns[:, columns[0] == np.arange(g.order)].T
-
-
 def word_chordality_oracle(g: FiniteGroup, e: SymmetricSubset) -> bool:
     """Exhaustive check of the group-word form of chordality.
 
@@ -309,7 +290,7 @@ def word_chordality_oracle(g: FiniteGroup, e: SymmetricSubset) -> bool:
         # points are the partial products, starting at the identity
         last = points[-1]
         for s in steps:
-            nxt = g.mul(s, last)
+            nxt = int(g.table_array[s, last])
             if nxt == g.identity:
                 if len(points) >= 4 and not has_chord(points):
                     return False
@@ -319,15 +300,6 @@ def word_chordality_oracle(g: FiniteGroup, e: SymmetricSubset) -> bool:
         return True
 
     return search([g.identity])
-
-
-def n_transform(
-    g: FiniteGroup, e: SymmetricSubset, u: GroupFunction
-) -> PartialHermitianMatrix:
-    """Partial matrix on the induced pattern with entry (s, t) = u(t s^{-1})."""
-    p = star_pattern(g, e)
-    _check_domain(e, u)
-    return restrict_to_pattern(_lookup(g, u)[g.quotient], p)
 
 
 def _check_domain(e: SymmetricSubset, u: GroupFunction) -> None:
@@ -359,24 +331,6 @@ def is_positive_definite_on(
     return partially_positive(kernel, tol)[0]
 
 
-def invariantize(g: FiniteGroup, m: np.ndarray) -> GroupFunction:
-    """Average a PSD kernel over right translations.
-
-    v(x) = (1/|G|) sum_r M(r, x r) depends only on the quotient, and its
-    kernel K(s, t) = v(t s^{-1}) is an average of simultaneously permuted
-    copies of M, hence PSD. Runs of identical entries short-circuit the
-    mean so that already invariant kernels are reproduced exactly.
-    """
-    m = as_finite_matrix(m, g.order)
-    # terms[x, r] = M(r, x r); Python's sum keeps the left-to-right rounding.
-    terms = m[np.arange(g.order), g.table_array]
-    constant = (terms == terms[:, :1]).all(axis=1)
-    vals: dict[int, complex] = {}
-    for x, row in enumerate(terms.tolist()):
-        vals[x] = row[0] if constant[x] else sum(row) / g.order
-    return _hermitian(g, vals)
-
-
 def _hermitian(g: FiniteGroup, vals: dict[int, complex]) -> GroupFunction:
     """vals made Hermitian-symmetric: conjugates at the larger index of each inverse pair."""
     for x in range(g.order):
@@ -406,18 +360,21 @@ def positive_definite_extension(
     sorted H is PSD: the matrix that is_positive_definite_on checks, bit
     for bit, so both decide alike. A failure names the first right
     coset, the first clique of the pattern; all blocks fail together.
-    The extension is u extended by zero and made Hermitian as
-    invariantize does, which is bit for bit what completing the kernel
-    along its clique tree and averaging over right translations gives.
-    It restricts to u exactly and has a PSD kernel.
+    That coset is H s for the least element s = 0, which lies in it.
+    The extension is u extended by zero, with each conjugate written at
+    the larger index of its inverse pair, which is bit for bit what
+    completing the kernel along its clique tree and averaging the
+    completion over right translations gives. It restricts to u exactly
+    and has a PSD kernel.
     """
     if not is_chordal_subset(g, e):
         raise NotChordalSubset("subset does not induce a chordal pattern")
     _check_domain(e, u)
-    block = _lookup(g, u)[_subset_quotient(g, sorted(e.members))]
+    members = sorted(e.members)
+    block = _lookup(g, u)[_subset_quotient(g, members)]
     upper = np.triu(np.ones(block.shape, dtype=bool))
     # the lower triangle mirrors the upper one, as completion.expand builds it
     if not is_psd(np.where(upper, block, block.conj().T)[None], tol)[0]:
-        coset = tuple(_right_cosets(g, e)[0].tolist())
+        coset = tuple(sorted(g.table_array[members, 0].tolist()))
         raise NotPositiveDefinite(f"kernel fails: clique {coset} has a non-PSD block")
     return _hermitian(g, {x: u.values.get(x, 0j) for x in range(g.order)})

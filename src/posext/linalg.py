@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InputError, NotPSD
+from .errors import DimensionMismatch, InputError
 
 _PINV_REL = 1e-12
 _SUPPORT_REL = 1e-12
@@ -90,22 +90,6 @@ def _support(vec: np.ndarray) -> tuple[int, ...]:
     top = float(np.max(mags)) if vec.size else 0.0
     cut = _SUPPORT_REL * top
     return tuple(int(i) for i in np.nonzero(mags > cut)[0])
-
-
-def rank_one_factors(a, tol: float | None = None) -> list[RankOneFactor]:
-    """Split a PSD matrix into rank-one pieces sqrt(l_k) u_k (see eigen_factors).
-
-    Raises NotPSD when an eigenvalue lies below -tol.
-    """
-    m = _as_matrix(a)
-    if tol is None:
-        tol = default_psd_tol(m)
-    if m.shape[0] == 0:
-        return []
-    w, v = eigh(m)
-    if w[0] < -tol:
-        raise NotPSD(f"minimum eigenvalue {w[0]:.3e} is below -{tol:.3e}")
-    return eigen_factors(w, v, tol)
 
 
 def eigen_factors(w: np.ndarray, v: np.ndarray, tol) -> list[RankOneFactor]:

@@ -17,8 +17,7 @@ neighbours, the highest index among equals. Its heap holds one int per
 entry, -(w n + v) for vertex v at weight w: as 0 <= v < n, w n + v
 orders by w first and by v second, exactly as the pair (w, v) does, and
 no two entries are equal, so the visit order is the one the pair keys
-gave. Non-chordal patterns fall back to Bron-Kerbosch for their cliques,
-and a brute-force chordless-cycle oracle is provided for cross-checking.
+gave. Non-chordal patterns fall back to Bron-Kerbosch for their cliques.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ import numpy as np
 from .errors import IndexOutOfRange, InputError, NotChordal, TooLarge
 
 _BRUTE_FORCE_CLIQUE_CAP = 20
-_CYCLE_ORACLE_CAP = 12
 MAX_VERTICES = 3037000499  # the largest n whose edge keys i * n + j, i < j < n, fit in int64
 
 
@@ -446,38 +444,6 @@ def clique_tree(p: Pattern) -> CliqueTree:
     if not p.structure.chordal:
         raise NotChordal("clique trees exist only for chordal patterns")
     return p.structure.tree
-
-
-def chordless_cycles(p: Pattern, max_len: int) -> list[list[int]]:
-    """Enumerate chordless cycles of length 4..max_len by induced-path search.
-
-    Each cycle is reported once, as the rotation starting at its smallest
-    vertex and moving towards its smaller neighbour. Capped at 12 vertices.
-    """
-    if p.n > _CYCLE_ORACLE_CAP:
-        raise TooLarge(
-            f"chordless-cycle enumeration is capped at n <= {_CYCLE_ORACLE_CAP}"
-        )
-    ptr, nbr = p.indptr.tolist(), p.indices.tolist()
-    found: list[list[int]] = []
-
-    def extend(path: list[int]) -> None:
-        for u in nbr[ptr[path[-1]] : ptr[path[-1] + 1]]:
-            if u <= path[0] or u in path:
-                continue
-            hits = [k for k in range(len(path) - 1) if u in nbr[ptr[path[k]] : ptr[path[k] + 1]]]
-            if not hits:
-                if len(path) < max_len:
-                    extend(path + [u])
-            elif hits == [0] and 4 <= len(path) + 1 <= max_len and path[1] < u:
-                found.append(path + [u])
-
-    if max_len >= 4:
-        for s in range(p.n):
-            for t in nbr[ptr[s] : ptr[s + 1]]:
-                if t > s:
-                    extend([s, t])
-    return sorted(found, key=lambda c: (len(c), c))
 
 
 def square_partition(p: Pattern) -> list[tuple[int, ...]]:

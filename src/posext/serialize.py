@@ -18,8 +18,8 @@ one of four paths, and all four give the same bytes:
   for it; %d writes an int as str(int) does, beyond int64 too.
 - A list of int lists held as one flat int array and pointers
   (`_IntLists`: a clique tree's cliques, edges and separators, the
-  maximal cliques of a chordal pattern, a pattern's edges, a group's
-  table), and a list of lists or tuples of exact ints within int64,
+  maximal cliques of a chordal pattern, a pattern's edges), and a list
+  of lists or tuples of exact ints within int64,
   are one uint8 buffer per chunk of `_CHUNK_ROWS` ints, a row per int
   and per empty list: the list's opening or closing text and the
   separators around the int, and its digits as a table's int slot
@@ -670,10 +670,6 @@ def _digit_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return text.view("<u4").ravel(), lead.view("<u4").ravel(), zeros
 
 
-def _complex_to_doc(z: complex) -> dict:
-    return {"re": float(z.real), "im": float(z.imag)}
-
-
 def _complex_from_doc(doc) -> complex:
     z = complex(float(doc["re"]), float(doc["im"]))
     if not cmath.isfinite(z):
@@ -780,24 +776,6 @@ def factors_to_json(factors) -> dict:
 
 # -- partial matrices ---------------------------------------------------------
 
-def partial_to_json(m: PartialHermitianMatrix) -> dict:
-    rows, cols = m.pattern.pairs
-    blocks = [
-        {
-            "i": i,
-            "j": j,
-            "block": [list(map(_complex_to_doc, row)) for row in block],
-        }
-        for i, j, block in zip(rows.tolist(), cols.tolist(), m.values.tolist())
-    ]
-    return {
-        "n": m.n,
-        "d": m.d,
-        "pattern": {"n": m.n, "edges": m.pattern.edge_array.tolist()},
-        "blocks": blocks,
-    }
-
-
 def partial_from_json(doc) -> PartialHermitianMatrix:
     p = pattern_from_json(doc["pattern"])
     (n, d) = _integers((doc["n"], doc["d"]))
@@ -816,20 +794,8 @@ def partial_from_json(doc) -> PartialHermitianMatrix:
 
 # -- groups -------------------------------------------------------------------
 
-def group_to_json(g: FiniteGroup) -> dict:
-    return {
-        "order": g.order,
-        "table": _IntLists.of_rows(g.table_array),
-        "identity": g.identity,
-    }
-
-
 def group_from_json(doc) -> FiniteGroup:
     return validate_group(doc["table"], doc["identity"])
-
-
-def subset_to_json(e: SymmetricSubset) -> dict:
-    return {"members": sorted(e.members)}
 
 
 def subset_from_json(doc, g: FiniteGroup) -> SymmetricSubset:

@@ -12,15 +12,15 @@ from hypothesis import HealthCheck, settings
 
 from posext import (
     FiniteGroup,
+    GroupFunction,
+    PartialHermitianMatrix,
     Pattern,
     SymmetricSubset,
     cyclic_group,
     dihedral_group,
     group_function,
-    invariantize,
     is_chordal,
     klein_four_group,
-    n_transform,
     positive_completion,
     star_pattern,
     validate_pattern,
@@ -260,6 +260,41 @@ def brute_force_maximal_cliques(p: Pattern) -> list[tuple[int, ...]]:
     return sorted(tuple(sorted(c)) for c in maximal)
 
 
+_CYCLE_ORACLE_CAP = 12
+
+
+def chordless_cycles(p: Pattern, max_len: int) -> list[list[int]]:
+    """Oracle: the chordless cycles of length 4..max_len, by induced-path search.
+
+    Each cycle is reported once, as the rotation starting at its smallest
+    vertex and moving towards its smaller neighbour. Capped at 12 vertices.
+    """
+    from posext.errors import TooLarge
+
+    if p.n > _CYCLE_ORACLE_CAP:
+        raise TooLarge(f"chordless-cycle enumeration is capped at n <= {_CYCLE_ORACLE_CAP}")
+    ptr, nbr = p.indptr.tolist(), p.indices.tolist()
+    found: list[list[int]] = []
+
+    def extend(path: list[int]) -> None:
+        for u in nbr[ptr[path[-1]] : ptr[path[-1] + 1]]:
+            if u <= path[0] or u in path:
+                continue
+            hits = [k for k in range(len(path) - 1) if u in nbr[ptr[path[k]] : ptr[path[k] + 1]]]
+            if not hits:
+                if len(path) < max_len:
+                    extend(path + [u])
+            elif hits == [0] and 4 <= len(path) + 1 <= max_len and path[1] < u:
+                found.append(path + [u])
+
+    if max_len >= 4:
+        for s in range(p.n):
+            for t in nbr[ptr[s] : ptr[s + 1]]:
+                if t > s:
+                    extend([s, t])
+    return sorted(found, key=lambda c: (len(c), c))
+
+
 def all_small_groups() -> list[tuple[str, FiniteGroup]]:
     """One table per isomorphism class of order at most 6."""
     return [
@@ -297,11 +332,12 @@ def symmetric_subsets(g: FiniteGroup) -> list[SymmetricSubset]:
 def random_pd_function(rng: np.random.Generator, g: FiniteGroup, e: SymmetricSubset):
     """Restriction to E of an autocorrelation function, exactly symmetrized."""
     f = rng.normal(size=g.order) + 1j * rng.normal(size=g.order)
+    table = g.table_array.tolist()
     full = {}
     for x in range(g.order):
         acc = 0.0 + 0.0j
         for r in range(g.order):
-            acc += f[r].conjugate() * f[g.mul(x, r)]
+            acc += f[r].conjugate() * f[table[x][r]]
         full[x] = acc / g.order
     vals = {}
     for x in sorted(e.members):
@@ -359,6 +395,11 @@ def ref_validate_group(table, identity: int):
     return n, tuple(rows), e, tuple(inverse)
 
 
+def group_fields(g: FiniteGroup):
+    """(order, rows, identity, inverse) of a group, as ref_validate_group gives them."""
+    return g.order, tuple(map(tuple, g.table_array.tolist())), g.identity, g.inverse
+
+
 def ref_dihedral_table(n: int) -> list[list[int]]:
     def mul(x: int, y: int) -> int:
         f1, a = divmod(x, n)
@@ -372,7 +413,7 @@ def ref_dihedral_table(n: int) -> list[list[int]]:
 
 def ref_direct_product_table(g: FiniteGroup, h: FiniteGroup) -> list[list[int]]:
     n, m = g.order, h.order
-    gt, ht = g.table, h.table
+    gt, ht = g.table_array.tolist(), h.table_array.tolist()
     return [
         [gt[x // m][y // m] * m + ht[x % m][y % m] for y in range(n * m)]
         for x in range(n * m)
@@ -395,6 +436,21 @@ _ROWS_TEMPLATES = {
     "pattern": '{@"n": 3}',
     "partial": '{"pattern": {@"n": 3}, "n": 3, "d": 1, "blocks": []}',
 }
+
+
+def partial_document(m: PartialHermitianMatrix) -> dict:
+    """The document of a partial matrix, in plain Python values, as partial_from_json reads it."""
+    rows, cols = m.pattern.pairs
+    blocks = [
+        {"i": i, "j": j, "block": [[{"re": z.real, "im": z.imag} for z in row] for row in block]}
+        for i, j, block in zip(rows.tolist(), cols.tolist(), m.values.tolist())
+    ]
+    return {
+        "n": m.n,
+        "d": m.d,
+        "pattern": {"n": m.n, "edges": m.pattern.edge_array.tolist()},
+        "blocks": blocks,
+    }
 
 
 def rows_document(kind: str, entries: str) -> bytes:
@@ -461,7 +517,7 @@ def ref_star_edges(g: FiniteGroup, e: SymmetricSubset) -> set[tuple[int, int]]:
         (s, t)
         for s in range(g.order)
         for t in range(s + 1, g.order)
-        if g.mul(t, g.inverse[s]) in e.members
+        if g.table_array[t, g.inverse[s]] in e.members
     }
 
 
@@ -481,10 +537,22 @@ def ref_positive_definite_extension(g: FiniteGroup, e: SymmetricSubset, u, tol=N
     if not ref_is_chordal_subset(g, e):
         raise NotChordalSubset("subset does not induce a chordal pattern")
     try:
-        completed = positive_completion(n_transform(g, e, u), tol)
+        completed = positive_completion(ref_kernel(g, e, u), tol)
     except NotPartiallyPositive as exc:
         raise NotPositiveDefinite(f"kernel fails: {exc}") from exc
-    return invariantize(g, completed.matrix)
+    return GroupFunction(ref_invariantize(g, completed.matrix))
+
+
+def ref_kernel(g: FiniteGroup, e: SymmetricSubset, u) -> PartialHermitianMatrix:
+    """The partial matrix on the induced pattern with entry (s, t) = u(t s^{-1})."""
+    from posext.errors import DomainMismatch
+
+    if u.domain() != e.members:
+        raise DomainMismatch(
+            f"function domain {sorted(u.domain())} differs from subset {sorted(e.members)}"
+        )
+    p = star_pattern(g, e)
+    return PartialHermitianMatrix(p, 1, ref_kernel_blocks(g, u, p))
 
 
 def ref_kernel_blocks(g: FiniteGroup, u, p: Pattern) -> dict:
@@ -492,23 +560,25 @@ def ref_kernel_blocks(g: FiniteGroup, u, p: Pattern) -> dict:
     for i in range(g.order):
         blocks[(i, i)] = np.array([[u(g.identity)]], dtype=complex)
     for i, j in p.edge_array.tolist():
-        blocks[(i, j)] = np.array([[u(g.mul(j, g.inverse[i]))]], dtype=complex)
+        blocks[(i, j)] = np.array([[u(int(g.table_array[j, g.inverse[i]]))]], dtype=complex)
     return blocks
 
 
 def ref_invariant_kernel(g: FiniteGroup, f) -> np.ndarray:
+    table = g.table_array.tolist()
     out = np.zeros((g.order, g.order), dtype=complex)
     for s in range(g.order):
         for t in range(g.order):
-            out[s, t] = f(g.mul(t, g.inverse[s]))
+            out[s, t] = f(table[t][g.inverse[s]])
     return out
 
 
 def ref_invariantize(g: FiniteGroup, m: np.ndarray) -> dict[int, complex]:
     m = np.asarray(m, dtype=complex)
+    table = g.table_array.tolist()
     vals: dict[int, complex] = {}
     for x in range(g.order):
-        terms = [complex(m[r, g.mul(x, r)]) for r in range(g.order)]
+        terms = [complex(m[r, table[x][r]]) for r in range(g.order)]
         first = terms[0]
         if all(t == first for t in terms):
             vals[x] = first
@@ -638,7 +708,7 @@ def ref_is_positive_definite_on(g: FiniteGroup, e: SymmetricSubset, u, tol=None)
     """Reference for is_positive_definite_on: every maximal clique of the whole pattern."""
     from posext import partially_positive
 
-    return partially_positive(n_transform(g, e, u), tol)[0]
+    return partially_positive(ref_kernel(g, e, u), tol)[0]
 
 
 # -- reference emitter and chordal structure ------------------------------------

@@ -17,6 +17,7 @@ import numpy as np
 from conftest import (
     all_small_groups,
     band_pattern,
+    chordless_cycles,
     is_valid_elimination_order,
     psd_supported_on,
     random_chordal_pattern,
@@ -29,7 +30,6 @@ from posext import (
     PartialHermitianMatrix,
     cb_norm_positive,
     cexi_truncation,
-    chordless_cycles,
     contains_symmetric_neighborhood_of_zero,
     contains_zero,
     invariant_kernel,

@@ -16,11 +16,12 @@ from posext import (
     negate,
     normalize,
 )
-from posext.circleset import Interval, wrap
+from posext.circleset import MAX_CEXI_DEPTH, Interval, wrap
 from posext.errors import (
     EmptyIntervalWithReversedEndpoints,
     InputError,
     NotDecreasing,
+    TooLarge,
 )
 
 
@@ -181,7 +182,21 @@ def test_cexi_truncation_errors():
         cexi_truncation(0)
 
 
-@pytest.mark.parametrize("bad", ["1/0", "0/0", float("inf"), float("-inf")])
+@pytest.mark.parametrize(
+    "bad",
+    [
+        "1/0",
+        "0/0",
+        float("inf"),
+        float("-inf"),
+        "1e100000000",
+        "1e4301",
+        "1e-4301",
+        "5E+4_301",
+        " 1e00012345 ",
+        pytest.param("1e" + "9" * 5000, id="5000-digit-exponent"),
+    ],
+)
 def test_non_finite_rationals_are_input_errors(bad):
     with pytest.raises(InputError, match="not a finite rational"):
         normalize([(F(0), bad)])
@@ -189,6 +204,18 @@ def test_non_finite_rationals_are_input_errors(bad):
         normalize([], [bad])
     with pytest.raises(InputError, match="not a finite rational"):
         cexi_truncation(1, [F(1, 2), bad])
+
+
+@pytest.mark.parametrize("text", ["1e4300", "-1E-4300", "1e+0_4300", " 1e0004300 "])
+def test_exponents_up_to_4300_are_read(text):
+    assert wrap(text) == wrap(F(text.strip().replace("_", "")))
+
+
+def test_cexi_depth_beyond_the_cap_is_refused_before_anything_is_built():
+    cexi_truncation(1)  # within the cap
+    for depth in (MAX_CEXI_DEPTH + 1, 10**18):
+        with pytest.raises(TooLarge, match=f"^depth {depth} exceeds the cap of {MAX_CEXI_DEPTH}$"):
+            cexi_truncation(depth)
 
 
 @pytest.mark.parametrize("depth", range(1, 11))

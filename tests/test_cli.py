@@ -381,6 +381,14 @@ def test_size_limit_exits_4(tmp_path, capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize("depth", ["10001", "1000000000"])
+def test_cexi_depth_beyond_the_cap_exits_4_before_building(capsys, depth):
+    code = main(["cexi", depth])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (4, "")
+    assert captured.err == f"error: depth {depth} exceeds the cap of 10000\n"
+
+
 def test_huge_matrix_dimension_exits_4_before_allocating(tmp_path, capsys):
     f = tmp_path / "huge.json"
     f.write_text(json.dumps({"n": 10000000, "entries": []}))
@@ -621,6 +629,8 @@ def test_block_size_must_be_a_positive_integer(capsys, size):
         (["circle-predicates"], {"intervals": [["1/5", "1/0"]], "points": []}),
         (["circle-predicates"], {"intervals": [], "points": ["0/0"]}),
         (["circle-predicates"], {"intervals": [[0, math.inf]], "points": []}),
+        (["cexi", "1", "--t", "1/2,1e100000000"], None),
+        (["circle-predicates"], {"intervals": [["0", "1e100000000"]], "points": []}),
     ],
 )
 def test_non_finite_rational_exits_2(tmp_path, capsys, argv, doc):
@@ -840,11 +850,11 @@ def test_a_document_nested_too_deeply_exits_2_with_one_line(tmp_path, capsys, te
 def test_a_reader_that_closes_the_pipe_early_gets_one_error_line():
     """Output beyond the pipe's buffer meets a closed pipe: exit 2 and one stderr line, no traceback."""
     argv = ["decompose", fx("matrix_band2_n100_rank_deficient.json"), fx("pattern_band2_n100.json")]
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "posext", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE
-    )
-    assert proc.stdout.read(100).startswith(b'{"factors":[{"vector":')
-    proc.stdout.close()
-    err = proc.stderr.read().decode()
-    assert proc.wait() == 2
+    ) as proc:  # closes stderr on the way out
+        assert proc.stdout.read(100).startswith(b'{"factors":[{"vector":')
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait() == 2
     assert err == "error: BrokenPipeError: [Errno 32] Broken pipe\n"

@@ -30,9 +30,7 @@ from posext import (
     apply_multiplier,
     cb_norm_positive,
     clique_tree,
-    cyclic_group,
     expand,
-    invariantize,
     is_psd,
     maximal_cliques,
     partially_positive,
@@ -319,6 +317,20 @@ def test_completion_soundness_randomized(d):
         assert verify_extension(m, result.matrix)
         scale = 1 + max(result.matrix[i, i].real for i in range(n * d))
         assert np.linalg.eigvalsh(result.matrix).min() >= -1e-9 * scale
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the separator pseudo-inverse cuts eigenvalues at 1e-12 of the largest, "
+    "which diagonal scaling of rank-deficient data defeats (ROADMAP item 11)",
+)
+def test_completion_of_badly_scaled_rank_deficient_data_is_psd():
+    """Rank-2 data on band-2 n = 5, rows scaled by 10^-3..10^3: partially positive, and a itself completes it."""
+    rng = np.random.default_rng(10)
+    b = rng.standard_normal((5, 2)) * (10.0 ** rng.integers(-3, 4, size=5))[:, None]
+    m = restrict_to_pattern(b @ b.T, band_pattern(5, 2))
+    assert partially_positive(m)[0]
+    assert verify_extension(m, positive_completion(m).matrix)
 
 
 def test_block_case_zero_off_diagonal_fills_zero():
@@ -664,10 +676,6 @@ def _nan_off_diagonal():
         pytest.param(
             lambda: verify_extension(band09_example(), _nan_off_diagonal()),
             id="verify-extension-nan",
-        ),
-        pytest.param(
-            lambda: invariantize(cyclic_group(3), np.full((3, 3), np.inf)),
-            id="invariantize-inf",
         ),
     ],
 )

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from conftest import random_hermitian, random_psd
 from posext import linalg
-from posext.errors import InputError, NotPSD
+from posext.errors import InputError
 
 
 def test_eigh_examples():
@@ -105,13 +105,18 @@ def test_stacked_pseudo_inverse_cuts_each_matrix_on_its_own_scale():
     assert linalg.pseudo_inverse(np.zeros((3, 0, 0))).shape == (3, 0, 0)
 
 
-def test_rank_one_factors_examples():
-    factors = linalg.rank_one_factors(np.diag([1.0, 0.0]))
+def _factors(a):
+    w, v = linalg.eigh(a)
+    return linalg.eigen_factors(w, v, linalg.default_psd_tol(a))
+
+
+def test_eigen_factors_examples():
+    factors = _factors(np.diag([1.0, 0.0]))
     assert len(factors) == 1
     assert factors[0].support == (0,)
     assert np.allclose(factors[0].vector, [1, 0])
 
-    factors = linalg.rank_one_factors(np.eye(2))
+    factors = _factors(np.eye(2))
     assert len(factors) == 2
     gram = np.array(
         [[np.vdot(f.vector, g.vector) for g in factors] for f in factors]
@@ -119,17 +124,12 @@ def test_rank_one_factors_examples():
     assert np.allclose(gram, np.eye(2), atol=1e-12)
 
     a = np.array([[2.0, 1.0], [1.0, 2.0]], dtype=complex)
-    recon = sum(np.outer(f.vector, f.vector.conj()) for f in linalg.rank_one_factors(a))
+    recon = sum(np.outer(f.vector, f.vector.conj()) for f in _factors(a))
     assert np.abs(recon - a).max() <= 1e-8 * (1 + np.abs(a).max())
 
 
-def test_rank_one_factors_rejects_indefinite():
-    with pytest.raises(NotPSD):
-        linalg.rank_one_factors(np.array([[1.0, 2.0], [2.0, 1.0]]))
-
-
 @pytest.mark.parametrize(
-    "call", [linalg.eigh, linalg.is_psd, linalg.pseudo_inverse, linalg.rank_one_factors]
+    "call", [linalg.eigh, linalg.is_psd, linalg.pseudo_inverse]
 )
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0, np.inf)])
 def test_non_finite_matrix_is_rejected(call, value):

@@ -8,6 +8,7 @@ from conftest import (
     assert_valid_clique_tree,
     band_pattern,
     brute_force_maximal_cliques,
+    chordless_cycles,
     complete_pattern,
     cycle_pattern,
     dense_mask,
@@ -21,7 +22,6 @@ from conftest import (
 )
 from posext import (
     CliqueTree,
-    chordless_cycles,
     clique_tree,
     is_chordal,
     maximal_cliques,
