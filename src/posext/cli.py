@@ -70,7 +70,7 @@ def _cmd_complete(args):
     result = comp.positive_completion(_load_partial(args.partial), args.tol)
     return {
         "matrix": ser.matrix_to_json(result.matrix),
-        "fill_log": ser.fill_log_to_json(result.fills),
+        "fill_log": ser.fill_log_to_json(result),
     }
 
 

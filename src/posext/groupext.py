@@ -138,16 +138,21 @@ def validate_group(table, identity: int) -> FiniteGroup:
         raise NotLatinSquare("multiplication table is not square")
     mul = np.asarray(rows)  # dtype object if an entry exceeds int64
     elements = np.arange(n)
-    if (np.sort(mul, axis=1) != elements).any():
+    # With every entry in [0, n), a row (column) is a permutation iff it
+    # flags all n symbols: one flag per row and symbol, one per symbol and column.
+    if mul.dtype != np.int64 or mul.min() < 0 or mul.max() >= n:
         raise NotLatinSquare("some row is not a permutation")
-    if (np.sort(mul, axis=0) != elements[:, None]).any():
-        raise NotLatinSquare("some column is not a permutation")
+    for flat, line in ((n * elements[:, None] + mul, "row"), (n * mul + elements, "column")):
+        hit = np.zeros(n * n, dtype=bool)
+        hit[flat] = True
+        if not hit.all():
+            raise NotLatinSquare(f"some {line} is not a permutation")
     (e,) = _integers([identity])
     if not 0 <= e < n:
         raise NoIdentity(f"identity index {e} outside [0,{n})")
     if (mul[e] != elements).any() or (mul[:, e] != elements).any():
         raise NoIdentity(f"element {e} is not a two-sided identity")
-    _, inverse = np.nonzero(mul == e)  # s * inverse[s] = e, one per row
+    inverse = (mul == e).argmax(axis=1)  # s * inverse[s] = e, one per row
     (one_sided,) = np.nonzero(mul[inverse, elements] != e)
     if len(one_sided):
         raise NoInverse(f"element {one_sided[0]} has no two-sided inverse")

@@ -89,6 +89,7 @@ from .pattern import (
     CliqueTree,
     Pattern,
     _integers,
+    _pointers,
     clique_tree,
     is_chordal,
     maximal_cliques,
@@ -737,28 +738,24 @@ def matrix_from_json(doc) -> np.ndarray:
     return out
 
 
-def fill_log_to_json(fills) -> _Table:
+def fill_log_to_json(result) -> _Table:
     """A completion's fills as {separator, pair} objects, one per filled pair.
 
-    Step (separator, old, new), old and new int arrays, fills old x new
-    row by row, so its k-th pair is (old[k // len(new)], new[k % len(new)]).
+    Step k of the CompletionResult fills old x new row by row: each
+    vertex of its old set, repeated len(new) times, against its new set.
     """
-    seps, olds, news = zip(*fills) if fills else ((), (), ())
-    n_old = np.array(list(map(len, olds)), dtype=int)
-    n_new = np.array(list(map(len, news)), dtype=int)
-    sizes = n_old * n_new
-    step = np.repeat(np.arange(len(sizes)), sizes)
-    k = np.arange(len(step)) - (np.cumsum(sizes) - sizes)[step]
-    width = n_new[step]
-    old = np.concatenate(olds) if fills else np.empty(0, dtype=int)
-    new = np.concatenate(news) if fills else np.empty(0, dtype=int)
+    n_old, n_new = np.diff(result.old_ptr), np.diff(result.new_ptr)
+    width = np.repeat(n_new, n_old)  # the pairs of each old vertex
+    step = np.repeat(np.arange(len(n_old)), n_old * n_new)
+    # per old vertex: where its step's new set starts in result.new, less where its pairs start
+    starts = np.repeat(result.new_ptr[:-1], n_old) - _pointers(width)[:-1]
     pairs = np.column_stack(
         (
-            old[(np.cumsum(n_old) - n_old)[step] + k // width],
-            new[(np.cumsum(n_new) - n_new)[step] + k % width],
+            np.repeat(result.old, width),
+            result.new[np.arange(len(step)) + np.repeat(starts, width)],
         )
     )
-    return _Table(("separator", "pair"), (_Coded(list(seps), step), pairs))
+    return _Table(("separator", "pair"), (_Coded(list(result.separators), step), pairs))
 
 
 def factors_to_json(factors) -> dict:

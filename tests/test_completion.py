@@ -721,6 +721,62 @@ def test_completion_matches_the_clique_by_clique_loops(d, seed):
     assert len(got.fills) == len(clique_tree(p).edge_array)  # one per tree edge
 
 
+def assert_fill_invariants(p, result) -> None:
+    """The steps of a completion: one per tree edge, with sorted, read-only, disjoint vertex sets."""
+    assert len(result.fills) == len(clique_tree(p).edge_array)
+    earlier: set[int] = set()
+    for sep, old, new in result.fills:
+        for part in (old, new):
+            assert not part.flags.writeable and part.dtype == np.int64
+            assert (np.diff(part) > 0).all()
+        assert np.shares_memory(old, result.old) and np.shares_memory(new, result.new)
+        olds, news, seps = set(old.tolist()), set(new.tolist()), set(sep)
+        assert not olds & seps and not olds & news
+        assert not news & earlier
+        earlier |= olds | news | seps
+    pairs = sum(len(old) * len(new) for _, old, new in result.fills)
+    assert pairs == len(result.fill_log) == p.n * (p.n - 1) // 2 - len(p.edge_array)
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 3]))
+def test_fills_are_disjoint_sorted_views_one_per_tree_edge(seed, d):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 30))
+    p = random_chordal_components(rng, n, int(rng.integers(2, 6)), density=0.3)
+    m = restrict_to_pattern(random_psd(rng, n * d), p, d)
+    assert_fill_invariants(p, positive_completion(m))
+
+
+@pytest.mark.parametrize(
+    "p, steps",
+    [
+        pytest.param(validate_pattern(0, []), 0, id="n=0"),
+        pytest.param(validate_pattern(7, []), 6, id="isolated"),
+        pytest.param(complete_pattern(5), 0, id="one-clique"),
+    ],
+)
+@pytest.mark.parametrize("d", [1, 2])
+def test_fills_at_the_edges(p, steps, d):
+    result = positive_completion(restrict_to_pattern(np.eye(p.n * d), p, d))
+    assert_fill_invariants(p, result)
+    assert len(result.fills) == steps
+    assert np.array_equal(result.matrix, np.eye(p.n * d))
+
+
+def test_fill_steps_take_memory_below_twice_the_dense_matrix():
+    """512 isolated vertices: 511 steps whose old sets hold 130,816 vertices in all."""
+    n = 512
+    m = restrict_to_pattern(np.eye(n), validate_pattern(n, []))
+    tracemalloc.start()
+    try:
+        result = positive_completion(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(result.fills) == n - 1 and len(result.old) == n * (n - 1) // 2
+    assert peak < 2 * result.matrix.nbytes
+
+
 @pytest.mark.parametrize("d", [1, 2])
 @pytest.mark.parametrize("seed", range(12))
 def test_partial_positivity_on_non_chordal_patterns_matches_the_loop(d, seed):

@@ -740,6 +740,66 @@ def _validation_outcome(validate, table, identity):
         return type(exc), str(exc)
 
 
+def _sorted_latin_square_message(table) -> str | None:
+    """The Latin-square test as it sorted the table along each axis: its message, or None."""
+    mul = np.asarray(table)
+    elements = np.arange(len(mul))
+    if (np.sort(mul, axis=1) != elements).any():
+        return "some row is not a permutation"
+    if (np.sort(mul, axis=0) != elements[:, None]).any():
+        return "some column is not a permutation"
+    return None
+
+
+def _latin_square_cases():
+    """(id, table) pairs: each defect named in the test, then perturbed cyclic and random tables."""
+    z5 = [[(a + b) % 5 for b in range(5)] for a in range(5)]
+
+    def edited(*cells):
+        t = [row[:] for row in z5]
+        for r, c, x in cells:
+            t[r][c] = x
+        return t
+
+    yield "row-duplicate-only", edited((0, 2, z5[1][2]), (1, 2, z5[0][2]))  # column 2 stays a permutation
+    yield "column-duplicate-only", edited((3, 0, z5[3][4]), (3, 4, z5[3][0]))  # row 3 stays one
+    yield "negative", edited((2, 2, -1))
+    yield "equal-to-n", edited((4, 1, 5))
+    yield "beyond-int64", edited((1, 3, 2**63))
+    yield "beyond-int64-negative", edited((1, 3, -(2**63) - 1))
+    yield "int64-array-negative", np.array(edited((0, 0, -5)), dtype=np.int64)
+    yield "int64-array-equal-to-n", np.array(edited((0, 0, 5)), dtype=np.int64)
+    rng = np.random.default_rng(22)
+    for k in range(200):
+        n = int(rng.integers(1, 9))
+        t = (np.arange(n)[:, None] + np.arange(n)) % n
+        t = t[rng.permutation(n)][:, rng.permutation(n)]
+        for _ in range(int(rng.integers(0, 3))):
+            r, c, r2, c2 = rng.integers(n, size=4)
+            kind = k % 3
+            if kind == 0:  # any entry, perhaps out of range
+                t[r, c] = rng.integers(-1, n + 1)
+            elif kind == 1:  # a swap within row r: its columns break
+                t[r, c], t[r, c2] = t[r, c2], t[r, c]
+            else:  # a swap within column c: its rows break
+                t[r, c], t[r2, c] = t[r2, c], t[r, c]
+        yield f"random-{k}", t if k % 2 else t.tolist()
+
+
+@pytest.mark.parametrize("table", [t for _, t in _latin_square_cases()], ids=[i for i, _ in _latin_square_cases()])
+def test_latin_square_test_matches_the_sorts(table):
+    """The flag scatter rejects what sorting each axis rejected, with the same message."""
+    want = _sorted_latin_square_message(table)
+    try:
+        validate_group(table, 0)
+    except NotLatinSquare as exc:
+        assert str(exc) == want
+    except InputError:
+        assert want is None  # a later check failed
+    else:
+        assert want is None
+
+
 def test_light_test_agrees_with_the_full_scan_on_random_loops():
     outcomes = []
     for seed in range(300):

@@ -13,6 +13,7 @@ from conftest import (
     bits,
     int_lists,
     malformed_documents,
+    packed,
     partial_document,
     random_chordal_pattern,
     random_psd,
@@ -32,6 +33,7 @@ from posext import (
     validate_subset,
 )
 from posext import serialize as ser
+from posext.completion import CompletionResult
 from posext.errors import InputError
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -177,9 +179,10 @@ def test_matrix_columns_emit_like_the_generic_walk(a, pretty):
     assert np.array_equal(ser.matrix_from_json(json.loads(got)["matrix"]), a)
 
 
-def array_steps(fills) -> tuple:
-    """The steps with old and new as int arrays, as positive_completion holds them."""
-    return tuple((sep, np.array(o, dtype=int), np.array(n, dtype=int)) for sep, o, n in fills)
+def array_steps(fills) -> CompletionResult:
+    """The steps with their old and new sets end to end in two int arrays, as positive_completion holds them."""
+    seps, olds, news = zip(*fills) if fills else ((), (), ())
+    return CompletionResult(np.zeros((0, 0), dtype=complex), seps, *packed(olds), *packed(news))
 
 
 def explicit_fill_log(fills) -> list[dict]:
