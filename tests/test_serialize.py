@@ -21,6 +21,7 @@ from conftest import (
     rows_document,
 )
 from posext import (
+    CompletionResult,
     PartialHermitianMatrix,
     RankOneFactor,
     cexi_truncation,
@@ -33,7 +34,6 @@ from posext import (
     validate_subset,
 )
 from posext import serialize as ser
-from posext.completion import CompletionResult
 from posext.errors import InputError
 
 FIXTURES = Path(__file__).parent / "fixtures"
