@@ -44,7 +44,6 @@ from .groupext import (
     star_pattern,
     validate_group,
     validate_subset,
-    word_chordality_oracle,
 )
 from .linalg import (
     RankOneFactor,

@@ -49,14 +49,20 @@ class CircleSet:
 
 
 def _rational(x) -> Fraction:
-    """Fraction(x); a zero denominator, an infinite float or an exponent beyond 4300 is malformed input."""
+    """Fraction(x), for a number or a string.
+
+    A bool, text that is no rational, a zero denominator, a non-finite
+    float or an exponent beyond 4300 is malformed input.
+    """
+    if isinstance(x, bool):
+        raise InputError(f"not a finite rational: {x!r}")
     if isinstance(x, str) and (m := _EXPONENT.search(x)):
         digits = m[1].replace("_", "").lstrip("0")
         if len(digits) > len(str(_MAX_EXPONENT)) or int(digits or "0") > _MAX_EXPONENT:
             raise InputError(f"not a finite rational: {x!r} has an exponent beyond {_MAX_EXPONENT}")
     try:
         return Fraction(x)
-    except (ZeroDivisionError, OverflowError) as exc:
+    except (ZeroDivisionError, OverflowError, ValueError, TypeError) as exc:
         raise InputError(f"not a finite rational: {x!r}") from exc
 
 

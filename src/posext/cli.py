@@ -117,8 +117,7 @@ def _cmd_star_pattern(args):
 
 
 def _cmd_chordal_subset(args):
-    check = grp.word_chordality_oracle if args.word_oracle else grp.is_chordal_subset
-    return {"chordal_subset": check(*_load_subset(args))}
+    return {"chordal_subset": grp.is_chordal_subset(*_load_subset(args))}
 
 
 def _cmd_pd_check(args):
@@ -164,8 +163,9 @@ def _block_size(text: str) -> int:
 def build_parser() -> argparse.ArgumentParser:
     """A new parser for the posext command line."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=_tolerance, default=None, help="tolerance override")
     common.add_argument("--pretty", action="store_true", help="indent the output")
+    tolerance = argparse.ArgumentParser(add_help=False)  # only for the commands that use one
+    tolerance.add_argument("--tol", type=_tolerance, default=None, help="tolerance override")
 
     ap = argparse.ArgumentParser(
         prog="posext",
@@ -173,12 +173,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text, *files, extra=None):
-        sp = sub.add_parser(name, parents=[common], help=help_text)
+    def add(name, func, help_text, *files, tol=False):
+        parents = [tolerance, common] if tol else [common]
+        sp = sub.add_parser(name, parents=parents, help=help_text)
         for file_arg in files:
             sp.add_argument(file_arg)
-        if extra:
-            extra(sp)
         sp.set_defaults(func=func)
         return sp
 
@@ -192,14 +191,16 @@ def build_parser() -> argparse.ArgumentParser:
         _cmd_partially_positive,
         "clique-wise PSD check of a partial matrix",
         "partial",
+        tol=True,
     )
-    add("complete", _cmd_complete, "positive completion", "partial")
+    add("complete", _cmd_complete, "positive completion", "partial", tol=True)
     add(
         "decompose",
         _cmd_decompose,
         "rank-one positive decomposition of a supported matrix",
         "matrix",
         "pattern",
+        tol=True,
     )
     add(
         "apply-mult",
@@ -213,23 +214,12 @@ def build_parser() -> argparse.ArgumentParser:
         _cmd_cb_norm,
         "norm of the map induced by a positive multiplier",
         "matrix",
-        extra=lambda sp: sp.add_argument("--block-size", type=_block_size, default=1),
-    )
-    add("verify", _cmd_verify, "agreement plus positivity check", "partial", "matrix")
+        tol=True,
+    ).add_argument("--block-size", type=_block_size, default=1)
+    add("verify", _cmd_verify, "agreement plus positivity check", "partial", "matrix", tol=True)
     add("group-validate", _cmd_group_validate, "validate a multiplication table", "group")
     add("star-pattern", _cmd_star_pattern, "pattern induced by a subset", "group", "subset")
-    add(
-        "chordal-subset",
-        _cmd_chordal_subset,
-        "chordality of a group subset",
-        "group",
-        "subset",
-        extra=lambda sp: sp.add_argument(
-            "--word-oracle",
-            action="store_true",
-            help="use the exhaustive group-word search instead of the graph test",
-        ),
-    )
+    add("chordal-subset", _cmd_chordal_subset, "chordality of a group subset", "group", "subset")
     add(
         "pd-check",
         _cmd_pd_check,
@@ -237,6 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
         "group",
         "subset",
         "function",
+        tol=True,
     )
     add(
         "group-extend",
@@ -245,6 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
         "group",
         "subset",
         "function",
+        tol=True,
     )
     add(
         "circle-predicates",
@@ -252,15 +244,9 @@ def build_parser() -> argparse.ArgumentParser:
         "positivity-domain predicates of a circle set",
         "circleset",
     )
-    add(
-        "cexi",
-        _cmd_cexi,
-        "finite stage of the isolated-origin circle construction",
-        extra=lambda sp: (
-            sp.add_argument("depth", type=int),
-            sp.add_argument("--t", default=None, help="comma-separated rationals"),
-        ),
-    )
+    cexi = add("cexi", _cmd_cexi, "finite stage of the isolated-origin circle construction")
+    cexi.add_argument("depth", type=int)
+    cexi.add_argument("--t", default=None, help="comma-separated rationals")
     return ap
 
 

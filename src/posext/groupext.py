@@ -49,12 +49,9 @@ from .errors import (
     NotChordalSubset,
     NotLatinSquare,
     NotPositiveDefinite,
-    TooLarge,
 )
 from .linalg import is_psd
 from .pattern import Pattern, _integers
-
-_WORD_ORACLE_CAP = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -270,41 +267,6 @@ def is_chordal_subset(g: FiniteGroup, e: SymmetricSubset) -> bool:
 def _subset_quotient(g: FiniteGroup, members: list[int]) -> np.ndarray:
     """Q on members x members: entry (a, b) is members[b] members[a]^{-1}."""
     return g.table_array[np.ix_(members, [g.inverse[x] for x in members])].T
-
-
-def word_chordality_oracle(g: FiniteGroup, e: SymmetricSubset) -> bool:
-    """Exhaustive check of the group-word form of chordality.
-
-    Searches for words s_1, ..., s_n in E (n >= 4) multiplying to the
-    identity whose partial products are pairwise distinct and admit no
-    chord, i.e. no intermediate product s_{k-1} ... s_i in E with
-    2 <= k - i <= n - 2. Distinct partial products bound the word length
-    by |G|; longer closed words always repeat a partial product, which
-    yields the trivial chord at the identity. Capped at |G| <= 8.
-    """
-    if g.order > _WORD_ORACLE_CAP:
-        raise TooLarge(f"word search is capped at |G| <= {_WORD_ORACLE_CAP}")
-    steps = sorted(e.members - {g.identity})
-
-    def has_chord(points: list[int]) -> bool:
-        chords = np.triu(np.isin(g.quotient[np.ix_(points, points)], list(e.members)), 2)
-        chords[0, -1] = False  # the first and last point are neighbours on the walk
-        return bool(chords.any())
-
-    def search(points: list[int]) -> bool:
-        # points are the partial products, starting at the identity
-        last = points[-1]
-        for s in steps:
-            nxt = int(g.table_array[s, last])
-            if nxt == g.identity:
-                if len(points) >= 4 and not has_chord(points):
-                    return False
-            elif nxt not in points and len(points) < g.order:
-                if not search(points + [nxt]):
-                    return False
-        return True
-
-    return search([g.identity])
 
 
 def _check_domain(e: SymmetricSubset, u: GroupFunction) -> None:

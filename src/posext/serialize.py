@@ -672,10 +672,21 @@ def _digit_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _complex_from_doc(doc) -> complex:
-    z = complex(float(doc["re"]), float(doc["im"]))
+    real, imag = doc["re"], doc["im"]
+    if not (_is_number(real) and _is_number(imag)):
+        raise InputError(f"re and im must be numbers, got re={real!r}, im={imag!r}")
+    try:
+        z = complex(float(real), float(imag))
+    except OverflowError:  # an integer beyond the double range
+        z = complex(math.inf)
     if not cmath.isfinite(z):
-        raise InputError(f"non-finite number re={doc['re']!r}, im={doc['im']!r}")
+        raise InputError(f"non-finite number re={real!r}, im={imag!r}")
     return z
+
+
+def _is_number(x) -> bool:
+    """Whether x is an int or a float, numpy's included; a bool or a string is not."""
+    return type(x) in (float, int) or isinstance(x, (np.floating, np.integer))
 
 
 # -- patterns ---------------------------------------------------------------

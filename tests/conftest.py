@@ -26,6 +26,7 @@ from posext import (
     validate_pattern,
     validate_subset,
 )
+from posext.errors import TooLarge
 from posext.pattern import ChordalStructure, CliqueTree, _tuples
 from posext.serialize import _Coded, _IntLists, _Table
 
@@ -269,8 +270,6 @@ def chordless_cycles(p: Pattern, max_len: int) -> list[list[int]]:
     Each cycle is reported once, as the rotation starting at its smallest
     vertex and moving towards its smaller neighbour. Capped at 12 vertices.
     """
-    from posext.errors import TooLarge
-
     if p.n > _CYCLE_ORACLE_CAP:
         raise TooLarge(f"chordless-cycle enumeration is capped at n <= {_CYCLE_ORACLE_CAP}")
     ptr, nbr = p.indptr.tolist(), p.indices.tolist()
@@ -524,6 +523,44 @@ def ref_star_edges(g: FiniteGroup, e: SymmetricSubset) -> set[tuple[int, int]]:
 def ref_is_chordal_subset(g: FiniteGroup, e: SymmetricSubset) -> bool:
     """Reference for is_chordal_subset: chordality of the induced pattern."""
     return is_chordal(star_pattern(g, e))
+
+
+_WORD_ORACLE_CAP = 8
+
+
+def word_chordality_oracle(g: FiniteGroup, e: SymmetricSubset) -> bool:
+    """Exhaustive check of the group-word form of chordality.
+
+    Searches for words s_1, ..., s_n in E (n >= 4) multiplying to the
+    identity whose partial products are pairwise distinct and admit no
+    chord, i.e. no intermediate product s_{k-1} ... s_i in E with
+    2 <= k - i <= n - 2. Distinct partial products bound the word length
+    by |G|; longer closed words always repeat a partial product, which
+    yields the trivial chord at the identity. Capped at |G| <= 8.
+    """
+    if g.order > _WORD_ORACLE_CAP:
+        raise TooLarge(f"word search is capped at |G| <= {_WORD_ORACLE_CAP}")
+    steps = sorted(e.members - {g.identity})
+
+    def has_chord(points: list[int]) -> bool:
+        chords = np.triu(np.isin(g.quotient[np.ix_(points, points)], list(e.members)), 2)
+        chords[0, -1] = False  # the first and last point are neighbours on the walk
+        return bool(chords.any())
+
+    def search(points: list[int]) -> bool:
+        # points are the partial products, starting at the identity
+        last = points[-1]
+        for s in steps:
+            nxt = int(g.table_array[s, last])
+            if nxt == g.identity:
+                if len(points) >= 4 and not has_chord(points):
+                    return False
+            elif nxt not in points and len(points) < g.order:
+                if not search(points + [nxt]):
+                    return False
+        return True
+
+    return search([g.identity])
 
 
 def ref_positive_definite_extension(g: FiniteGroup, e: SymmetricSubset, u, tol=None):

@@ -25,6 +25,7 @@ from conftest import (
     random_pd_function,
     random_psd,
     symmetric_subsets,
+    word_chordality_oracle,
 )
 from posext import (
     PartialHermitianMatrix,
@@ -45,7 +46,6 @@ from posext import (
     restrict_to_pattern,
     validate_pattern,
     verify_extension,
-    word_chordality_oracle,
 )
 from posext.errors import NotChordal
 

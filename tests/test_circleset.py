@@ -195,6 +195,12 @@ def test_cexi_truncation_errors():
         "5E+4_301",
         " 1e00012345 ",
         pytest.param("1e" + "9" * 5000, id="5000-digit-exponent"),
+        float("nan"),
+        True,
+        False,
+        "a",
+        pytest.param([1], id="list"),
+        None,
     ],
 )
 def test_non_finite_rationals_are_input_errors(bad):

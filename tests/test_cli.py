@@ -214,14 +214,30 @@ _ONE = [[{"re": 1, "im": 0}]]
              "blocks": [{"i": 0, "j": 0, "block": _ONE}]},
         ),
         ("group-extend", {"values": [{"g": False, "re": 1, "im": 0}, {"g": 2, "re": 0.5, "im": 0}]}),
+        ("cb-norm", {"n": 1, "entries": [{"i": 0, "j": 0, "re": True, "im": 0}]}),
+        ("cb-norm", {"n": 1, "entries": [{"i": 0, "j": 0, "re": "2.5", "im": "0"}]}),
+        (
+            "partially-positive",
+            {"n": 1, "d": 1, "pattern": {"n": 1, "edges": []},
+             "blocks": [{"i": 0, "j": 0, "block": [[{"re": 1, "im": False}]]}]},
+        ),
+        (
+            "partially-positive",
+            {"n": 1, "d": 1, "pattern": {"n": 1, "edges": []},
+             "blocks": [{"i": 0, "j": 0, "block": [[{"re": "1", "im": 0}]]}]},
+        ),
+        ("group-extend", {"values": [{"g": 0, "re": True, "im": 0}, {"g": 2, "re": 0.5, "im": 0}]}),
+        ("group-extend", {"values": [{"g": 0, "re": 1, "im": 0}, {"g": 2, "re": "0.5", "im": 0}]}),
     ],
     ids=[
         "edge", "pattern-n", "table", "identity", "members", "matrix-n", "entry-i",
         "entry-j", "partial-d", "block-i", "block-j", "partial-n", "function-g",
+        "entry-re", "entry-re-string", "block-im", "block-re-string", "function-re",
+        "function-re-string",
     ],
 )
 def test_booleans_are_not_integers(tmp_path, capsys, command, doc):
-    """Each of these documents was read with true as 1 and false as 0."""
+    """Each of these documents was read with true as 1, false as 0 and "2.5" as 2.5."""
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
     code = main([command, *map(fx, _LEAD.get(command, ())), str(path)])
@@ -491,18 +507,6 @@ def test_boolean_false_still_exits_0(capsys):
     assert json.loads(out) == {"chordal_subset": False}
 
 
-def test_word_oracle_flag(capsys):
-    code, out = run_cli(
-        capsys,
-        "chordal-subset",
-        fx("group_z5.json"),
-        fx("subset_z5_cycle.json"),
-        "--word-oracle",
-    )
-    assert code == 0
-    assert json.loads(out) == {"chordal_subset": False}
-
-
 def test_cexi_command(capsys):
     code, out = run_cli(capsys, "cexi", "1")
     assert code == 0
@@ -583,6 +587,10 @@ def _with_number(tmp_path, name, path, value):
             ("group-extend", "group_z4.json", "subset_z4_02.json", "!fn_z4.json"),
             ("values", 1, "re"), math.inf, id="group-extend-inf",
         ),
+        pytest.param(
+            ("cb-norm", "!matrix_identity4.json"),
+            ("entries", 1, "re"), 10**400, id="cb-norm-int-beyond-double",
+        ),
     ],
 )
 def test_non_finite_input_exits_2(tmp_path, capsys, argv, path, value):
@@ -631,6 +639,11 @@ def test_block_size_must_be_a_positive_integer(capsys, size):
         (["circle-predicates"], {"intervals": [[0, math.inf]], "points": []}),
         (["cexi", "1", "--t", "1/2,1e100000000"], None),
         (["circle-predicates"], {"intervals": [["0", "1e100000000"]], "points": []}),
+        (["circle-predicates"], {"intervals": [["0", "1"]], "points": [True]}),
+        (["circle-predicates"], {"intervals": [["0", False]], "points": []}),
+        (["circle-predicates"], {"intervals": [["0", "1"]], "points": ["a"]}),
+        (["circle-predicates"], {"intervals": [["0", "1"]], "points": [[1]]}),
+        (["cexi", "1", "--t", "1/2,a"], None),
     ],
 )
 def test_non_finite_rational_exits_2(tmp_path, capsys, argv, doc):
@@ -674,6 +687,45 @@ ALL_COMMANDS = [
     ("circle-predicates", "circle_symmetric.json"),
     ("circle-predicates", "circle_asym.json"),
 ]
+
+
+# Each subcommand once, with the files of its first ALL_COMMANDS entry.
+ONE_CALL_PER_COMMAND = {"cexi": ["cexi", "1"]}
+for _argv in ALL_COMMANDS:
+    ONE_CALL_PER_COMMAND.setdefault(_argv[0], [_argv[0], *map(fx, _argv[1:])])
+
+TOL_COMMANDS = {
+    "partially-positive", "complete", "decompose", "cb-norm", "verify", "pd-check", "group-extend"
+}
+
+
+@pytest.mark.parametrize("command", sorted(ONE_CALL_PER_COMMAND))
+def test_only_the_commands_that_use_a_tolerance_take_tol(capsys, command):
+    argv = [*ONE_CALL_PER_COMMAND[command], "--tol", "1e-3"]
+    if command in TOL_COMMANDS:
+        assert cli.build_parser().parse_args(argv).tol == 1e-3
+        assert run_cli(capsys, *argv)[0] == 0
+        return
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert captured.err.splitlines()[-1].endswith("unrecognized arguments: --tol 1e-3")
+
+
+def test_the_tol_table_covers_every_command():
+    usage = cli.build_parser().format_usage()
+    commands = set(usage[usage.index("{") + 1 : usage.index("}")].split(","))
+    assert commands == set(ONE_CALL_PER_COMMAND) and len(commands) == 18
+    assert TOL_COMMANDS < commands and len(TOL_COMMANDS) == 7
+
+
+def test_chordal_subset_rejects_the_word_oracle_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["chordal-subset", fx("group_z5.json"), fx("subset_z5_cycle.json"), "--word-oracle"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert captured.err.splitlines()[-1].endswith("unrecognized arguments: --word-oracle")
 
 
 @pytest.mark.parametrize("argv", ALL_COMMANDS, ids=lambda a: "-".join(a[:2]))

@@ -20,6 +20,7 @@ from conftest import (
     ref_star_edges,
     ref_validate_group,
     symmetric_subsets,
+    word_chordality_oracle,
 )
 from posext import (
     cb_norm_positive,
@@ -36,7 +37,6 @@ from posext import (
     star_pattern,
     validate_group,
     validate_subset,
-    word_chordality_oracle,
 )
 from posext.errors import (
     DomainMismatch,

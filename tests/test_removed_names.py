@@ -11,11 +11,14 @@ REMOVED = [
     ("posext", "n_transform"),
     ("posext", "invariantize"),
     ("posext", "rank_one_factors"),
+    ("posext", "word_chordality_oracle"),
     ("posext.pattern", "chordless_cycles"),
     ("posext.pattern", "_CYCLE_ORACLE_CAP"),
     ("posext.groupext", "n_transform"),
     ("posext.groupext", "invariantize"),
     ("posext.groupext", "_right_cosets"),
+    ("posext.groupext", "word_chordality_oracle"),
+    ("posext.groupext", "_WORD_ORACLE_CAP"),
     ("posext.linalg", "rank_one_factors"),
     ("posext.serialize", "partial_to_json"),
     ("posext.serialize", "group_to_json"),
