@@ -22,10 +22,10 @@ the block on H with its rows and columns permuted, so the extension
 checks the block on H alone for positivity and extends by zero, without
 building the pattern or the completion.
 
-Each group holds its multiplication table as one read-only int64 array
-and caches one quotient table Q[s, t] = t s^{-1} for the pattern of E
-and the kernels of functions on G. The subgroup test and the kernel of
-a function on E read Q on E x E only, straight from the table.
+Each group holds its multiplication table as one read-only int64 array,
+from which `_quotient` reads Q[s, t] = t s^{-1}: on G x G for the pattern
+of E and the kernels of functions on G, on E x E for the subgroup test
+and the kernel of a function on E.
 `validate_group` checks an int64 array as it is, as
 `serialize.load_json` and the group constructors hand it over, and any
 other table row by row, as `validate_pattern` treats edges.
@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -80,13 +79,6 @@ class FiniteGroup:
 
     def __hash__(self) -> int:
         return hash((self.order, self.identity, self.table_array.tobytes()))
-
-    @cached_property
-    def quotient(self) -> np.ndarray:
-        """Read-only table Q[s, t] = t s^{-1}."""
-        q = self.table_array[:, self.inverse].T
-        q.flags.writeable = False
-        return q
 
 
 @dataclass(frozen=True)
@@ -244,7 +236,7 @@ def group_function(g: FiniteGroup, values: dict[int, complex]) -> GroupFunction:
 
 def star_pattern(g: FiniteGroup, e: SymmetricSubset) -> Pattern:
     """Pattern with an edge between s and t whenever t s^{-1} lies in E."""
-    return _quotient_pattern(g.quotient, e)
+    return _quotient_pattern(_quotient(g, range(g.order)), e)
 
 
 def _quotient_pattern(q: np.ndarray, e: SymmetricSubset) -> Pattern:
@@ -261,10 +253,10 @@ def is_chordal_subset(g: FiniteGroup, e: SymmetricSubset) -> bool:
     members = sorted(e.members)
     inside = np.zeros(g.order, dtype=bool)
     inside[members] = True
-    return bool(inside[_subset_quotient(g, members)].all())
+    return bool(inside[_quotient(g, members)].all())
 
 
-def _subset_quotient(g: FiniteGroup, members: list[int]) -> np.ndarray:
+def _quotient(g: FiniteGroup, members: list[int] | range) -> np.ndarray:
     """Q on members x members: entry (a, b) is members[b] members[a]^{-1}."""
     return g.table_array[np.ix_(members, [g.inverse[x] for x in members])].T
 
@@ -293,7 +285,7 @@ def is_positive_definite_on(
     cliques through the identity, those of the pattern on E, suffice.
     """
     _check_domain(e, u)
-    q = _subset_quotient(g, sorted(e.members))
+    q = _quotient(g, sorted(e.members))
     kernel = restrict_to_pattern(_lookup(g, u)[q], _quotient_pattern(q, e))
     return partially_positive(kernel, tol)[0]
 
@@ -313,7 +305,7 @@ def invariant_kernel(g: FiniteGroup, f: GroupFunction) -> np.ndarray:
     """Kernel K(s, t) = f(t s^{-1}) of a function defined on all of G."""
     if f.domain() != frozenset(range(g.order)):
         raise DomainMismatch("kernel construction needs a function on all of G")
-    return _lookup(g, f)[g.quotient]
+    return _lookup(g, f)[_quotient(g, range(g.order))]
 
 
 def positive_definite_extension(
@@ -338,7 +330,7 @@ def positive_definite_extension(
         raise NotChordalSubset("subset does not induce a chordal pattern")
     _check_domain(e, u)
     members = sorted(e.members)
-    block = _lookup(g, u)[_subset_quotient(g, members)]
+    block = _lookup(g, u)[_quotient(g, members)]
     upper = np.triu(np.ones(block.shape, dtype=bool))
     # the lower triangle mirrors the upper one, as completion.expand builds it
     if not is_psd(np.where(upper, block, block.conj().T)[None], tol)[0]:

@@ -2,12 +2,12 @@
 
 Reading goes through json, except for the one int-rows field of a
 document, which its kind locates: a group's "table", a pattern's
-"edges", a partial matrix's "pattern"/"edges". `load_json` reads that
-field as one int64 array with np.fromstring when its text is strictly a
-list of equal-length lists of canonical ints, and leaves any other text
-to json (see `_read_rows`). The rows and their widths are found with
-numpy on the text's bytes, with no Python object per row. A document
-nested deeper than json can follow is an InputError.
+"edges", a partial matrix's "pattern"/"edges". `load_json` reads a file
+once and takes that field as one int64 array with np.fromstring when
+its text is strictly a list of equal-length lists of canonical ints, as
+one byte comparison and numpy on its bytes check, and leaves any other
+text to json (see `_read_rows`). A document nested deeper than json can
+follow is an InputError.
 
 Emission goes through a small dumper that writes floats as %.17g, so
 that every finite float except -0.0 round-trips bit-faithfully (-0.0 is
@@ -102,18 +102,19 @@ def load_json(path, field: tuple[str, ...] = ()) -> dict:
 
     field is the key path of that field, which the document's kind
     fixes: ("table",) for a group, ("edges",) for a pattern and
-    ("pattern", "edges") for a partial matrix. Any other text, and a
-    document read without a field, goes through json, so it gives the
-    same document, or raises the same error, as json does. A document
-    nested deeper than json can follow raises InputError.
+    ("pattern", "edges") for a partial matrix. The file is read once, so
+    a pipe reads as a file does. Any other text, and a document read
+    without a field, goes through json with the newlines of text mode,
+    so it gives the same document, or raises the same error, as json on
+    the open file does. A document nested deeper than json can follow
+    raises InputError.
     """
-    if field:
-        with open(path, "rb") as fh:
-            doc = _read_rows(fh.read(), field)
-        if doc is not None:
-            return doc
-    with open(path, encoding="utf-8") as fh:
-        return _loads(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    doc = _read_rows(data, field) if field else None
+    if doc is None:
+        doc = _loads(data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
+    return doc
 
 
 def _loads(text):
@@ -125,7 +126,7 @@ def _loads(text):
 
 
 _WS = b" \t\n\r"  # JSON's whitespace
-_WS_TO_SPACE = bytes.maketrans(b"\t\n\r", b"   ")
+_TO_SPACE = bytes.maketrans(b"\t\n\r[]", b"     ")
 _AFTER_KEY = re.compile(rb"[ \t\n\r]*:[ \t\n\r]*")
 _MAX_ROWS_INT = 10**18 - 1  # 18 digits: np.fromstring reads them exactly
 
@@ -139,30 +140,25 @@ def _read_rows(data: bytes, field: tuple[str, ...]) -> dict | None:
     leading zeros, at most 18 digits. One np.fromstring parses it, and
     json.loads parses the rest of the document with the field replaced
     by []. Anything else gives None: the document needs the json route,
-    which gives the same answer or raises the same error.
+    which gives the same answer or raises the same error. Without a
+    backslash in data every string reads as it is written, so the one
+    occurrence of the field's key in data is the field when json.loads
+    finds that key at the end of the path in the rest.
 
-    np.fromstring reads "-" as 0 and "007" as 7, stops at a trailing
-    comma, saturates past int64 and skips whitespace after a minus sign,
-    so the text is checked around it:
-
-    - Without a backslash in data every string reads as it is written,
-      so the one occurrence of the field's key in data is the field when
-      json.loads finds that key at the end of the path in the rest.
-    - Without whitespace the text starts with [[, ends with a digit and
-      ]], and its "],[" breaks part it into rows with the same number of
-      commas (`_rows_layout`). So it has at least the rows' brackets,
-      and np.fromstring is asked for one value per comma and row, which
-      it allocates at once. It raises at whitespace between digits and
-      at an empty item; only an empty last item would end the text early
-      and leave values unread, and the last item is not empty. A minus
-      sign before whitespace is refused.
-    - What is left of the text is digits, minus signs and any bracket
-      or byte beyond the rows'. An item never has fewer digits than its
-      value written canonically, and the minus signs are counted against
-      the negative values ("-" reads as 0). So the text's length is that
-      of the values written canonically, with the commas and the rows'
-      brackets, exactly when every item is canonical and nothing else is
-      there.
+    np.fromstring reads a blank item, "-", "+", VT and FF as 0, stops
+    at a trailing comma, saturates past int64 and skips whitespace after
+    a minus sign, so the text is checked around it. Without whitespace
+    it starts with [[, and without digits and minus signs too it is,
+    byte for byte, the skeleton of rows x width lists, width read off
+    the first row: "+", VT and FF are not JSON whitespace, so they are
+    left in and refused. No item is blank, and no minus sign comes
+    before whitespace. np.fromstring reads the text with its brackets
+    made spaces, so that no two numbers join, and must give one value
+    per item; the minus signs must be those of the negative values.
+    Then each item holds one value and is never shorter than the value
+    written canonically, so the text's length is that of the skeleton
+    and the canonical values exactly when every item is canonical and
+    nothing else is there.
     """
     name = field[-1]
     key = b'"' + name.encode() + b'"'
@@ -175,11 +171,17 @@ def _read_rows(data: bytes, field: tuple[str, ...]) -> dict | None:
     stop = len(data) if stop < 0 else stop
     brace = data.find(b"}", start, stop)
     end = data.rfind(b"]", start, stop if brace < 0 else brace) + 1
-    layout = _rows_layout(data[start:end])
-    if layout is None or key in data[stop:]:
+    compact = data[start:end].translate(None, _WS)
+    if compact[:2] != b"[[" or key in data[stop:]:
         return None
-    n_rows, width, minus, length = layout
-    flat = data[start:end].translate(_WS_TO_SPACE, b"[]")
+    skeleton = compact.translate(None, b"-0123456789")
+    width = skeleton.find(b"]") - 1  # the first row is [, width - 1 commas and ]
+    row = b"[" + b"," * (width - 1) + b"]"
+    n_rows = (len(skeleton) - 1) // (width + 2)
+    if skeleton != b"[" + (row + b",") * (n_rows - 1) + row + b"]" or _blank_item(compact):
+        return None
+    minus = compact.count(b"-") if b"-" in compact else 0  # `in` finds a byte faster than count
+    flat = data[start:end].translate(_TO_SPACE)
     if minus and b"- " in flat:
         return None
     try:
@@ -190,12 +192,12 @@ def _read_rows(data: bytes, field: tuple[str, ...]) -> dict | None:
     if low < -_MAX_ROWS_INT or high > _MAX_ROWS_INT or np.count_nonzero(values < 0) != minus:
         return None
     magnitude = np.abs(values)
-    expected = values.size + minus + (values.size - 1) + 2 * (n_rows + 1)  # digits, signs, commas, brackets
+    expected = len(skeleton) + values.size + minus  # the skeleton, a digit per value and the signs
     power = 10
     while power <= max(-low, high):  # a digit more for each power of ten a value reaches
         expected += np.count_nonzero(magnitude >= power)
         power *= 10
-    if expected != length:
+    if expected != len(compact):
         return None
     try:
         doc = _loads((data[:start] + b"[]" + data[end:]).decode("utf-8"))
@@ -210,31 +212,11 @@ def _read_rows(data: bytes, field: tuple[str, ...]) -> dict | None:
     return doc
 
 
-def _rows_layout(text: bytes) -> tuple[int, int, int, int] | None:
-    """(rows, items per row, minus signs, length without whitespace) of an int-rows text, or None.
-
-    None unless, without whitespace, the text starts with [[, ends with a
-    digit and ]], and its "],[" row breaks part it into rows with the
-    same number of commas: width - 1 before the first break, and width
-    from each break to the next. Those counts are taken modulo 256 when
-    width < 256. Each count plus one for the first is then at least its
-    residue, and the counts add up to rows * width - 1; so if each
-    matches width modulo 256, each is exact.
-    """
-    compact = text.translate(None, _WS)
-    if compact[:2] != b"[[" or compact[-2:] != b"]]" or not compact[-3:-2].isdigit():
-        return None
+def _blank_item(compact: bytes) -> bool:
+    """Whether an int-rows text without whitespace has a blank item: "[,", ",,", ",]" or "[]"."""
     chars = np.frombuffer(compact, dtype=np.uint8)
-    breaks = np.flatnonzero(chars[:-2] == ord("]"))  # a break never ends the text, which ends in "]]"
-    breaks = breaks[(chars[breaks + 1] == ord(",")) & (chars[breaks + 2] == ord("["))]
-    comma = (chars == ord(",")).view(np.uint8)
-    items, rows = int(np.count_nonzero(comma)) + 1, len(breaks) + 1
-    width = items // rows
-    counts = np.add.reduceat(comma, np.r_[0, breaks], dtype=np.uint8 if width < 256 else np.uint32)
-    if items != rows * width or counts[0] != width - 1 or (counts[1:] != width).any():
-        return None
-    minus = compact.count(b"-") if b"-" in compact else 0  # `in` finds a byte faster than count
-    return rows, width, minus, len(compact)
+    comma = chars == ord(",")
+    return bool((((chars[:-1] == ord("[")) | comma[:-1]) & (comma[1:] | (chars[1:] == ord("]")))).any())
 
 
 def dumps(doc, pretty: bool = False) -> str:
@@ -838,5 +820,10 @@ def circleset_to_json(e: CircleSet) -> dict:
 
 
 def circleset_from_json(doc) -> CircleSet:
-    intervals = [(a, b) for a, b in doc["intervals"]]
-    return normalize(intervals, doc["points"])
+    """The circle set of {"intervals": [[a, b], ...], "points": [...]}; any other shape is an InputError."""
+    if type(doc) is not dict or type(doc.get("intervals")) is not list or type(doc.get("points")) is not list:
+        raise InputError('a circle set is {"intervals": [[a, b], ...], "points": [...]}')
+    for interval in doc["intervals"]:
+        if type(interval) is not list or len(interval) != 2:
+            raise InputError(f"an interval is a list of two endpoints, got {interval!r}")
+    return normalize(doc["intervals"], doc["points"])

@@ -27,6 +27,7 @@ from posext import (
     validate_subset,
 )
 from posext.errors import TooLarge
+from posext.groupext import _quotient
 from posext.pattern import ChordalStructure, CliqueTree, _tuples
 from posext.serialize import _Coded, _IntLists, _Table
 
@@ -495,6 +496,15 @@ def malformed_documents(kind: str) -> list[tuple[str, bytes]]:
         ("one-level-leading-zero-and-bracket", "[00, 1]]"),
         ("unclosed", "[[0, 1], [1, 0]"),
         ("unclosed-leading-zero", "[[00, 1]"),
+        # np.fromstring reads a blank, "+", VT or FF item as 0; a leading zero, a
+        # stray bracket or a dropped one ("18]0" read as 180) can make up the
+        # length that a blank lacks
+        ("blank-item-and-stray-bracket", "[[0 , 1 ] ],[ ,  2 ]]"),
+        ("blank-item-and-leading-zero", "[[ , 07], [1, 2]]"),
+        ("middle-plus", "[[0, +], [1, 2]]"),
+        ("middle-vt", "[[0, \x0b], [1, 2]]"),
+        ("middle-ff", "[[0, \x0c], [1, 2]]"),
+        ("digit-after-bracket", "[[1, 18]0, , 2]]"),
     ]:
         out.append((case, doc(text)))
     text = rows(base)
@@ -543,7 +553,7 @@ def word_chordality_oracle(g: FiniteGroup, e: SymmetricSubset) -> bool:
     steps = sorted(e.members - {g.identity})
 
     def has_chord(points: list[int]) -> bool:
-        chords = np.triu(np.isin(g.quotient[np.ix_(points, points)], list(e.members)), 2)
+        chords = np.triu(np.isin(_quotient(g, points), list(e.members)), 2)
         chords[0, -1] = False  # the first and last point are neighbours on the walk
         return bool(chords.any())
 

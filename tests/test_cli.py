@@ -179,6 +179,10 @@ _LEAD = {
         ("partially-positive", _partial(j=math.inf)),
         ("group-extend", _function(2.5)),
         ("group-extend", _function("2")),
+        # circle sets whose intervals or points are not lists, or whose interval has three endpoints
+        ("circle-predicates", {"intervals": ["01"], "points": "0"}),
+        ("circle-predicates", {"intervals": [["0", "1/2", "1"]], "points": []}),
+        ("circle-predicates", {"intervals": [["0", "1"]]}),
     ],
 )
 def test_malformed_integers_exit_2(tmp_path, capsys, command, doc):
@@ -897,6 +901,16 @@ def test_a_document_nested_too_deeply_exits_2_with_one_line(tmp_path, capsys, te
     code, out, err = _outcome(capsys, "chordal", str(path))
     assert (code, out) == (2, "")
     assert err == "error: InputError: document nested too deeply: maximum recursion depth exceeded\n"
+
+
+def test_a_document_piped_to_stdin_is_read_once():
+    """The backslash sends the document to json, which reads the bytes already read, not a drained pipe."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "posext", "chordal", "/dev/stdin"],
+        input=b'{"n": 2, "edges": [[0, 1]], "note": "a\\\\b"}',
+        capture_output=True,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b'{"chordal":true}\n', b"")
 
 
 def test_a_reader_that_closes_the_pipe_early_gets_one_error_line():

@@ -31,6 +31,6 @@ def test_removed_name_cannot_be_imported(module, name):
     assert not hasattr(importlib.import_module(module), name)
 
 
-@pytest.mark.parametrize("name", ["table", "mul"])
+@pytest.mark.parametrize("name", ["table", "mul", "quotient"])
 def test_a_group_has_no_table_view_or_product_method(name):
     assert not hasattr(FiniteGroup, name) and not hasattr(cyclic_group(3), name)

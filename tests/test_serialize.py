@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -578,24 +579,16 @@ def test_table_reader_declines_documents_that_need_json(kind, data):
 @pytest.mark.parametrize("text", [b"[[0, 1], [1, 0,]]", b"[[2, 000,]]", b"[[0], []]", b"[[]]"])
 def test_table_layout_refuses_an_empty_last_item(text):
     """np.fromstring, asked for one value per item, would leave the last value unread and uninitialised."""
-    assert ser._rows_layout(text) is None
-
-
-def _split_rows_layout(text: bytes) -> tuple[int, int, int, int] | None:
-    """The row layout as the reader once found it, by splitting the text into rows: the oracle of `_rows_layout`."""
-    compact = text.translate(None, b" \t\n\r")
-    if compact[:2] != b"[[" or compact[-2:] != b"]]" or not compact[-3:-2].isdigit():
-        return None
-    rows = compact[1:-1].split(b"],[")
-    widths = {row.count(b",") for row in rows}
-    if len(widths) != 1:
-        return None
-    return len(rows), widths.pop() + 1, compact.count(b"-"), len(compact)
+    assert ser._read_rows(rows_document("group", f'"table": {text.decode()}, '), ("table",)) is None
 
 
 @st.composite
 def _int_rows_texts(draw):
-    """Int-rows texts with whitespace around every token, at times ragged, with a stray or a missing byte."""
+    """Int-rows texts with whitespace around every token, at times ragged, with a stray or a missing byte.
+
+    Items may be blank, "+", VT, FF, split by whitespace or written with
+    leading zeros, and a stray bracket, comma or digit may sit anywhere.
+    """
     pads = itertools.cycle(draw(st.lists(st.text(" \t\n\r", max_size=2), min_size=1, max_size=7)))
 
     def ws():
@@ -605,7 +598,8 @@ def _int_rows_texts(draw):
         return "[" + ws() + ("," + ws()).join(item + ws() for item in items) + "]"
 
     width = draw(st.sampled_from([1, 2, 3, 255, 256, 257]))
-    tokens = draw(st.lists(st.sampled_from(["0", "7", "-3", "12", "-", "00"]), min_size=1, max_size=3))
+    items = ["0", "7", "-3", "12", "-", "00", "07", "", "+", "\x0b", "\x0c", "1 2", "- 5", "-0"]
+    tokens = draw(st.lists(st.sampled_from(items[:4]) | st.sampled_from(items), min_size=1, max_size=3))
     widths = [width] * draw(st.integers(1, 5))
     if draw(st.booleans()):  # ragged by one item or by 256, at times with as many items as before
         step, row = draw(st.sampled_from([-1, 1, 256, -256])), st.integers(0, len(widths) - 1)
@@ -613,19 +607,45 @@ def _int_rows_texts(draw):
         if draw(st.booleans()):
             widths[draw(row)] -= step
     text = ws() + join([join((tokens * w)[:w]) for w in widths if w >= 0]) + ws()
-    at = draw(st.integers(0, len(text)))
-    edit = draw(st.sampled_from([None, None, "stray", "missing"]))
-    if edit == "stray":
-        text = text[:at] + draw(st.sampled_from("[],")) + text[at:]
-    elif edit == "missing":
-        text = text[:at] + text[at + 1 :]
-    return text.encode()
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(text)))
+        edit = draw(st.sampled_from(["stray", "missing"]))
+        if edit == "stray":
+            text = text[:at] + draw(st.sampled_from("[],05-")) + text[at:]
+        else:
+            text = text[:at] + text[at + 1 :]
+    return text
+
+
+_WS = r"[ \t\n\r]*"
+_ROW = rf"\[{_WS}(?:0|-?[1-9][0-9]{{0,17}}){_WS}(?:,{_WS}(?:0|-?[1-9][0-9]{{0,17}}){_WS})*\]"
+_CANONICAL_ROWS = re.compile(rf"{_WS}\[{_WS}{_ROW}{_WS}(?:,{_WS}{_ROW}{_WS})*\]{_WS}")
 
 
 @settings(max_examples=600, deadline=None)
-@given(_int_rows_texts())
-def test_rows_layout_matches_the_split_rows(text):
-    assert ser._rows_layout(text) == _split_rows_layout(text)
+@given(_int_rows_texts(), st.sampled_from(sorted(ROWS_FIELDS)))
+def test_table_reader_gives_what_json_gives_on_int_rows_texts(text, kind):
+    """The reader gives json's document with the field as json's int rows in int64, or declines.
+
+    It takes exactly the texts of equal-length lists of canonical ints.
+    """
+    field = ROWS_FIELDS[kind]
+    data = rows_document(kind, f'"{field[-1]}": {text}, ')
+    got = ser._read_rows(data, field)
+    canonical = _CANONICAL_ROWS.fullmatch(text) and len(set(map(len, json.loads(text)))) == 1
+    assert (got is not None) == bool(canonical)
+    if got is not None:
+        want = json.loads(data)
+        rows = _field_parent(want, field).pop(field[-1])
+        got_rows = _field_parent(got, field).pop(field[-1])
+        assert got_rows.dtype == np.int64 and got_rows.tolist() == rows
+        assert got == want
+
+
+@pytest.mark.parametrize("text", ["[[1, 18]0]", "[[5]0, [3]]", "[[1, 2], [3, 4]5]"])
+def test_table_reader_keeps_brackets_between_numbers(text):
+    """The skeleton, the digits and the length would all pass if the brackets were dropped ("18]0" read as 180)."""
+    assert ser._read_rows(rows_document("pattern", f'"edges": {text}, '), ("edges",)) is None
 
 
 def test_table_reader_on_the_edges_of_its_range():
@@ -637,6 +657,27 @@ def test_table_reader_on_the_edges_of_its_range():
         assert _field_parent(doc, field)[name].tolist() == edge
         for big in (10**18, -(10**18), 2**63, 2**63 - 1, -(2**63), 2**64 + 5):
             assert ser._read_rows(rows_document(kind, f'"{name}": [[0, {big}]], '), field) is None
+
+
+@pytest.mark.parametrize(
+    "data",
+    [b'{"n": 1,\r\n"edges": []}', b'{"n": 1,\r\n"edges": [],\r\n}', b'{"n":\r\r 1, "edges": [x]}',
+     b'{"n": 1, "edges": []}\r\n\r\nx', b'{"n": 1, "note": "\r"}', b'{"n": 1, "note": "\xff"}'],
+)
+def test_json_route_reads_as_json_reads_the_open_file(tmp_path, data):
+    """Documents and errors, their line and column too, are those of json.load on the file in text mode."""
+    path = tmp_path / "doc.json"
+    path.write_bytes(data)
+    for field in [(), ("edges",)]:
+        try:
+            with open(path, encoding="utf-8") as fh:
+                want = json.load(fh)
+        except ValueError as exc:
+            with pytest.raises(type(exc)) as got:
+                ser.load_json(path, field)
+            assert str(got.value) == str(exc)
+        else:
+            assert ser.load_json(path, field) == want
 
 
 def test_group_documents_read_as_json_reads_them(tmp_path):
