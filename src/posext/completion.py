@@ -64,7 +64,9 @@ class PartialHermitianMatrix:
     and diagonal blocks Hermitian. Only the stack is kept: values is a
     read-only (pairs, d, d) complex array whose row k is the block of
     pair (pattern.pairs[0][k], pattern.pairs[1][k]), and block(i, j)
-    reads one block in either orientation.
+    reads one block in either orientation. `from_stack` builds one from
+    such a stack; the mapping constructor forms the stack and checks it
+    the same way.
     """
 
     pattern: Pattern
@@ -97,12 +99,37 @@ class PartialHermitianMatrix:
         if values.shape != (len(keys), d, d):  # one shape for all blocks, the wrong one
             shape = values.shape[1:]
             raise DimensionMismatch(f"block {keys[0]} has shape {shape}, expected ({d},{d})")
+        self._hold(values)
+
+    @classmethod
+    def from_stack(cls, pattern: Pattern, d: int, values: np.ndarray) -> PartialHermitianMatrix:
+        """The partial matrix whose block of pair k of pattern.pairs is values[k].
+
+        values is a (pairs, d, d) complex array; it is taken over and made
+        read-only. The checks after the stack is formed are those of the
+        mapping constructor, with the same errors.
+        """
+        if d < 1:
+            raise DimensionMismatch(f"block size must be positive, got {d}")
+        expected = (len(pattern.pairs[0]), d, d)
+        if values.shape != expected or values.dtype != complex:
+            raise DimensionMismatch(
+                f"stack has shape {values.shape} and type {values.dtype}, expected {expected} complex"
+            )
+        m = cls.__new__(cls)
+        m.pattern, m.d = pattern, d
+        m._hold(values)
+        return m
+
+    def _hold(self, values: np.ndarray) -> None:
+        """Keep values as the stack once every entry is finite and every diagonal block Hermitian."""
+        rows, cols = self.pattern.pairs
         bad = ~np.isfinite(values).all(axis=(1, 2))
         if bad.any():
-            raise InputError(f"block {keys[bad.argmax()]} has a non-finite entry")
+            raise InputError(f"block {_pair(rows, cols, bad)} has a non-finite entry")
         bad = (values != values.conj().swapaxes(1, 2)).any(axis=(1, 2)) & (rows == cols)
         if bad.any():
-            raise InputError(f"diagonal block {keys[bad.argmax()]} is not Hermitian")
+            raise InputError(f"diagonal block {_pair(rows, cols, bad)} is not Hermitian")
         values.flags.writeable = False
         self.values = values
 
@@ -119,6 +146,12 @@ class PartialHermitianMatrix:
         if k == stop or cols[k] != j:
             raise KeyError((i, j))
         return self.values[k]
+
+
+def _pair(rows: np.ndarray, cols: np.ndarray, bad: np.ndarray) -> tuple[int, int]:
+    """The first pair (rows[k], cols[k]) with bad[k]."""
+    k = bad.argmax()
+    return int(rows[k]), int(cols[k])
 
 
 def _missing(p: Pattern, blocks: Mapping) -> list[tuple[int, int]]:
@@ -214,8 +247,7 @@ def restrict_to_pattern(a: np.ndarray, p: Pattern, d: int = 1) -> PartialHermiti
             f"matrix has shape {a.shape}, expected {(p.n * d, p.n * d)}"
         )
     i, j = p.pairs
-    blocks = a.reshape(p.n, d, p.n, d)[i, :, j]
-    return PartialHermitianMatrix(p, d, dict(zip(zip(i.tolist(), j.tolist()), blocks)))
+    return PartialHermitianMatrix.from_stack(p, d, a.reshape(p.n, d, p.n, d)[i, :, j])
 
 
 def _blocks_by_size(full: np.ndarray, vertex_sets, d: int):

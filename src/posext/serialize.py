@@ -7,7 +7,11 @@ once and takes that field as one int64 array with np.fromstring when
 its text is strictly a list of equal-length lists of canonical ints, as
 one byte comparison and numpy on its bytes check, and leaves any other
 text to json (see `_read_rows`). A document nested deeper than json can
-follow is an InputError.
+follow is an InputError. The blocks of a partial matrix are then read
+in bulk: one comprehension each gathers i, j, re and im, and array
+checks put them in the pattern's pair order as one stack. Any block
+list that a check refuses is read again one item at a time, which
+raises the error of its first bad item (see `partial_from_json`).
 
 Emission goes through a small dumper that writes floats as %.17g, so
 that every finite float except -0.0 round-trips bit-faithfully (-0.0 is
@@ -32,12 +36,12 @@ one of four paths, and all four give the same bytes:
   layout) is broadcast into every row, and each value is written into
   a NUL-padded slot of its column. Ints are gathered from 4-digit
   tables, int tuples from their texts made once per table, and floats
-  take `_format_17g`: zeros written as 0 or -0, the other values by the
-  numpy kernel below when a chunk holds `_KERNEL_MIN_ROWS` of them or
-  more, and by one padded % call otherwise, since the kernel's cost per
-  call outweighs what it saves on few values. Dropping the NUL bytes
-  turns the buffer into the chunk's text; no Python string is made per
-  value.
+  take `_format_17g`: the numpy kernel below writes a chunk's column,
+  zeros included, when it holds `_KERNEL_MIN_ROWS` nonzero values or
+  more; otherwise zeros are written as 0 or -0 and the other values by
+  one padded % call, since the kernel's cost per call outweighs what it
+  saves on few values. Dropping the NUL bytes turns the buffer into the
+  chunk's text; no Python string is made per value.
 - Everything else is walked value by value.
 
 The kernel writes exactly what format(x, ".17g") writes. That text is
@@ -54,11 +58,25 @@ too when nothing follows it. The kernel reproduces all three:
   a hi as p + e exactly, so y = |x| 10^s is p + (e + a lo) to within
   2^-47. That bound holds for y < 2^57, with |e + a lo| < 24. p is an
   even integer >= 2^53, so D = p + rint(e + a lo).
-- format(x, ".17g") is called instead where the fraction of e + a lo
-  lies within 2^-30 of 1/2, or D lies within 1 of 10^16 or 10^17. Only
-  there could the 2^-47 error change the rounding or the exponent.
-  Exact ties are always among these values; in random data almost no
-  value is.
+- The text is three little-endian uint64 words, 24 bytes with NUL
+  wherever a character is absent. D's first digit and its 16 fraction
+  digits, these as two words of four 4-digit groups from the digit
+  tables, are shifted and or-ed into place with words from a table per
+  sign and k. Exponent notation and k = 0 are sign, first digit, point,
+  the 16 digits and "e", the exponent's sign and digits; -4 <= k < 0 is
+  sign, "0.", -k - 1 zeros, the first digit and the 16 digits.
+- The fraction's trailing zeros are NUL: a second 4-digit table, whose
+  trailing zeros are NUL, gives the last group and every group behind
+  groups of zeros only. The point is dropped when all 16 are zero.
+- For 1 <= k <= 16 the words of k = 0 are shifted down by one byte
+  over the k digits that go before the point, which are made digits
+  again where they were trimmed, and the point goes behind them when a
+  digit follows. A zero is written with the digits of 0 and k = 0.
+- format(x, ".17g") is used instead, by one padded % call, where the
+  fraction of e + a lo lies within 2^-30 of 1/2, or D lies within 1 of
+  10^16 or 10^17. Only there could the 2^-47 error change the rounding
+  or the exponent. Exact ties are always among these values; in random
+  data almost no value is.
 """
 
 from __future__ import annotations
@@ -505,17 +523,7 @@ _SPLIT = 134217729.0  # 2^27 + 1: Veltkamp's split into two 26-bit halves
 _S_MIN = -300  # the scales s of finite doubles lie in [-293, 341]
 _SCALES = np.zeros((650, 4))  # row s - _S_MIN: 5^s as hi_hi + hi_lo + lo, then 2^s
 _SCALES_MADE = np.zeros(len(_SCALES), dtype=bool)
-# The text of each value is gathered from a source row of 28 bytes: NUL at
-# 0-2, the 17 digits of D at 3-19, ".", "0", "-", the exponent's sign and
-# "e" at 20-24, and |k| as 3 digits at 25-27. The layout of a text depends
-# on its sign, its kind (fixed notation with k, or exponent notation with
-# 2 or 3 exponent digits) and the number of digits kept, and it is one
-# row of _LAYOUTS: the source byte of each character, NUL-padded.
-_SRC_WIDTH = 28
-_DOT, _ZERO, _MINUS, _EXP_SIGN, _E, _EXP = 20, 21, 22, 23, 24, 25
 _TEXT_WIDTH = 24  # the longest text: -1.2345678901234567e-308
-_LAYOUTS = np.zeros((2 * 23 * 17, _TEXT_WIDTH), dtype=np.intp)
-_LAYOUTS_MADE = np.zeros(len(_LAYOUTS), dtype=bool)
 _MINUS_ZERO = int.from_bytes(b"-0", "little")
 
 
@@ -523,28 +531,36 @@ def _format_17g(x: np.ndarray, text: np.ndarray) -> None:
     """Write format(v, ".17g") of each v of a finite float array into its row of text.
 
     text is a (len(x), _TEXT_WIDTH) uint8 array of NULs, and each text
-    stays NUL-padded. Zeros are written as 0 and -0. The other values go
-    through the kernel when there are _KERNEL_MIN_ROWS of them or more,
-    and otherwise through one "%-24.17g" % call, whose space padding
-    becomes NUL: on few values the kernel's cost per call outweighs what
-    it saves.
+    stays NUL-padded. The kernel writes the chunk when it holds
+    _KERNEL_MIN_ROWS nonzero values or more. Otherwise zeros are written
+    as 0 and -0, and the other values go through one "%-24.17g" % call,
+    whose space padding becomes NUL: on few values the kernel's cost per
+    call outweighs what it saves.
     """
     nonzero = np.flatnonzero(x)
+    if len(nonzero) >= _KERNEL_MIN_ROWS:
+        text[:] = _format_nonzero(x)
+        return
     if len(nonzero) < len(x):  # the rows of nonzero values are overwritten below
         text.view("<u2")[:, 0] = np.where(np.signbit(x), _MINUS_ZERO, ord("0"))
     rows = slice(None) if len(nonzero) == len(x) else nonzero  # a slice copies, an index gathers
-    if len(nonzero) >= _KERNEL_MIN_ROWS:
-        text[rows] = _format_nonzero(x[rows])
-    elif len(nonzero):
+    if len(nonzero):
         values = x[rows].tolist()
         padded = (f"%-{_TEXT_WIDTH}.17g" * len(values) % tuple(values)).encode().replace(b" ", b"\0")
         text[rows] = np.frombuffer(padded, dtype=np.uint8).reshape(-1, _TEXT_WIDTH)
 
 
 def _format_nonzero(x: np.ndarray) -> np.ndarray:
-    """The kernel: format(v, ".17g") of each v of a nonzero finite float array, as NUL-padded byte rows."""
-    quads, _, trailing_zeros = _digit_tables()
+    """The kernel: format(v, ".17g") of each v of a finite float array, as NUL-padded byte rows.
+
+    Zeros are written too. Each row is written as three little-endian
+    uint64 words (see the module docstring).
+    """
+    padded, _, _ = _digit_tables()
+    trimmed, layouts, shifts = _kernel_tables()
     ax = np.abs(x)
+    zeros = np.flatnonzero(ax == 0)
+    ax[zeros] = 1.0  # written as 0 below, by its digits
     k = np.floor(np.log10(ax)).astype(np.int64)
     d, tie = _scaled(ax, k)
     off = np.flatnonzero((d < 10**16 - 1) | (d > 10**17 + 1))  # log10 missed by one
@@ -552,37 +568,81 @@ def _format_nonzero(x: np.ndarray) -> np.ndarray:
         k[off] += np.where(d[off] > 10**17, 1, -1)
         d[off], tie[off] = _scaled(ax[off], k[off])
     near = (d <= 10**16 + 1) | (d >= 10**17 - 1) | (tie > 0.5 - _TIE_MARGIN)
+    near[zeros] = False
+    d[zeros] = 0
 
-    first, rest = np.divmod(d, 10**16)
-    high, low = np.divmod(rest, 10**8)
-    groups = (*np.divmod(high, 10**4), *np.divmod(low, 10**4))  # 4 digits each
-    ak = np.abs(k)
-    src = np.empty((len(x), _SRC_WIDTH // 4), dtype="<u4")
-    src[:, 0] = quads[first] & 0xFF000000
-    for word, group in enumerate(groups, 1):
-        src[:, word] = quads[group]
-    src[:, 5] = int.from_bytes(b".0-+", "little") + (k < 0) * (2 << 24)  # "+" + 2 is "-"
-    src[:, 6] = quads[ak] & 0xFFFFFF00 | ord("e")
-    zeros = trailing_zeros[groups[-1]]
-    rest = np.flatnonzero(groups[-1] == 0)
-    for group in groups[-2::-1]:  # behind a group of 0, count the zeros of the one before
-        if not len(rest):
+    first, rest = _split(d, 10**16)
+    high, low = _split(rest, 10**8)
+    groups = (*_split(high, 10**4), *_split(low, 10**4))  # the fraction's 16 digits, 4 to a group
+    fraction = np.empty((len(x), 4), dtype="<u4")
+    columns = fraction.T
+    for group, column in zip(groups[:3], columns):
+        padded.take(group, out=column)
+    trimmed.take(groups[3], out=columns[3])
+    behind = np.flatnonzero(groups[3] == 0)  # trailing zeros reach into the group before
+    for group, column in zip(groups[2::-1], columns[2::-1]):
+        if not len(behind):
             break
-        zeros[rest] += trailing_zeros[group[rest]]
-        rest = rest[group[rest] == 0]
-    kind = np.where((k >= -4) & (k < 17), k + 4, np.where(ak >= 100, 22, 21))
-    key = (np.signbit(x) * 23 + kind) * 17 + 16 - zeros
-    layout = _rows(_LAYOUTS, _LAYOUTS_MADE, key, _layout)
-    layout += np.arange(0, src.size * 4, _SRC_WIDTH)[:, None]
-    text = src.view(np.uint8).ravel().take(layout)
-    for i, v in zip(np.flatnonzero(near).tolist(), x[near].tolist()):
-        text[i] = np.frombuffer(format(v, ".17g").encode().ljust(_TEXT_WIDTH, b"\0"), dtype=np.uint8)
-    return text
+        group = group[behind]
+        column[behind] = trimmed.take(group)
+        behind = behind[group == 0]
+    lo, hi = fraction.view("<u8").T  # fraction digits 1-8 and 9-16, the first in the low byte
+
+    layout = layouts.take(16 - k - _S_MIN + len(_SCALES) * np.signbit(x), axis=0)
+    head, lead, shift, back, tail = layout.T
+    words = np.empty((len(x), 3), dtype="<u8")
+    w0, w1, w2 = words.T
+    np.left_shift(lo, shift, out=w0)
+    w0 |= head
+    w0 |= first.view(np.uint64) << lead
+    w0 |= (rest != 0) * np.uint64(ord(".") << 16)
+    np.right_shift(lo, back, out=w1)
+    w1 |= hi << shift
+    np.right_shift(hi, back, out=w2)
+    w2 |= tail
+
+    fixed = np.flatnonzero((k > 0) & (k < 17))
+    rows = words.view(_ROW).ravel()  # a row per text, to gather and scatter whole texts
+    if len(fixed):  # written as for k = 0; move the point right by k digits
+        keep, moved, dots = shifts
+        shift = k[fixed] - 1
+        w = rows.take(fixed).view("<u8")  # the texts' words end to end
+        kept = w & keep.take(shift, axis=0).ravel()  # sign, first digit, the digits behind the new point
+        down = w >> np.uint64(8)
+        down[:-1] |= w[1:] << np.uint64(56)  # the lowest byte of the next word; a text's last word takes none
+        point = (kept[::3] >> np.uint64(16) | kept[1::3] | kept[2::3]) != 0  # a digit follows it
+        down |= np.uint64(_ZEROS)  # digits before the point are never trimmed
+        down &= moved.take(shift, axis=0).ravel()
+        kept |= down
+        kept |= dots.take(shift + 16 * point, axis=0).ravel()
+        rows[fixed] = kept.view(_ROW)
+
+    near = np.flatnonzero(near)
+    if len(near):  # one padded % call, its spaces made NUL
+        values = x[near].tolist()
+        padded = (f"%-{_TEXT_WIDTH}.17g" * len(values) % tuple(values)).encode().replace(b" ", b"\0")
+        rows[near] = np.frombuffer(padded, dtype=_ROW)
+    return words.view(np.uint8)
+
+
+def _split(n: np.ndarray, unit: int) -> tuple[np.ndarray, np.ndarray]:
+    """n // unit and n % unit, by // and a product: np.divmod and % are slower on int64."""
+    high = n // unit
+    return high, n - high * unit
+
+
+_ZEROS = int.from_bytes(b"0" * 8, "little")
+_ROW = np.dtype((np.void, _TEXT_WIDTH))
 
 
 def _scaled(ax: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """rint(y) for y = ax 10^(16 - k), as int64, and |y - rint(y)| up to 2^-47."""
-    hi_hi, hi_lo, lo, two = _rows(_SCALES, _SCALES_MADE, 16 - k - _S_MIN, _scale).T
+    rows = 16 - k - _S_MIN
+    if not _SCALES_MADE.take(rows).all():  # each row is made on first use
+        for row in set(rows[~_SCALES_MADE[rows]].tolist()):
+            _SCALES[row] = _scale(row)
+            _SCALES_MADE[row] = True
+    hi_hi, hi_lo, lo, two = _SCALES.take(rows, axis=0).T
     a = ax * two
     p = a * (hi_hi + hi_lo)
     c = a * _SPLIT
@@ -603,37 +663,6 @@ def _scale(row: int) -> list[float]:
     return [hi_hi, hi - hi_hi, float(exact - Fraction(hi)), 2.0**s]
 
 
-def _layout(key: int) -> list[int]:
-    """The layout of key (sign * 23 + kind) * 17 + digits kept - 1.
-
-    Kind k + 4 (-4 <= k < 17) is fixed notation; kinds 21 and 22 are
-    exponent notation with 2 and 3 exponent digits. The digits kept end
-    at the last nonzero one, or at the point in fixed notation; the point
-    is dropped when no digit follows it, as %g does.
-    """
-    sign, kind, kept = key // (23 * 17), key // 17 % 23, key % 17 + 1
-    digits = list(range(3, 20))
-    text = [_MINUS] if sign else []
-    if kind >= 21:
-        text += digits[:1] + ([_DOT] + digits[1:kept] if kept > 1 else [])
-        text += [_E, _EXP_SIGN] + [_EXP, _EXP + 1, _EXP + 2][22 - kind :]
-    elif kind >= 4:
-        point = kind - 4 + 1  # digits before the point
-        text += digits[:point] + ([_DOT] + digits[point:kept] if kept > point else [])
-    else:
-        text += [_ZERO, _DOT] + [_ZERO] * (3 - kind) + digits[:kept]
-    return text + [0] * (_TEXT_WIDTH - len(text))  # source byte 0 is NUL
-
-
-def _rows(table: np.ndarray, made: np.ndarray, keys: np.ndarray, make) -> np.ndarray:
-    """table[keys], each missing row made by make(key) on first use."""
-    if not made.take(keys).all():
-        for key in set(keys[~made[keys]].tolist()):
-            table[key] = make(key)
-            made[key] = True
-    return table.take(keys, axis=0)
-
-
 @functools.cache
 def _digit_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Tables for 0..9999: 4 ASCII digits, the digits without leading zeros, and trailing zeros.
@@ -651,6 +680,57 @@ def _digit_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     shown[:, -1] = True
     lead = np.where(shown, text, 0).astype(np.uint8)
     return text.view("<u4").ravel(), lead.view("<u4").ravel(), zeros
+
+
+@functools.cache
+def _kernel_tables() -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The kernel's tables, made on first use: trimmed digits, layouts and point shifts.
+
+    trimmed holds the 4-digit words of `_digit_tables` with trailing
+    zeros NUL; 0 is all NUL. layouts has a row per sign and k, at
+    16 - k - _S_MIN + 650 sign, of uint64 columns head, lead, shift,
+    back and tail: a text's first word is head | first digit << lead |
+    lo << shift, its second lo >> back | hi << shift, and its third
+    hi >> back | tail, where lo and hi hold fraction digits 1-8 and 9-16.
+    The point shifts have a row per k in 1..16: keep masks the bytes
+    that stay, moved those that take the digit of the next byte, and
+    dots holds the point (a row per k, then per k with a point).
+    """
+    text, _, zeros = _digit_tables()
+    digits = text.view(np.uint8).reshape(-1, 4)
+    trimmed = np.where(np.arange(4) < 4 - zeros[:, None], digits, 0).astype(np.uint8)
+
+    k = 16 - _S_MIN - np.arange(len(_SCALES))
+    ak = np.abs(k)
+    below = (k >= -4) & (k < 0)  # "0.", zeros, then the digits
+    exponent = (k < -4) | (k > 16)
+    head = np.zeros((2, len(k), 8), dtype=np.uint8)
+    head[:, :, 1] = ord("0")
+    head[:, below, 2] = ord(".")
+    head[:, below, 7] = ord("0")
+    head[:, below, 3:6] = np.where(np.arange(3) < -k[below, None] - 1, ord("0"), 0)
+    head[1, :, 0] = ord("-")
+    tail = np.zeros((len(k), 8), dtype=np.uint8)
+    tail[exponent, 3] = ord("e")
+    tail[exponent, 4] = np.where(k[exponent] < 0, ord("-"), ord("+"))
+    for at, unit in ((5, 100), (6, 10), (7, 1)):
+        tail[exponent, at] = ak[exponent] // unit % 10 + ord("0")
+    tail[exponent & (ak < 100), 5] = 0
+    layouts = np.empty((2, len(k), 5), dtype=np.uint64)
+    layouts[..., 0] = head.view("<u8")[..., 0]
+    layouts[..., 1] = np.where(below, 56, 8)
+    layouts[..., 2] = np.where(below, 64, 24)
+    layouts[..., 3] = np.where(below, 0, 40)
+    layouts[..., 4] = tail.view("<u8")[:, 0]
+
+    byte = np.arange(_TEXT_WIDTH)
+    shift = np.arange(1, 17)[:, None]
+    keep = np.where((byte < 2) | (byte >= 3 + shift), 0xFF, 0).astype(np.uint8)
+    moved = np.where((byte >= 2) & (byte < 2 + shift), 0xFF, 0).astype(np.uint8)
+    dots = np.zeros((2, 16, _TEXT_WIDTH), dtype=np.uint8)
+    dots[1][byte == 2 + shift] = ord(".")
+    shifts = tuple(a.view("<u8").reshape(-1, 3) for a in (keep, moved, dots))
+    return trimmed.view("<u4").ravel(), layouts.reshape(-1, 5), shifts
 
 
 def _complex_from_doc(doc) -> complex:
@@ -767,19 +847,112 @@ def factors_to_json(factors) -> dict:
 # -- partial matrices ---------------------------------------------------------
 
 def partial_from_json(doc) -> PartialHermitianMatrix:
+    """The partial matrix of a document, its blocks read in bulk when they pass every check.
+
+    Otherwise `_blocks_by_item` reads them one at a time and raises the
+    error of the first bad item, and the mapping constructor checks
+    them against the pattern.
+    """
     p = pattern_from_json(doc["pattern"])
     (n, d) = _integers((doc["n"], doc["d"]))
     if n != p.n:
         raise InputError(f"n = {doc['n']} disagrees with the pattern's {p.n}")
+    values = _block_stack(doc["blocks"], p, d)
+    if values is None:
+        return PartialHermitianMatrix(p, d, _blocks_by_item(doc["blocks"]))
+    return PartialHermitianMatrix.from_stack(p, d, values)
+
+
+def _block_stack(items, p: Pattern, d: int) -> np.ndarray | None:
+    """The block items as a (pairs, d, d) complex stack in the order of p.pairs, or None.
+
+    i, j, re and im are gathered by one comprehension each. None unless
+    every block is a list of d lists of d entries, i and j are ints with
+    i <= j, re and im are finite ints or floats, and the items hold each
+    pair of p once, in any order. The stack constructor checks the
+    diagonal blocks.
+    """
+    if type(items) is not list or d < 1:
+        return None
+    try:
+        i = [item["i"] for item in items]
+        j = [item["j"] for item in items]
+        blocks = [item["block"] for item in items]
+        block_rows = list(chain.from_iterable(blocks))
+        entries = list(chain.from_iterable(block_rows))
+        real = [z["re"] for z in entries]
+        imag = [z["im"] for z in entries]
+    except (KeyError, TypeError):  # a field missing or of the wrong type
+        return None
+    shapes = set(map(len, blocks)) | set(map(len, block_rows))
+    containers = set(map(type, blocks)) | set(map(type, block_rows))
+    ints = set(map(type, i)) | set(map(type, j))
+    numbers = set(map(type, real)) | set(map(type, imag))
+    if shapes - {d} or containers - {list} or ints - {int} or numbers - {int, float}:
+        return None
+    rows, cols = p.pairs
+    try:
+        i, j = np.array(i, dtype=np.int64), np.array(j, dtype=np.int64)
+        values = np.empty(len(entries), dtype=complex)
+        values.real, values.imag = real, imag
+    except OverflowError:  # an int beyond int64 or beyond the double range
+        return None
+    if len(i) != len(rows) or not np.isfinite(values).all():
+        return None
+    if len(i) and not (i.min() >= 0 and j.max() < p.n and (i <= j).all()):
+        return None
+    keys = i * p.n + j  # 0 <= i <= j < n: no overflow, see pattern.MAX_VERTICES
+    order = np.argsort(keys, kind="stable")
+    if not np.array_equal(keys[order], rows * p.n + cols):
+        return None
+    return values.reshape(-1, d, d)[order]
+
+
+def _blocks_by_item(items) -> dict:
+    """The block items as a dict {(i, j): block}, read one at a time.
+
+    The fields are read in the order i, j, block, then the entries row
+    by row, and the first that is wrong raises InputError: a missing
+    field, a container that is not a list or an object, or a number as
+    `_complex_from_doc` reads it. Shapes and coverage are left to the
+    mapping constructor.
+    """
+    if type(items) is not list:
+        raise InputError(f"blocks must be a list of block items, got {type(items).__name__}")
     blocks = {}
-    for item in doc["blocks"]:
-        i, j = _integers((item["i"], item["j"]))
+    for at, item in enumerate(items):
+        where = f"block item {at}"
+        i, j = _integers((_field(item, "i", where), _field(item, "j", where)))
         if i > j:
             raise InputError(f"blocks list (i,j) with i <= j only, got ({i},{j})")
         if (i, j) in blocks:
             raise InputError(f"duplicate block ({i},{j})")
-        blocks[(i, j)] = [list(map(_complex_from_doc, row)) for row in item["block"]]
-    return PartialHermitianMatrix(p, d, blocks)
+        block = _field(item, "block", where)
+        if type(block) is not list:
+            raise InputError(f"{where}: block must be a list of rows, got {type(block).__name__}")
+        rows = []
+        for row in block:
+            if type(row) is not list:
+                raise InputError(f"{where}: a row of block must be a list, got {type(row).__name__}")
+            rows.append([_entry(z, f"{where}: an entry") for z in row])
+        blocks[(i, j)] = rows
+    return blocks
+
+
+def _field(obj, name: str, where: str):
+    """obj[name]; InputError naming the object where when it is not a JSON object or lacks name."""
+    if type(obj) is not dict:
+        raise InputError(f"{where} must be an object, got {type(obj).__name__}")
+    if name not in obj:
+        raise InputError(f'{where} has no "{name}"')
+    return obj[name]
+
+
+def _entry(z, where: str) -> complex:
+    """The complex number of an entry {"re": ..., "im": ...}; InputError naming it when it is not one."""
+    _field(z, "re", where)
+    _field(z, "im", where)
+    return _complex_from_doc(z)
 
 
 # -- groups -------------------------------------------------------------------

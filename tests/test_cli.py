@@ -273,6 +273,37 @@ def test_malformed_blocks_exit_2(tmp_path, capsys, doc, err):
     assert (code, captured.out, captured.err) == (2, "", f"error: {err}\n")
 
 
+_GOOD_ITEM = {"i": 0, "j": 0, "block": _ONE}
+
+
+@pytest.mark.parametrize(
+    "blocks, err",
+    [
+        ({"0": _GOOD_ITEM}, "blocks must be a list of block items, got dict"),
+        ([_GOOD_ITEM, 5], "block item 1 must be an object, got int"),
+        ([{"j": 0, "block": _ONE}], 'block item 0 has no "i"'),
+        ([_GOOD_ITEM, {"i": 1, "block": _ONE}], 'block item 1 has no "j"'),
+        ([{"i": 0, "j": 0}], 'block item 0 has no "block"'),
+        ([{"i": 0, "j": 0, "block": {"0": _ONE[0]}}], "block item 0: block must be a list of rows, got dict"),
+        ([{"i": 0, "j": 0, "block": ["ab"]}], "block item 0: a row of block must be a list, got str"),
+        ([_GOOD_ITEM, {"i": 1, "j": 1, "block": [[[1, 0]]]}], "block item 1: an entry must be an object, got list"),
+        ([{"i": 0, "j": 0, "block": [[{"im": 0}]]}], 'block item 0: an entry has no "re"'),
+        ([{"i": 0, "j": 0, "block": [[{"re": 1}]]}], 'block item 0: an entry has no "im"'),
+    ],
+    ids=[
+        "blocks-object", "item-int", "no-i", "no-j", "no-block", "block-object", "row-string",
+        "entry-list", "no-re", "no-im",
+    ],
+)
+def test_malformed_block_items_exit_2_naming_the_item_and_field(tmp_path, capsys, blocks, err):
+    """Each of these ended as a KeyError or TypeError caught only by main's catch-all."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"n": 2, "d": 1, "pattern": {"n": 2, "edges": []}, "blocks": blocks}))
+    code = main(["partially-positive", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"error: InputError: {err}\n")
+
+
 def test_apply_mult_overflow_exits_2(tmp_path):
     """1e200 * 1e200 overflows: one error line, no warning and no traceback."""
     big = {"re": 1e200, "im": 0}

@@ -145,6 +145,31 @@ def test_partial_matrix_holds_one_read_only_stack_in_pair_order():
             m.block(i, j)
 
 
+def test_stack_constructor_checks_as_the_mapping_constructor():
+    """from_stack keeps the stack it is given, and refuses it with the mapping constructor's errors."""
+    rng = np.random.default_rng(25)
+    p = random_chordal_pattern(rng, 6)
+    m = restrict_to_pattern(random_psd(rng, 12), p, d=2)
+    keys = list(zip(*(a.tolist() for a in p.pairs)))
+    assert bits(PartialHermitianMatrix(p, 2, dict(zip(keys, m.values))).values) == bits(m.values)
+    diagonal, edge = keys.index((3, 3)), len(keys) - 2  # the last pair is (5, 5)
+    for k, entry, value in [
+        (diagonal, (0, 1), 1.0), (diagonal, (1, 1), 1j), (diagonal, (0, 0), np.nan), (edge, (1, 0), np.inf)
+    ]:
+        stack = m.values.copy()
+        stack[(k, *entry)] += value
+        with pytest.raises(InputError) as by_mapping:
+            PartialHermitianMatrix(p, 2, dict(zip(keys, stack)))
+        with pytest.raises(InputError) as by_stack:
+            PartialHermitianMatrix.from_stack(p, 2, stack)
+        assert (type(by_stack.value), str(by_stack.value)) == (type(by_mapping.value), str(by_mapping.value))
+    with pytest.raises(DimensionMismatch, match="block size must be positive"):
+        PartialHermitianMatrix.from_stack(p, 0, np.empty((len(keys), 0, 0), dtype=complex))
+    for stack in (m.values[1:].copy(), m.values.real.copy(), m.values[:, :1].copy()):
+        with pytest.raises(DimensionMismatch, match="^stack has shape"):
+            PartialHermitianMatrix.from_stack(p, 2, stack)
+
+
 @pytest.mark.parametrize(
     "drop, add",
     [

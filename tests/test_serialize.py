@@ -1,5 +1,7 @@
 import itertools
 import json
+import math
+import random
 import re
 from fractions import Fraction as F
 from pathlib import Path
@@ -264,7 +266,7 @@ def test_mostly_zero_float_column_emits_alike_on_both_paths(monkeypatch, pretty)
     assert rows == []
     monkeypatch.setattr(ser, "_KERNEL_MIN_ROWS", 0)
     assert ser.dumps({"t": table}, pretty) == plain
-    assert rows == [11]
+    assert rows == [1000]  # the kernel writes the zeros of its chunk too
     assert plain == ref_dumps({"t": table}, pretty)
 
 
@@ -336,9 +338,64 @@ def _kernel_corpus() -> np.ndarray:
             1e16 + 2.0 * np.arange(-60, 61),
             1e17 + 16.0 * np.arange(-60, 61),
             *ties,
+            _trailing_zero_values(),
         ]
     )
     return np.concatenate([values, -values, bits[np.isfinite(bits)]])
+
+
+def _digits_17(x: float) -> str:
+    """The 17 significant digits of format(x, ".17g"), the point and exponent left out."""
+    return format(x, ".16e").partition("e")[0].replace(".", "").lstrip("-")
+
+
+def _trailing_zero_values() -> np.ndarray:
+    """For each decimal exponent in [-330, 310] and each count 0-16, a value whose 17 digits end in that many zeros.
+
+    The digits are 1, random digits ending in a nonzero one, then the
+    zeros. A draw is kept when its double prints those digits; after 8
+    misses the last draw is kept as it is, which happens where doubles
+    are too sparse (subnormals) and below the smallest one (0). Above
+    the largest double there is none.
+    """
+    rng = random.Random(330)
+    values = []
+    for exponent in range(-330, 311):
+        for zeros in range(17):
+            for _ in range(8):
+                middle = [rng.choice("0123456789") for _ in range(15 - zeros)]
+                digits = "1" + "".join(middle) + rng.choice("123456789") * (zeros < 16) + "0" * zeros
+                x = float(f"{digits[0]}.{digits[1:]}e{exponent}")
+                if x == 0 or math.isinf(x) or _digits_17(x) == digits:
+                    break
+            if not math.isinf(x):
+                values.append(x)
+    return np.array(values)
+
+
+def test_kernel_corpus_reaches_every_trim_of_every_layout():
+    """Each layout (exponent notation, k = 0, k in [-4, -1], k in [1, 16]) meets 0 to 16 trailing zeros."""
+    kinds = {"exponent": set(), "k = 0": set(), "k < 0": set(), "k > 0": set()}
+    for x in _kernel_corpus().tolist():
+        if x == 0:
+            continue
+        k = int(format(x, ".16e").partition("e")[2])
+        kind = "k = 0" if k == 0 else "k < 0" if -4 <= k < 0 else "k > 0" if 0 < k < 17 else "exponent"
+        digits = _digits_17(x)
+        kinds[kind].add(len(digits) - len(digits.rstrip("0")))
+    assert kinds == dict.fromkeys(kinds, set(range(17)))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_float_kernel_writes_zeros_between_nonzero_values(seed):
+    """Kernel-sized columns with 0.0 and -0.0 scattered among nonzero values of every layout."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(ser._CHUNK_ROWS) * 10.0 ** rng.integers(-30, 30, ser._CHUNK_ROWS)
+    zeros = rng.random(len(x)) < [0.01, 0.3, 0.8][seed]
+    x[zeros] = np.where(rng.random(np.count_nonzero(zeros)) < 0.5, -0.0, 0.0)
+    assert np.count_nonzero(x) >= ser._KERNEL_MIN_ROWS
+    assert _format_17g(x) == [format(v, ".17g") for v in x.tolist()]
+    assert _texts(ser._format_nonzero(x)) == [format(v, ".17g") for v in x.tolist()]
 
 
 def test_float_kernel_matches_format_17g_on_a_fixed_corpus():
@@ -415,6 +472,99 @@ def test_partial_roundtrip_block_case():
         back = ser.partial_from_json(doc)
         assert back.pattern == m.pattern and back.d == m.d
         assert bits(back.values) == bits(m.values + 0.0)
+
+
+# Numbers the bulk reader must refuse, or read exactly as the item loop does.
+_ODD_NUMBERS = [
+    2**53 + 1, -(2**53) - 3, 2**63 + 5, 2**64 - 1, 10**400, -(10**400), 7, 0, -0.0, 1e308,
+    True, False, "1", None, [1.0], math.nan, math.inf,
+]
+_MUTATIONS = ["shuffle", "number", "int", "duplicate", "swap", "drop", "extra", "hermitian"]
+_BREAKS = ["field", "container"]  # the document's shape: applied last
+
+
+def _mutate(doc: dict, kind: str, rnd: random.Random) -> None:
+    """Change doc's blocks in place, in one of the ways _MUTATIONS and _BREAKS name."""
+    items = doc["blocks"]
+    if not items:
+        items.append({"i": 0, "j": 0, "block": [[{"re": 1.0, "im": 0.0}]]})
+        return
+    item = rnd.choice(items)
+    entries = [z for row in item["block"] for z in row]
+    if kind == "shuffle":
+        rnd.shuffle(items)
+    elif kind == "number":
+        rnd.choice(entries)[rnd.choice(["re", "im"])] = rnd.choice(_ODD_NUMBERS)
+    elif kind == "int":
+        z = rnd.choice(entries)
+        if type(z["re"]) is float and math.isfinite(z["re"]):
+            z["re"] = int(z["re"] * 1e6)
+    elif kind == "duplicate":
+        items.insert(rnd.randrange(len(items) + 1), json.loads(json.dumps(item)))
+    elif kind == "swap":
+        item["i"], item["j"] = item["j"], item["i"] + rnd.choice([0, 1])
+    elif kind == "drop":
+        items.remove(item)
+    elif kind == "extra":
+        n = doc["n"]
+        items.append({**item, "i": rnd.randrange(-1, n + 1), "j": rnd.randrange(-1, n + 2)})
+    elif kind == "hermitian":
+        entries[-1]["im"] = 0.5
+    elif kind == "field":
+        target = rnd.choice([item, rnd.choice(entries)])
+        del target[rnd.choice(sorted(target)[:2] if "re" in target else ["i", "j", "block"])]
+    else:
+        item["block"] = rnd.choice([{"0": entries}, entries, [entries[0]], "block", [[entries[0], 1]]])
+
+
+@st.composite
+def mutated_partial_documents(draw):
+    """A partial matrix document on a random pattern, d 1 or 2, with up to three mutations and a break."""
+    n = draw(st.integers(0, 5))
+    d = draw(st.sampled_from([1, 2]))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    doc = partial_document(restrict_to_pattern(random_psd(rng, n * d), validate_pattern(n, edges), d))
+    rnd = draw(st.randoms(use_true_random=False))
+    kinds = draw(st.lists(st.sampled_from(_MUTATIONS), max_size=3))
+    for kind in kinds + draw(st.lists(st.sampled_from(_BREAKS), max_size=1)):
+        _mutate(doc, kind, rnd)
+    return doc
+
+
+def _read_partial(doc: dict, by_item: bool):
+    """partial_from_json's matrix as (n, d, bits), or its error as (type, message)."""
+    with pytest.MonkeyPatch.context() as patch:
+        if by_item:
+            patch.setattr(ser, "_block_stack", lambda items, p, d: None)
+        try:
+            m = ser.partial_from_json(doc)
+        except InputError as exc:
+            return type(exc), str(exc)
+    return m.n, m.d, bits(m.values)
+
+
+@settings(max_examples=300)
+@given(mutated_partial_documents())
+def test_bulk_block_reader_agrees_with_the_item_loop(doc):
+    """Both give the same values bit for bit, or raise the same exception type and message."""
+    assert _read_partial(doc, by_item=False) == _read_partial(doc, by_item=True)
+
+
+def test_valid_partial_documents_are_read_in_bulk():
+    """The corpus and random shuffled documents pass every check of the bulk reader."""
+    rng = np.random.default_rng(25)
+    docs = [ser.load_json(path) for path in sorted(FIXTURES.glob("partial_*.json"))]
+    for d in (1, 2, 3):
+        doc = partial_document(restrict_to_pattern(random_psd(rng, 6 * d), random_chordal_pattern(rng, 6), d))
+        rng.shuffle(doc["blocks"])
+        docs.append(doc)
+    for doc in docs:
+        p = ser.pattern_from_json(doc["pattern"])
+        assert ser._block_stack(doc["blocks"], p, doc["d"]) is not None
+        m = ser.partial_from_json(doc)
+        assert bits(m.values) == _read_partial(doc, by_item=True)[2]
 
 
 def test_group_subset_function_roundtrip():
