@@ -605,16 +605,16 @@ def _format_nonzero(x: np.ndarray) -> np.ndarray:
     rows = words.view(_ROW).ravel()  # a row per text, to gather and scatter whole texts
     if len(fixed):  # written as for k = 0; move the point right by k digits
         keep, moved, dots = shifts
-        shift = k[fixed] - 1
+        row = k[fixed] - 1
         w = rows.take(fixed).view("<u8")  # the texts' words end to end
-        kept = w & keep.take(shift, axis=0).ravel()  # sign, first digit, the digits behind the new point
+        kept = w & keep.take(row, axis=0).ravel()  # sign, first digit, the digits behind the new point
         down = w >> np.uint64(8)
-        down[:-1] |= w[1:] << np.uint64(56)  # the lowest byte of the next word; a text's last word takes none
+        down[:-1] |= w[1:] << np.uint64(56)  # the next word's lowest byte; moved ends before byte 23
         point = (kept[::3] >> np.uint64(16) | kept[1::3] | kept[2::3]) != 0  # a digit follows it
         down |= np.uint64(_ZEROS)  # digits before the point are never trimmed
-        down &= moved.take(shift, axis=0).ravel()
+        down &= moved.take(row, axis=0).ravel()
         kept |= down
-        kept |= dots.take(shift + 16 * point, axis=0).ravel()
+        kept |= dots.take(row + 16 * point, axis=0).ravel()
         rows[fixed] = kept.view(_ROW)
 
     near = np.flatnonzero(near)
