@@ -9,8 +9,9 @@ exactly the condition under which a positive completion exists, and the
 completion is computed clique by clique along a clique tree with the
 zero-Schur-complement one-step fill
 
-    X = M[A \\ S, S] (M[S, S])^+ M[S, B].
+    X = M[A \\ S, S] (M[S, S])^+ M[S, B],
 
+in a loop over arrays made before it (see `positive_completion`).
 Block-valued data is worked on as the dense (n d) x (n d) matrix of
 `expand`, whose support is the d x d blocks at the pattern's pairs and
 their transposes.
@@ -41,6 +42,7 @@ from .pattern import (
     CliqueTree,
     Pattern,
     _are_pairs,
+    _gather,
     _pointers,
     _tuples,
     clique_tree,
@@ -136,6 +138,9 @@ class PartialHermitianMatrix:
     @property
     def n(self) -> int:
         return self.pattern.n
+
+    def _repr_pretty_(self, printer, cycle: bool) -> None:  # hypothesis's field walk would read the blocks InitVar
+        printer.text(repr(self))
 
     def block(self, i: int, j: int) -> np.ndarray:
         if i > j:
@@ -250,13 +255,13 @@ def restrict_to_pattern(a: np.ndarray, p: Pattern, d: int = 1) -> PartialHermiti
     return PartialHermitianMatrix.from_stack(p, d, a.reshape(p.n, d, p.n, d)[i, :, j])
 
 
-def _blocks_by_size(full: np.ndarray, vertex_sets, d: int):
-    """(positions, principal blocks of full) for the vertex sets of each size."""
-    rows = np.arange(len(full)).reshape(-1, d)
-    sizes = np.fromiter(map(len, vertex_sets), int)
-    for size in set(sizes.tolist()):
+def _principal_blocks(full: np.ndarray, flat: np.ndarray, ptr: np.ndarray, d: int):
+    """(ids, principal blocks of full) for the vertex sets flat[ptr[k]:ptr[k + 1]] of each size."""
+    sizes = np.diff(ptr)
+    for size in np.unique(sizes).tolist():
         ids = np.flatnonzero(sizes == size)
-        idx = rows[np.array([vertex_sets[i] for i in ids], dtype=int)].reshape(len(ids), -1)
+        vertices = flat[ptr[ids, None] + np.arange(size)]
+        idx = (vertices[:, :, None] * d + np.arange(d)).reshape(len(ids), -1)
         yield ids, full[idx[:, :, None], idx[:, None, :]]
 
 
@@ -275,8 +280,11 @@ def partially_positive(
 def _partially_positive(m: PartialHermitianMatrix, full: np.ndarray, tol):
     """partially_positive(m, tol) on full = expand(m), one LAPACK call per clique size."""
     cliques = maximal_cliques(m.pattern)
+    tree = m.pattern.structure.tree  # None off chordal patterns, whose few cliques come as tuples
+    flat = np.array([*chain(*cliques)], dtype=np.int64) if tree is None else tree.members
+    ptr = _pointers([*map(len, cliques)]) if tree is None else tree.clique_ptr
     ok = np.ones(len(cliques), dtype=bool)
-    for ids, blocks in _blocks_by_size(full, cliques, m.d):
+    for ids, blocks in _principal_blocks(full, flat, ptr, m.d):
         ok[ids] = linalg.is_psd(blocks, tol)
     bad = np.flatnonzero(~ok)
     return (True, None) if len(bad) == 0 else (False, cliques[bad[0]])
@@ -287,13 +295,14 @@ def _walk(tree: CliqueTree) -> list[tuple[int, int]]:
 
     Each entry is (clique, tree edge to its parent); the root's edge is -1.
     """
-    neighbors: list[list[tuple[int, int]]] = [[] for _ in range(len(tree.clique_ptr) - 1)]
-    for e, (i, j) in enumerate(tree.edge_array.tolist()):
-        neighbors[i].append((j, e))
-        neighbors[j].append((i, e))
-    walk = [(0, -1)] if neighbors else []
+    ends = tree.edge_array
+    src, dst = ends.T.ravel(), ends[:, ::-1].T.ravel()  # each edge both ways
+    order = np.lexsort((dst, src))  # a CSR adjacency: by clique, then by neighbour
+    ptr = _pointers(np.bincount(src, minlength=len(tree.clique_ptr) - 1)).tolist()
+    neighbors = list(zip(dst[order].tolist(), (order % max(len(ends), 1)).tolist()))
+    walk = [(0, -1)] if len(ptr) > 1 else []
     for at, up in walk:  # also visits the entries appended below
-        walk += sorted((nxt, e) for nxt, e in neighbors[at] if e != up)
+        walk += [(nxt, e) for nxt, e in neighbors[ptr[at] : ptr[at + 1]] if e != up]
     return walk
 
 
@@ -313,14 +322,14 @@ def _root_first(tree: CliqueTree) -> list[tuple[np.ndarray, np.ndarray]]:
 
 
 def _fill_steps(tree: CliqueTree, n: int):
-    """(separators, old, old_ptr, new, new_ptr, edges) of the fill steps along _walk(tree).
+    """(separators, sep, sep_ptr, old, old_ptr, new, new_ptr) of the fill steps along _walk(tree).
 
-    Step k joins the clique at place k + 1 of the walk through tree edge
-    edges[k] and its separator separators[k]. Its new set holds the
-    vertices that first appear in that clique, its old set those that
-    appear earlier, less the separator; both ascend and lie end to end
-    in the read-only int arrays old and new, step k's at
-    old[old_ptr[k]:old_ptr[k + 1]] and new[new_ptr[k]:new_ptr[k + 1]].
+    Step k joins the clique at place k + 1 of the walk through a tree edge
+    whose separator is separators[k]. Its new set holds the vertices that
+    first appear in that clique, its old set those that appear earlier,
+    less the separator. The three sets of each step ascend and lie end to
+    end in int arrays, step k's separator at sep[sep_ptr[k]:sep_ptr[k + 1]]
+    and its old and new sets likewise in the read-only old and new.
     """
     cliques, edges = np.array(_walk(tree), dtype=np.int64).reshape(-1, 2).T
     steps = max(len(cliques) - 1, 0)  # one per tree edge
@@ -338,7 +347,17 @@ def _fill_steps(tree: CliqueTree, n: int):
     old.flags.writeable = new.flags.writeable = False
     sep_tuples = _tuples(tree.separator_members, tree.separator_ptr)
     separators = tuple(map(sep_tuples.__getitem__, edges[1:].tolist()))
-    return separators, old, _pointers(seen.sum(axis=1)), new, _pointers(counts[1:]), edges[1:]
+    sep, sep_ptr = _gather(tree.separator_members, tree.separator_ptr[edges[1:]], np.diff(tree.separator_ptr)[edges[1:]])
+    return separators, sep, sep_ptr, old, _pointers(seen.sum(axis=1)), new, _pointers(counts[1:])
+
+
+def _step_pairs(a: np.ndarray, a_ptr: np.ndarray, b: np.ndarray, b_ptr: np.ndarray):
+    """Each step's pairs a_k x b_k row by row, a_k = a[a_ptr[k]:a_ptr[k + 1]], b_k likewise; two int arrays."""
+    n_a, n_b = np.diff(a_ptr), np.diff(b_ptr)
+    width = np.repeat(n_b, n_a)  # the pairs of each entry of a
+    # per entry of a: where its step's b_k starts in b, less where its pairs start
+    starts = np.repeat(b_ptr[:-1], n_a) - _pointers(width)[:-1]
+    return np.repeat(a, width), b[np.arange(width.sum()) + np.repeat(starts, width)]
 
 
 def positive_completion(
@@ -348,15 +367,16 @@ def positive_completion(
 
     Cliques are processed breadth-first from the lowest-index clique of
     the clique tree; each tree edge with separator S contributes the
-    one-step fill that zeroes the corresponding Schur complement. Fills
-    write only unspecified (old - S) x new pairs and S lies in a maximal
-    clique, so all M[S, S] are pseudo-inverted up front, one stacked call
-    per size. The steps' vertex sets are computed up front as well, in
-    one vectorized pass (_fill_steps), so that each step is two gathers,
-    two products and two scatters. The result is PSD up to roundoff and
-    agrees with the input exactly on the pattern. A fill beyond the
-    floating-point range raises InputError naming the first non-finite
-    entry of the result.
+    one-step fill M[old, new] = M[old, S] M[S, S]^+ M[S, new] that zeroes
+    the corresponding Schur complement. The steps' vertex sets come from
+    one vectorized pass (_fill_steps). Fills write only old x new and new
+    x old, and new vertices first appear at their step, so no fill writes
+    an M[S, S] or M[S, new]: all are pseudo-inverted (one stacked call per
+    size) or gathered (one flat take) up front. A step gathers M[old, S],
+    which earlier fills may have written, and scatters by fancy index (a
+    flat put was no faster). The result is PSD up to roundoff and agrees
+    with the input exactly on the pattern. A fill beyond the floating-point
+    range raises InputError naming the first non-finite entry of the result.
     """
     if not is_chordal(m.pattern):
         raise NotChordal("positive completion requires a chordal pattern")
@@ -366,20 +386,24 @@ def positive_completion(
         raise NotPartiallyPositive(f"clique {witness} has a non-PSD block")
 
     tree = clique_tree(m.pattern)
-    separators, old, old_ptr, new, new_ptr, edges = _fill_steps(tree, m.n)
-    inverses = {}
-    for ids, blocks in _blocks_by_size(full, separators, m.d):
-        inverses.update(zip(ids.tolist(), linalg.pseudo_inverse(blocks)))
+    separators, sep, sep_ptr, old, old_ptr, new, new_ptr = _fill_steps(tree, m.n)
+    inverses = [None] * len(separators)  # in step order
+    for ids, blocks in _principal_blocks(full, sep, sep_ptr, m.d):
+        for k, inverse in zip(ids.tolist(), linalg.pseudo_inverse(blocks)):
+            inverses[k] = inverse
 
-    def rows(vertices: np.ndarray, ptr: np.ndarray) -> list[np.ndarray]:
-        """The matrix rows of each vertex slice: v d, ..., v d + d - 1 for each v, in order."""
-        return _views((vertices[:, None] * m.d + np.arange(m.d)).ravel(), ptr * m.d)
+    def rows(vertices: np.ndarray) -> np.ndarray:
+        """The matrix rows of the vertices: v d, ..., v d + d - 1 for each v, in order."""
+        return (vertices[:, None] * m.d + np.arange(m.d)).ravel()
 
-    mids = rows(tree.separator_members, tree.separator_ptr)
-    mids = list(map(mids.__getitem__, edges.tolist()))
+    mid, mid_ptr, col, col_ptr = rows(sep), sep_ptr * m.d, rows(new), new_ptr * m.d
+    b_rows, b_cols = _step_pairs(mid, mid_ptr, col, col_ptr)
+    bs = _views(full.take(b_rows * len(full) + b_cols), _pointers(np.diff(mid_ptr) * np.diff(col_ptr)))
     with np.errstate(over="ignore", invalid="ignore"):  # checked once the fills are in
-        for k, (r, mid, c) in enumerate(zip(rows(old, old_ptr), mids, rows(new, new_ptr))):
-            fill = full[r[:, None], mid] @ inverses[k] @ full[mid[:, None], c]
+        for r, s, c, inverse, b in zip(
+            _views(rows(old), old_ptr * m.d), _views(mid, mid_ptr), _views(col, col_ptr), inverses, bs
+        ):
+            fill = full.take(s, axis=1).take(r, axis=0) @ inverse @ b.reshape(len(s), len(c))
             full[r[:, None], c] = fill
             full[c[:, None], r] = fill.conj().T
     if not np.isfinite(full.view(float)).all():  # re and im side by side

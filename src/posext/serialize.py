@@ -41,7 +41,9 @@ one of four paths, and all four give the same bytes:
   more; otherwise zeros are written as 0 or -0 and the other values by
   one padded % call, since the kernel's cost per call outweighs what it
   saves on few values. Dropping the NUL bytes turns the buffer into the
-  chunk's text; no Python string is made per value.
+  chunk's text; no Python string is made per value. Each buffer is a
+  bytearray under its uint8 array, so bytearray.translate drops the
+  NULs without a copy of the chunk; only a short last chunk is sliced.
 - Everything else is walked value by value.
 
 The kernel writes exactly what format(x, ".17g") writes. That text is
@@ -93,7 +95,7 @@ from itertools import chain
 import numpy as np
 
 from .circleset import CircleSet, normalize
-from .completion import PartialHermitianMatrix, _check_dense_dim
+from .completion import PartialHermitianMatrix, _check_dense_dim, _step_pairs
 from .errors import InputError
 from .groupext import (
     FiniteGroup,
@@ -107,7 +109,6 @@ from .pattern import (
     CliqueTree,
     Pattern,
     _integers,
-    _pointers,
     clique_tree,
     is_chordal,
     maximal_cliques,
@@ -367,7 +368,8 @@ def _emit_table(table: _Table, out: list[str], indent: int | None) -> None:
         row += text
     sep = "," + _pad(indent, 1)
     row = np.frombuffer(bytes(row + (_pad(indent, 1) + "}" + sep).encode()), dtype=np.uint8)
-    buf = np.empty((min(rows, _CHUNK_ROWS), len(row)), dtype=np.uint8)
+    raw = bytearray(min(rows, _CHUNK_ROWS) * len(row))  # translate reads it in place of a copy
+    buf = np.frombuffer(raw, dtype=np.uint8).reshape(-1, len(row))
     out.append("[" + _pad(indent, 1))
     for start in range(0, rows, _CHUNK_ROWS):
         stop = min(start + _CHUNK_ROWS, rows)
@@ -377,7 +379,7 @@ def _emit_table(table: _Table, out: list[str], indent: int | None) -> None:
             fill(chunk[:, at : at + width], start, stop)
         if stop == rows:
             chunk[-1, -len(sep) :] = 0  # the last row takes no separator
-        out.append(chunk.tobytes().translate(None, b"\0").decode("ascii"))
+        out.append((raw if chunk.nbytes == len(raw) else raw[: chunk.nbytes]).translate(None, b"\0").decode())
     out.append(_pad(indent, 0) + "]")
 
 
@@ -492,7 +494,8 @@ def _emit_int_lists(lists: _IntLists, out: list[str], indent: int | None) -> Non
     left, right = max(map(len, opens)), max(map(len, closes))
     texts = [o.encode().ljust(left, b"\0") + bytes(width) + c.encode().rjust(right, b"\0") for o in opens for c in closes]
     texts = np.frombuffer(b"".join(texts), dtype=np.uint8).reshape(9, -1)
-    buf = np.empty((min(len(kind), _CHUNK_ROWS), texts.shape[1]), dtype=np.uint8)
+    raw = bytearray(min(len(kind), _CHUNK_ROWS) * texts.shape[1])  # as in _emit_table
+    buf = np.frombuffer(raw, dtype=np.uint8).reshape(-1, texts.shape[1])
     out.append("[" + _pad(indent, 1))
     for start in range(0, len(kind), _CHUNK_ROWS):
         stop = min(start + _CHUNK_ROWS, len(kind))
@@ -503,7 +506,7 @@ def _emit_int_lists(lists: _IntLists, out: list[str], indent: int | None) -> Non
             chunk[kind[start:stop] == 8, left : left + width] = 0
         if stop == len(kind):
             chunk[-1, -len(sep) :] = 0  # the last list takes no separator; closes are right-aligned
-        out.append(chunk.tobytes().translate(None, b"\0").decode("ascii"))
+        out.append((raw if chunk.nbytes == len(raw) else raw[: chunk.nbytes]).translate(None, b"\0").decode())
     out.append(_pad(indent, 0) + "]")
 
 
@@ -790,20 +793,24 @@ def matrix_to_json(a: np.ndarray) -> dict:
 
 
 def matrix_from_json(doc) -> np.ndarray:
-    (n,) = _integers([doc["n"]])
+    (n,) = _integers([_field(doc, "n", "a matrix")])
     if n < 0:
         raise InputError(f"matrix dimension must be nonnegative, got {n}")
     _check_dense_dim(n)
+    entries = _field(doc, "entries", "a matrix")
+    if type(entries) is not list:
+        raise InputError(f"entries must be a list of entry objects, got {type(entries).__name__}")
     out = np.zeros((n, n), dtype=complex)
     seen = set()
-    for entry in doc["entries"]:
-        i, j = _integers((entry["i"], entry["j"]))
+    for at, entry in enumerate(entries):
+        where = f"entry {at}"
+        i, j = _integers((_field(entry, "i", where), _field(entry, "j", where)))
         if not (0 <= i <= j < n):
             raise InputError(f"entry ({i},{j}) must satisfy 0 <= i <= j < {n}")
         if (i, j) in seen:
             raise InputError(f"duplicate entry ({i},{j})")
         seen.add((i, j))
-        z = _complex_from_doc(entry)
+        z = _entry(entry, where)
         if i == j and z.imag != 0.0:
             raise InputError(f"diagonal entry ({i},{i}) must be real")
         out[i, j] = z
@@ -818,16 +825,8 @@ def fill_log_to_json(result) -> _Table:
     vertex of its old set, repeated len(new) times, against its new set.
     """
     n_old, n_new = np.diff(result.old_ptr), np.diff(result.new_ptr)
-    width = np.repeat(n_new, n_old)  # the pairs of each old vertex
     step = np.repeat(np.arange(len(n_old)), n_old * n_new)
-    # per old vertex: where its step's new set starts in result.new, less where its pairs start
-    starts = np.repeat(result.new_ptr[:-1], n_old) - _pointers(width)[:-1]
-    pairs = np.column_stack(
-        (
-            np.repeat(result.old, width),
-            result.new[np.arange(len(step)) + np.repeat(starts, width)],
-        )
-    )
+    pairs = np.column_stack(_step_pairs(result.old, result.old_ptr, result.new, result.new_ptr))
     return _Table(("separator", "pair"), (_Coded(list(result.separators), step), pairs))
 
 

@@ -304,6 +304,36 @@ def test_malformed_block_items_exit_2_naming_the_item_and_field(tmp_path, capsys
     assert (code, captured.out, captured.err) == (2, "", f"error: InputError: {err}\n")
 
 
+_ENTRY = {"i": 0, "j": 0, "re": 1, "im": 0}
+
+
+@pytest.mark.parametrize("command", ["cb-norm", "verify"])
+@pytest.mark.parametrize(
+    "doc, err",
+    [
+        ({"n": 1, "entries": [{"i": 0, "j": 0, "re": 1}]}, 'entry 0 has no "im"'),
+        ({"n": 1, "entries": [{"i": 0, "j": 0, "im": 0}]}, 'entry 0 has no "re"'),
+        ({"n": 1, "entries": [{"j": 0, "re": 1, "im": 0}]}, 'entry 0 has no "i"'),
+        ({"n": 1, "entries": [_ENTRY, {"i": 0, "re": 1, "im": 0}]}, 'entry 1 has no "j"'),
+        ({"entries": []}, 'a matrix has no "n"'),
+        ({"n": 1}, 'a matrix has no "entries"'),
+        ({"n": 1, "entries": {"a": 1}}, "entries must be a list of entry objects, got dict"),
+        ({"n": 1, "entries": [[0, 0, 1]]}, "entry 0 must be an object, got list"),
+        ([1], "a matrix must be an object, got list"),
+    ],
+    ids=["no-im", "no-re", "no-i", "no-j", "no-n", "no-entries", "entries-object", "entry-list", "top-list"],
+)
+def test_malformed_matrix_entries_exit_2_naming_the_entry_and_field(tmp_path, capsys, command, doc, err):
+    """Each of these ended as a KeyError or TypeError caught only by main's catch-all."""
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text(json.dumps(doc))
+    partial = tmp_path / "partial.json"
+    partial.write_text(json.dumps({"n": 1, "d": 1, "pattern": {"n": 1, "edges": []}, "blocks": [_GOOD_ITEM]}))
+    code = main([command, *([str(partial)] if command == "verify" else []), str(matrix)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"error: InputError: {err}\n")
+
+
 def test_apply_mult_overflow_exits_2(tmp_path):
     """1e200 * 1e200 overflows: one error line, no warning and no traceback."""
     big = {"re": 1e200, "im": 0}

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
+from hypothesis.vendor.pretty import pretty
 
 from conftest import (
     assert_valid_clique_tree,
@@ -143,6 +144,20 @@ def test_partial_matrix_holds_one_read_only_stack_in_pair_order():
     for i, j in [(0, p.n), (-1, 0), *unspecified]:
         with pytest.raises(KeyError):
             m.block(i, j)
+
+
+def test_partial_matrices_pretty_print_as_their_repr():
+    """A failing hypothesis example that holds a partial matrix reports the failed assertion.
+
+    hypothesis's printer walks a dataclass's init fields, and the blocks
+    InitVar is not an attribute, so it used to raise AttributeError instead.
+    """
+    p = validate_pattern(2, [(0, 1)])
+    stacked = PartialHermitianMatrix.from_stack(p, 1, np.array([[[2.0]], [[1j]], [[3.0]]]))
+    mapped = PartialHermitianMatrix(p, 1, {(0, 0): [[2.0]], (0, 1): [[1j]], (1, 1): [[3.0]]})
+    for m in (stacked, mapped):
+        assert pretty(m) == repr(m)
+        assert pretty([m]) == f"[{m!r}]"
 
 
 def test_stack_constructor_checks_as_the_mapping_constructor():
@@ -725,14 +740,23 @@ def random_partial(rng: np.random.Generator, p, d: int, kind: int):
 
 
 @pytest.mark.parametrize("d", [1, 2])
-@pytest.mark.parametrize("seed", range(20))
+@pytest.mark.parametrize("seed", [*range(20), pytest.param(None, id="conjugate-in-a")])
 def test_completion_matches_the_clique_by_clique_loops(d, seed):
-    """Bitwise matrix, fill log, witness and error as the per-clique reference loops."""
-    rng = np.random.default_rng(1300 + 40 * d + seed)
-    n = int(rng.integers(1, 41))
-    p = random_chordal_components(rng, n, int(rng.integers(1, 5)), density=0.3)
-    m = random_partial(rng, p, d, seed % 5)
-    tol = [None, None, 0.0, 1e-3][seed % 4]
+    """Bitwise matrix, fill log, witness and error as the per-clique reference loops.
+
+    Seed None walks {0,1}, {0,3}, {1,2}: step 2's M[old, S] block reads
+    W[3, 1], which step 1 wrote as the conjugate of its fill, so a fill
+    loop that drops that write or reads the block transposed fails.
+    """
+    rng = np.random.default_rng(1300 + 40 * d + (20 if seed is None else seed))
+    if seed is None:
+        p = validate_pattern(4, [(0, 1), (1, 2), (0, 3)])
+        m, tol = random_partial(rng, p, d, 0), None
+    else:
+        n = int(rng.integers(1, 41))
+        p = random_chordal_components(rng, n, int(rng.integers(1, 5)), density=0.3)
+        m = random_partial(rng, p, d, seed % 5)
+        tol = [None, None, 0.0, 1e-3][seed % 4]
     assert partially_positive(m, tol) == ref_partially_positive(m, tol)
     try:
         matrix, log = ref_positive_completion(m, tol)
@@ -824,20 +848,23 @@ def chordal_partials(draw, kinds):
 
 
 def symmetries(rng, m):
-    """(name, pattern, map) for a vertex relabelling, a diagonal unitary congruence and a scaling.
+    """(name, pattern, map) for a vertex relabelling, diagonal unitary and positive congruences and a scaling.
 
     Each map acts on (n d) x (n d) matrices and takes the pattern of m to
-    the given one; its output is made exactly Hermitian again.
+    the given one; its output is made exactly Hermitian again. The
+    positive congruence scales each matrix row and column by 10^U(-1, 1).
     """
     n, d = m.n, m.d
     perm = rng.permutation(n)
     inv = np.argsort(perm)  # vertex v of m becomes perm[v]
     phases = np.exp(2j * np.pi * rng.random(n * d))
     c = 10.0 ** rng.uniform(-3, 3)
+    scales = 10.0 ** rng.uniform(-1, 1, n * d)
     relabelled = validate_pattern(n, [(int(perm[i]), int(perm[j])) for i, j in m.pattern.edge_array.tolist()])
     maps = [
         ("relabel", relabelled, lambda x: x.reshape(n, d, n, d)[inv][:, :, inv].reshape(n * d, -1)),
         ("congruence", m.pattern, lambda x: phases[:, None] * x * phases.conj()),
+        ("positive congruence", m.pattern, lambda x: scales[:, None] * x * scales),
         ("scaling", m.pattern, lambda x: c * x),
     ]
     return [(name, p, lambda x, f=f: (f(x) + f(x).conj().T) / 2) for name, p, f in maps]

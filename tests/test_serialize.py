@@ -223,7 +223,7 @@ _HALF = _CHUNK // 2  # counts that fill about half of one chunk
 
 @pytest.mark.parametrize("pretty", [False, True])
 @pytest.mark.parametrize("last_sep", [(3, 4), ()])
-@pytest.mark.parametrize("rows", [255, 256, 257, 600, _HALF - 1, _HALF + 1, *_CUTS])
+@pytest.mark.parametrize("rows", [255, 256, 257, 600, _HALF - 1, _HALF + 1, *_CUTS, _CHUNK, 2 * _CHUNK])
 def test_fill_logs_of_several_chunks_emit_like_the_generic_walk(rows, last_sep, pretty):
     fills = [((1, 2), (0,), tuple(range(3, rows - 4))), (last_sep, tuple(range(7)), (9,))]
     got = ser.dumps({"fill_log": ser.fill_log_to_json(array_steps(fills))}, pretty)
