@@ -13,7 +13,10 @@ With the `src` directory of another checkout as argument, the same input
 goes through that checkout too, and the last column is the ratio of its
 time to this one's. Each side runs in its own interpreter, the two
 alternate for a number of rounds, and the least time of any round is
-reported. Run from the repository root:
+reported. The dumps row moves by up to ~30% with the process's memory
+layout alone (identical sources have read 7.3 or 9.6 ms depending on the
+length of their path), so compare it only between checkouts whose paths
+have the same length. Run from the repository root:
 
     PYTHONPATH=src python scripts/complete_timing.py [OTHER_SRC] [--rounds 2]
 """

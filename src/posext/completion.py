@@ -11,10 +11,9 @@ zero-Schur-complement one-step fill
 
     X = M[A \\ S, S] (M[S, S])^+ M[S, B],
 
-in a loop over arrays made before it (see `positive_completion`).
-Block-valued data is worked on as the dense (n d) x (n d) matrix of
-`expand`, whose support is the d x d blocks at the pattern's pairs and
-their transposes.
+in a loop over arrays made before it (see `positive_completion`). The
+dense (n d) x (n d) matrix of `expand` carries block-valued data; its
+support is the d x d blocks at the pattern's pairs and their transposes.
 """
 
 from __future__ import annotations
@@ -280,9 +279,7 @@ def partially_positive(
 def _partially_positive(m: PartialHermitianMatrix, full: np.ndarray, tol):
     """partially_positive(m, tol) on full = expand(m), one LAPACK call per clique size."""
     cliques = maximal_cliques(m.pattern)
-    tree = m.pattern.structure.tree  # None off chordal patterns, whose few cliques come as tuples
-    flat = np.array([*chain(*cliques)], dtype=np.int64) if tree is None else tree.members
-    ptr = _pointers([*map(len, cliques)]) if tree is None else tree.clique_ptr
+    flat, ptr = np.fromiter(chain(*cliques), dtype=np.int64), _pointers([*map(len, cliques)])
     ok = np.ones(len(cliques), dtype=bool)
     for ids, blocks in _principal_blocks(full, flat, ptr, m.d):
         ok[ids] = linalg.is_psd(blocks, tol)
@@ -399,10 +396,9 @@ def positive_completion(
     mid, mid_ptr, col, col_ptr = rows(sep), sep_ptr * m.d, rows(new), new_ptr * m.d
     b_rows, b_cols = _step_pairs(mid, mid_ptr, col, col_ptr)
     bs = _views(full.take(b_rows * len(full) + b_cols), _pointers(np.diff(mid_ptr) * np.diff(col_ptr)))
+    olds, mids, cols = _views(rows(old), old_ptr * m.d), _views(mid, mid_ptr), _views(col, col_ptr)
     with np.errstate(over="ignore", invalid="ignore"):  # checked once the fills are in
-        for r, s, c, inverse, b in zip(
-            _views(rows(old), old_ptr * m.d), _views(mid, mid_ptr), _views(col, col_ptr), inverses, bs
-        ):
+        for r, s, c, inverse, b in zip(olds, mids, cols, inverses, bs):
             fill = full.take(s, axis=1).take(r, axis=0) @ inverse @ b.reshape(len(s), len(c))
             full[r[:, None], c] = fill
             full[c[:, None], r] = fill.conj().T

@@ -41,9 +41,7 @@ one of four paths, and all four give the same bytes:
   more; otherwise zeros are written as 0 or -0 and the other values by
   one padded % call, since the kernel's cost per call outweighs what it
   saves on few values. Dropping the NUL bytes turns the buffer into the
-  chunk's text; no Python string is made per value. Each buffer is a
-  bytearray under its uint8 array, so bytearray.translate drops the
-  NULs without a copy of the chunk; only a short last chunk is sliced.
+  chunk's text; no Python string is made per value.
 - Everything else is walked value by value.
 
 The kernel writes exactly what format(x, ".17g") writes. That text is
@@ -368,8 +366,7 @@ def _emit_table(table: _Table, out: list[str], indent: int | None) -> None:
         row += text
     sep = "," + _pad(indent, 1)
     row = np.frombuffer(bytes(row + (_pad(indent, 1) + "}" + sep).encode()), dtype=np.uint8)
-    raw = bytearray(min(rows, _CHUNK_ROWS) * len(row))  # translate reads it in place of a copy
-    buf = np.frombuffer(raw, dtype=np.uint8).reshape(-1, len(row))
+    buf = np.empty((min(rows, _CHUNK_ROWS), len(row)), dtype=np.uint8)
     out.append("[" + _pad(indent, 1))
     for start in range(0, rows, _CHUNK_ROWS):
         stop = min(start + _CHUNK_ROWS, rows)
@@ -379,7 +376,7 @@ def _emit_table(table: _Table, out: list[str], indent: int | None) -> None:
             fill(chunk[:, at : at + width], start, stop)
         if stop == rows:
             chunk[-1, -len(sep) :] = 0  # the last row takes no separator
-        out.append((raw if chunk.nbytes == len(raw) else raw[: chunk.nbytes]).translate(None, b"\0").decode())
+        out.append(chunk.tobytes().translate(None, b"\0").decode("ascii"))
     out.append(_pad(indent, 0) + "]")
 
 
@@ -494,8 +491,7 @@ def _emit_int_lists(lists: _IntLists, out: list[str], indent: int | None) -> Non
     left, right = max(map(len, opens)), max(map(len, closes))
     texts = [o.encode().ljust(left, b"\0") + bytes(width) + c.encode().rjust(right, b"\0") for o in opens for c in closes]
     texts = np.frombuffer(b"".join(texts), dtype=np.uint8).reshape(9, -1)
-    raw = bytearray(min(len(kind), _CHUNK_ROWS) * texts.shape[1])  # as in _emit_table
-    buf = np.frombuffer(raw, dtype=np.uint8).reshape(-1, texts.shape[1])
+    buf = np.empty((min(len(kind), _CHUNK_ROWS), texts.shape[1]), dtype=np.uint8)
     out.append("[" + _pad(indent, 1))
     for start in range(0, len(kind), _CHUNK_ROWS):
         stop = min(start + _CHUNK_ROWS, len(kind))
@@ -506,7 +502,7 @@ def _emit_int_lists(lists: _IntLists, out: list[str], indent: int | None) -> Non
             chunk[kind[start:stop] == 8, left : left + width] = 0
         if stop == len(kind):
             chunk[-1, -len(sep) :] = 0  # the last list takes no separator; closes are right-aligned
-        out.append((raw if chunk.nbytes == len(raw) else raw[: chunk.nbytes]).translate(None, b"\0").decode())
+        out.append(chunk.tobytes().translate(None, b"\0").decode("ascii"))
     out.append(_pad(indent, 0) + "]")
 
 
