@@ -1,13 +1,16 @@
 #!/usr/bin/env python3
-"""Time `complete` in process on band-2 n = 200 data, as the band-complete benchmark runs it.
+"""Time `complete` and `decompose` in process on band-2 n = 200 data.
 
-Prints microseconds for three things:
+The `complete` input is the band-complete benchmark's. Prints
+microseconds for four things:
 
 - completion: one `positive_completion` call;
 - per fill step: that call's time less the time of the same call with
   its fill steps cut to none, over the number of steps (197): the
   separators' pseudo-inverses, gathers, products and scatters;
-- dumps: `serialize.dumps` of the document that `complete` prints.
+- dumps: `serialize.dumps` of the document that `complete` prints;
+- decompose: one `rank_one_positive_decomposition` call on a sum of one
+  random full-rank 3 x 3 PSD block per clique.
 
 With the `src` directory of another checkout as argument, the same input
 goes through that checkout too, and the last column is the ratio of its
@@ -34,22 +37,37 @@ from unittest import mock
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
-ROWS = ("completion", "per fill step", "dumps")
+ROWS = ("completion", "per fill step", "dumps", "decompose")
+
+
+def band_pattern(n: int):
+    from posext import validate_pattern
+
+    return validate_pattern(n, [(i, j) for i in range(n) for j in range(i + 1, min(n, i + 3))])
 
 
 def band_partial(seed: int, n: int = 200):
     """A band-2 partial matrix restricted from B B* / 6 + 0.1 I, B a complex n x 6 matrix."""
-    from posext import restrict_to_pattern, validate_pattern
+    from posext import restrict_to_pattern
 
     rng = np.random.default_rng(seed)
     b = rng.standard_normal((n, 6)) + 1j * rng.standard_normal((n, 6))
     a = b @ b.conj().T / 6 + 0.1 * np.eye(n)
-    p = validate_pattern(n, [(i, j) for i in range(n) for j in range(i + 1, min(n, i + 3))])
-    return restrict_to_pattern(a, p)
+    return restrict_to_pattern(a, band_pattern(n))
+
+
+def band_clique_sum(seed: int, n: int = 200) -> np.ndarray:
+    """The sum over the band-2 cliques {s, s + 1, s + 2} of B B*, B a complex 3 x 3 matrix, made Hermitian."""
+    rng = np.random.default_rng(seed)
+    t = np.zeros((n, n), dtype=complex)
+    for s in range(n - 2):
+        b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        t[s : s + 3, s : s + 3] += b @ b.conj().T
+    return (t + t.conj().T) / 2
 
 
 def worker(src: str, seed: int, repeats: int) -> None:
-    """Print the least times of the three rows under src, in microseconds."""
+    """Print the least times of the four rows under src, in microseconds."""
     sys.path.insert(0, src)
     from posext import completion, serialize
 
@@ -75,6 +93,8 @@ def worker(src: str, seed: int, repeats: int) -> None:
     with mock.patch.object(completion, "_fill_steps", no_steps):
         times["per fill step"] = (times["completion"] - best(lambda: completion.positive_completion(m), 10)) / steps
     times["dumps"] = best(lambda: serialize.dumps(doc), 2)
+    t, p = band_clique_sum(seed), band_pattern(200)
+    times["decompose"] = best(lambda: completion.rank_one_positive_decomposition(t, p), 2)
     print(json.dumps(times))
 
 

@@ -12,6 +12,7 @@ zero-Schur-complement one-step fill
     X = M[A \\ S, S] (M[S, S])^+ M[S, B],
 
 in a loop over arrays made before it (see `positive_completion`). The
+rank-one decomposition eliminates along the same steps in reverse. The
 dense (n d) x (n d) matrix of `expand` carries block-valued data; its
 support is the d x d blocks at the pattern's pairs and their transposes.
 """
@@ -287,48 +288,25 @@ def _partially_positive(m: PartialHermitianMatrix, full: np.ndarray, tol):
     return (True, None) if len(bad) == 0 else (False, cliques[bad[0]])
 
 
-def _walk(tree: CliqueTree) -> list[tuple[int, int]]:
-    """Cliques breadth-first from clique 0, children in ascending index.
+def _fill_steps(tree: CliqueTree, n: int):
+    """(sep, sep_ptr, old, old_ptr, new, new_ptr) of the fill steps of the clique tree.
 
-    Each entry is (clique, tree edge to its parent); the root's edge is -1.
+    The steps walk the tree breadth-first from clique 0, children in
+    ascending index. Step k joins the clique at place k + 1 through the
+    edge to its parent, whose separator is sep[sep_ptr[k]:sep_ptr[k + 1]].
+    Its new set holds the vertices that first appear in that clique, its
+    old set those that appear earlier, less the separator. All three sets
+    ascend and lie end to end likewise, old and new read-only.
     """
     ends = tree.edge_array
     src, dst = ends.T.ravel(), ends[:, ::-1].T.ravel()  # each edge both ways
     order = np.lexsort((dst, src))  # a CSR adjacency: by clique, then by neighbour
     ptr = _pointers(np.bincount(src, minlength=len(tree.clique_ptr) - 1)).tolist()
     neighbors = list(zip(dst[order].tolist(), (order % max(len(ends), 1)).tolist()))
-    walk = [(0, -1)] if len(ptr) > 1 else []
+    walk = [(0, -1)] if len(ptr) > 1 else []  # (clique, tree edge to its parent)
     for at, up in walk:  # also visits the entries appended below
         walk += [(nxt, e) for nxt, e in neighbors[ptr[at] : ptr[at + 1]] if e != up]
-    return walk
-
-
-def _root_first(tree: CliqueTree) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The cliques of _walk(tree), each as (clique, separator shared with the parent).
-
-    Both are slices of the tree's arrays; the root has an empty separator.
-    """
-    cliques, seps = tree.clique_ptr.tolist(), tree.separator_ptr.tolist()
-    return [
-        (
-            tree.members[cliques[k] : cliques[k + 1]],
-            tree.separator_members[seps[e] : seps[e + 1]] if e >= 0 else tree.separator_members[:0],
-        )
-        for k, e in _walk(tree)
-    ]
-
-
-def _fill_steps(tree: CliqueTree, n: int):
-    """(separators, sep, sep_ptr, old, old_ptr, new, new_ptr) of the fill steps along _walk(tree).
-
-    Step k joins the clique at place k + 1 of the walk through a tree edge
-    whose separator is separators[k]. Its new set holds the vertices that
-    first appear in that clique, its old set those that appear earlier,
-    less the separator. The three sets of each step ascend and lie end to
-    end in int arrays, step k's separator at sep[sep_ptr[k]:sep_ptr[k + 1]]
-    and its old and new sets likewise in the read-only old and new.
-    """
-    cliques, edges = np.array(_walk(tree), dtype=np.int64).reshape(-1, 2).T
+    cliques, edges = np.array(walk, dtype=np.int64).reshape(-1, 2).T
     steps = max(len(cliques) - 1, 0)  # one per tree edge
     place = np.empty_like(cliques)
     place[cliques] = np.arange(len(cliques))
@@ -342,10 +320,8 @@ def _fill_steps(tree: CliqueTree, n: int):
     seen[np.repeat(step_of, np.diff(tree.separator_ptr)), tree.separator_members] = False
     old = np.broadcast_to(np.arange(n), seen.shape)[seen]
     old.flags.writeable = new.flags.writeable = False
-    sep_tuples = _tuples(tree.separator_members, tree.separator_ptr)
-    separators = tuple(map(sep_tuples.__getitem__, edges[1:].tolist()))
     sep, sep_ptr = _gather(tree.separator_members, tree.separator_ptr[edges[1:]], np.diff(tree.separator_ptr)[edges[1:]])
-    return separators, sep, sep_ptr, old, _pointers(seen.sum(axis=1)), new, _pointers(counts[1:])
+    return sep, sep_ptr, old, _pointers(seen.sum(axis=1)), new, _pointers(counts[1:])
 
 
 def _step_pairs(a: np.ndarray, a_ptr: np.ndarray, b: np.ndarray, b_ptr: np.ndarray):
@@ -383,8 +359,8 @@ def positive_completion(
         raise NotPartiallyPositive(f"clique {witness} has a non-PSD block")
 
     tree = clique_tree(m.pattern)
-    separators, sep, sep_ptr, old, old_ptr, new, new_ptr = _fill_steps(tree, m.n)
-    inverses = [None] * len(separators)  # in step order
+    sep, sep_ptr, old, old_ptr, new, new_ptr = _fill_steps(tree, m.n)
+    inverses = [None] * (len(sep_ptr) - 1)  # in step order
     for ids, blocks in _principal_blocks(full, sep, sep_ptr, m.d):
         for k, inverse in zip(ids.tolist(), linalg.pseudo_inverse(blocks)):
             inverses[k] = inverse
@@ -405,7 +381,7 @@ def positive_completion(
     if not np.isfinite(full.view(float)).all():  # re and im side by side
         bad = np.argwhere(~np.isfinite(full))
         raise InputError("entry ({},{}) of the completion overflows".format(*bad[0]))
-    return CompletionResult(full, separators, old, old_ptr, new, new_ptr)
+    return CompletionResult(full, tuple(_tuples(sep, sep_ptr)), old, old_ptr, new, new_ptr)
 
 
 def _check_supported(t: np.ndarray, p: Pattern) -> None:
@@ -423,8 +399,10 @@ def rank_one_positive_decomposition(
 ) -> list[linalg.RankOneFactor]:
     """Write a pattern-supported PSD matrix as a sum of clique-supported v v*.
 
-    Walks the clique tree from the leaves: a leaf clique C with separator
-    S absorbs its exclusive rows/columns B = C - S into a PSD part R with
+    Eliminates the cliques of the fill steps (_fill_steps) from the last:
+    clique 0 has no separator, and each step's clique is the union of its
+    separator and new set (running intersection). A leaf clique C with
+    separator S absorbs its exclusive rows/columns B = C - S into a PSD part R with
     R[B,B] = T[B,B] + mu I, R[S,S] = T[S,B] (T[B,B] + mu I)^-1 T[B,S] and
     mu = 1e-12 max |T|, which is eigendecomposed into rank ones; the
     residue T - R is supported on the remaining cliques and is processed
@@ -453,7 +431,14 @@ def rank_one_positive_decomposition(
     recon = np.zeros_like(t)
     lowest = 0.0  # the least part eigenvalue below its tol
     factors: list[linalg.RankOneFactor] = []
-    for clique, sep in reversed(_root_first(clique_tree(p))):
+    tree = clique_tree(p)
+    sep, sep_ptr, _, _, new, new_ptr = _fill_steps(tree, p.n)
+    # each step's clique: its separator and new set, sorted by one lexsort over all steps
+    members, steps = np.concatenate((sep, new)), np.arange(len(sep_ptr) - 1)
+    of_step = np.concatenate((np.repeat(steps, np.diff(sep_ptr)), np.repeat(steps, np.diff(new_ptr))))
+    cliques = [tree.members[: tree.clique_ptr[1]], *_views(members[np.lexsort((members, of_step))], sep_ptr + new_ptr)]
+    seps = [sep[:0], *_views(sep, sep_ptr)]  # clique 0, at place 0 of the walk, has none
+    for clique, sep in reversed(list(zip(cliques, seps))):
         if len(sep):
             inner = np.isin(clique, sep)  # sorted cliques: sep keeps its order in clique
             own = clique[~inner]

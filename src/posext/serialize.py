@@ -732,19 +732,6 @@ def _kernel_tables() -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarr
     return trimmed.view("<u4").ravel(), layouts.reshape(-1, 5), shifts
 
 
-def _complex_from_doc(doc) -> complex:
-    real, imag = doc["re"], doc["im"]
-    if not (_is_number(real) and _is_number(imag)):
-        raise InputError(f"re and im must be numbers, got re={real!r}, im={imag!r}")
-    try:
-        z = complex(float(real), float(imag))
-    except OverflowError:  # an integer beyond the double range
-        z = complex(math.inf)
-    if not cmath.isfinite(z):
-        raise InputError(f"non-finite number re={real!r}, im={imag!r}")
-    return z
-
-
 def _is_number(x) -> bool:
     """Whether x is an int or a float, numpy's included; a bool or a string is not."""
     return type(x) in (float, int) or isinstance(x, (np.floating, np.integer))
@@ -909,7 +896,7 @@ def _blocks_by_item(items) -> dict:
     The fields are read in the order i, j, block, then the entries row
     by row, and the first that is wrong raises InputError: a missing
     field, a container that is not a list or an object, or a number as
-    `_complex_from_doc` reads it. Shapes and coverage are left to the
+    `_entry` reads it. Shapes and coverage are left to the
     mapping constructor.
     """
     if type(items) is not list:
@@ -945,9 +932,16 @@ def _field(obj, name: str, where: str):
 
 def _entry(z, where: str) -> complex:
     """The complex number of an entry {"re": ..., "im": ...}; InputError naming it when it is not one."""
-    _field(z, "re", where)
-    _field(z, "im", where)
-    return _complex_from_doc(z)
+    real, imag = _field(z, "re", where), _field(z, "im", where)
+    if not (_is_number(real) and _is_number(imag)):
+        raise InputError(f"re and im must be numbers, got re={real!r}, im={imag!r}")
+    try:
+        z = complex(float(real), float(imag))
+    except OverflowError:  # an integer beyond the double range
+        z = complex(math.inf)
+    if not cmath.isfinite(z):
+        raise InputError(f"non-finite number re={real!r}, im={imag!r}")
+    return z
 
 
 # -- groups -------------------------------------------------------------------
@@ -957,7 +951,10 @@ def group_from_json(doc) -> FiniteGroup:
 
 
 def subset_from_json(doc, g: FiniteGroup) -> SymmetricSubset:
-    return validate_subset(g, doc["members"])
+    members = _field(doc, "members", "a subset")
+    if type(members) is not list:
+        raise InputError(f"members must be a list of group elements, got {type(members).__name__}")
+    return validate_subset(g, members)
 
 
 def function_to_json(f: GroupFunction) -> dict:
@@ -967,12 +964,15 @@ def function_to_json(f: GroupFunction) -> dict:
 
 
 def function_from_json(doc, g: FiniteGroup) -> GroupFunction:
+    values = _field(doc, "values", "a function")
+    if type(values) is not list:
+        raise InputError(f"values must be a list of value objects, got {type(values).__name__}")
     vals = {}
-    for item in doc["values"]:
-        (k,) = _integers([item["g"]])
+    for at, item in enumerate(values):
+        (k,) = _integers([_field(item, "g", f"value {at}")])
         if k in vals:
             raise InputError(f"duplicate value for element {k}")
-        vals[k] = _complex_from_doc(item)
+        vals[k] = _entry(item, f"value {at}")
     return group_function(g, vals)
 
 

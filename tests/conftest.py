@@ -751,6 +751,55 @@ def ref_positive_completion(m, tol=None):
     return full, tuple(log)
 
 
+def ref_rank_one_positive_decomposition(t: np.ndarray, p: Pattern, tol=None) -> list:
+    """Reference for rank_one_positive_decomposition's factors on inputs it accepts.
+
+    The leaf-first loop over ref_root_first, one clique at a time, with
+    the library's damping, eigensolver and factor cut; the input checks
+    and the residual check are left out.
+    """
+    from posext import clique_tree, linalg
+    from posext.completion import _DAMPING_REL
+
+    t = np.array(t, dtype=complex)
+    top = np.abs(t).max(initial=0.0)
+    if top == 0.0:
+        return []
+    mu = _DAMPING_REL * top
+    residue = t.copy()
+    tree = clique_tree(p)
+    cliques = tree_views(tree)["cliques"]
+    factors = []
+    for k, _, sep in reversed(ref_root_first(tree)):
+        clique, sep = np.array(cliques[k], dtype=np.int64), np.array(sep, dtype=np.int64)
+        if len(sep):
+            inner = np.isin(clique, sep)
+            own = clique[~inner]
+            t_bs = residue[np.ix_(own, sep)]
+            t_sb = t_bs.conj().T
+            t_bb = residue[np.ix_(own, own)] + mu * np.eye(len(own))
+            try:
+                r_ss = t_sb @ np.linalg.solve(t_bb, t_bs)
+            except np.linalg.LinAlgError:
+                r_ss = t_sb @ linalg.pseudo_inverse(t_bb) @ t_bs
+            part = residue[np.ix_(clique, clique)]
+            part[np.ix_(~inner, ~inner)] = t_bb
+            part[np.ix_(inner, ~inner)] = t_sb
+            part[np.ix_(inner, inner)] = r_ss
+            residue[np.ix_(sep, sep)] -= r_ss
+            residue[own, :] = 0.0
+            residue[:, own] = 0.0
+        else:
+            part = residue[np.ix_(clique, clique)]
+        w, v = linalg.eigh(part)
+        part_tol = linalg.default_psd_tol(part) if tol is None else tol
+        for factor in linalg.eigen_factors(w, v, part_tol):
+            vec = np.zeros(p.n, dtype=complex)
+            vec[clique] = factor.vector
+            factors.append((vec, tuple(cliques[k][a] for a in factor.support)))
+    return factors
+
+
 def ref_is_positive_definite_on(g: FiniteGroup, e: SymmetricSubset, u, tol=None) -> bool:
     """Reference for is_positive_definite_on: every maximal clique of the whole pattern."""
     from posext import partially_positive

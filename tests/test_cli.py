@@ -334,6 +334,33 @@ def test_malformed_matrix_entries_exit_2_naming_the_entry_and_field(tmp_path, ca
     assert (code, captured.out, captured.err) == (2, "", f"error: InputError: {err}\n")
 
 
+@pytest.mark.parametrize(
+    "command, subset, function, err",
+    [
+        ("group-extend", [0], {"values": [{"g": 0, "re": 1}]}, 'value 0 has no "im"'),
+        ("group-extend", [0], {"values": [{"re": 1, "im": 0}]}, 'value 0 has no "g"'),
+        ("group-extend", [0], {"values": {"a": 1}}, "values must be a list of value objects, got dict"),
+        ("group-extend", [0], {"values": [{"g": 0, "re": 1, "im": 0}, 5]}, "value 1 must be an object, got int"),
+        ("group-extend", [0], {}, 'a function has no "values"'),
+        ("group-extend", [0], [1], "a function must be an object, got list"),
+        ("star-pattern", None, None, 'a subset has no "members"'),
+        ("chordal-subset", 5, None, "members must be a list of group elements, got int"),
+    ],
+    ids=["no-im", "no-g", "values-object", "value-int", "no-values", "function-list", "no-members", "members-int"],
+)
+def test_malformed_functions_and_subsets_exit_2_naming_the_value_and_field(
+    tmp_path, capsys, command, subset, function, err
+):
+    """Each of these ended as a KeyError or TypeError caught only by main's catch-all."""
+    subset_path, function_path = tmp_path / "subset.json", tmp_path / "function.json"
+    subset_path.write_text(json.dumps({} if subset is None else {"members": subset}))
+    function_path.write_text(json.dumps(function))
+    args = [str(FIXTURES / "group_z4.json"), str(subset_path)]
+    code = main([command, *args, *([str(function_path)] if function is not None else [])])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"error: InputError: {err}\n")
+
+
 def test_apply_mult_overflow_exits_2(tmp_path):
     """1e200 * 1e200 overflows: one error line, no warning and no traceback."""
     big = {"re": 1e200, "im": 0}

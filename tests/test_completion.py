@@ -25,6 +25,7 @@ from conftest import (
     ref_first_unsupported,
     ref_partially_positive,
     ref_positive_completion,
+    ref_rank_one_positive_decomposition,
 )
 from posext import (
     PartialHermitianMatrix,
@@ -504,6 +505,54 @@ def test_decomposition_of_clique_sums_sums_back_to_the_matrix_or_raises_not_psd(
         assert any(set(f.support) <= set(c) for c in cliques)
         recon += np.outer(f.vector, f.vector.conj())
     assert np.abs(recon - t).max() <= 1e-5 * np.abs(t).max()
+
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=NotPSD,
+    reason="elimination error along the chain drives a clique part eigenvalue to -1.8e-4 on PSD, "
+    "rank-deficient data, and the factors miss the matrix by more than the residual bound (ROADMAP item 7)",
+)
+def test_decomposition_of_a_rank_deficient_band_clique_sum_sums_back():
+    """One complex v v* per clique of band-2 n = 33: PSD (lambda_min 3.5e-18, rank 31), yet NotPSD is raised."""
+    rng = np.random.default_rng(71)
+    n = 33
+    t = np.zeros((n, n), dtype=complex)
+    for s in range(n - 2):
+        v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        t[s : s + 3, s : s + 3] += np.outer(v, v.conj())
+    t[np.diag_indices(n)] = t.diagonal().real
+    factors = rank_one_positive_decomposition(t, band_pattern(n, 2))
+    recon = sum((np.outer(f.vector, f.vector.conj()) for f in factors), np.zeros((n, n), dtype=complex))
+    assert np.abs(recon - t).max() <= 1e-5 * np.abs(t).max()
+
+
+@st.composite
+def clique_sums(draw):
+    """A random chordal pattern (n <= 14; several components, one clique or a band) and a full-rank clique sum on it."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, kind = draw(st.integers(1, 14)), draw(st.sampled_from(["components", "one clique", "band"]))
+    if kind == "components":
+        p = random_chordal_components(rng, n, draw(st.integers(1, 4)), draw(st.sampled_from([0.2, 0.5, 0.8])))
+    elif kind == "one clique":
+        p = complete_pattern(n)
+    else:
+        p = band_pattern(n, draw(st.integers(1, 3)))
+    return p, psd_supported_on(rng, p)
+
+
+@example((validate_pattern(1, []), np.full((1, 1), 2.0 + 0j)))
+@example((complete_pattern(4), psd_supported_on(np.random.default_rng(4), complete_pattern(4))))
+@example((validate_pattern(5, [(0, 1), (3, 4)]), psd_supported_on(np.random.default_rng(5), validate_pattern(5, [(0, 1), (3, 4)]))))
+@given(clique_sums())
+def test_decomposition_matches_the_leaf_first_loop_bit_for_bit(case):
+    """The factors' vectors and supports, in order, as the clique-by-clique reference loop gives them."""
+    p, t = case
+    got = rank_one_positive_decomposition(t, p)
+    want = ref_rank_one_positive_decomposition(t, p)
+    assert [f.support for f in got] == [support for _, support in want]
+    assert bits([f.vector for f in got]) == bits([vector for vector, _ in want])
 
 
 def test_completion_and_decomposition_on_empty_pattern():
