@@ -41,6 +41,7 @@ ROWS = ("completion", "per fill step", "dumps", "decompose")
 
 
 def band_pattern(n: int):
+    """The band-2 pattern on n vertices: i ~ j when 0 < |i - j| <= 2."""
     from posext import validate_pattern
 
     return validate_pattern(n, [(i, j) for i in range(n) for j in range(i + 1, min(n, i + 3))])
