@@ -1,13 +1,16 @@
 #!/usr/bin/env python3
-"""Time the float kernel, `serialize._format_nonzero`, on four kinds of data.
+"""Time the float kernel, `serialize._format_nonzero`, on five kinds of data.
 
-Prints microseconds per call on 4096 nonzero values of each kind:
+Prints microseconds per call on 4096 values of each kind, all nonzero
+in the first four:
 
 - band-complete: entries of a band-2 n = 200 positive completion, as
   `complete` prints them (most in exponent notation);
 - order one: standard normal values;
 - |x| >= 10: values 10^U(1, 16) of either sign, in fixed notation;
-- dyadic: m 2^-e with m < 2^20 and e < 20, so most texts end early.
+- dyadic: m 2^-e with m < 2^20 and e < 20, so most texts end early;
+- 30% signed zeros: standard normal values with 30% of them made 0.0
+  or -0.0, half of each sign, so the rows of zeros are timed too.
 
 With the `src` directory of another checkout as argument, the same values
 go through that checkout's kernel too, and the last column is the ratio
@@ -32,7 +35,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 ROWS = 4096
-KINDS = ("band-complete", "order one", "|x| >= 10", "dyadic")
+KINDS = ("band-complete", "order one", "|x| >= 10", "dyadic", "30% signed zeros")
 
 
 def band_complete_values(rng: np.random.Generator, n: int = 200) -> np.ndarray:
@@ -52,12 +55,16 @@ def datasets(seed: int) -> dict[str, np.ndarray]:
     rng = np.random.default_rng(seed)
     sign = np.where(rng.random(ROWS) < 0.5, -1.0, 1.0)
     band = band_complete_values(rng)
-    return {
+    data = {
         "band-complete": rng.choice(band, ROWS, replace=False),
         "order one": rng.standard_normal(ROWS),
         "|x| >= 10": sign * 10.0 ** rng.uniform(1, 16, ROWS),
         "dyadic": sign * rng.integers(1, 2**20, ROWS) * 2.0 ** -rng.integers(0, 20, ROWS),
+        "30% signed zeros": rng.standard_normal(ROWS),
     }
+    hit = rng.choice(ROWS, 3 * ROWS // 10, replace=False)
+    data["30% signed zeros"][hit] = np.where(np.arange(len(hit)) % 2, -0.0, 0.0)
+    return data
 
 
 def worker(src: str, data: str, repeats: int) -> None:
@@ -106,7 +113,7 @@ def main() -> None:
     print(header + (f" {'other us':>9} {'other/this':>10}" if args.other else ""))
     for kind in KINDS:
         x = np.abs(arrays[kind])
-        share = np.mean((x < 1e-4) | (x >= 1e17))
+        share = np.mean(((0 < x) & (x < 1e-4)) | (x >= 1e17))
         line = f"{kind:<20} {share:>14.0%} {best[0][kind]:>9.1f}"
         if args.other:
             line += f" {best[1][kind]:>9.1f} {best[1][kind] / best[0][kind]:>10.2f}"

@@ -20,7 +20,8 @@ it over right translations gives back u extended by zero (Rudin 1963).
 The block on a right coset H s is K[a, b] = u(b a^{-1}) = u(h_b h_a^{-1}),
 the block on H with its rows and columns permuted, so the extension
 checks the block on H alone for positivity and extends by zero, without
-building the pattern or the completion.
+building the pattern or the completion. It restricts to u bit for bit,
+signed zeros included, and is +0j off H, whatever the labelling.
 
 Each group holds its multiplication table as one read-only int64 array,
 from which `_quotient` reads Q[s, t] = t s^{-1}: on G x G for the pattern
@@ -90,7 +91,7 @@ class SymmetricSubset:
 
 @dataclass(frozen=True, eq=False)
 class GroupFunction:
-    """Complex function on group elements with value(g^-1) = conj(value(g))."""
+    """Complex function on group elements with value(g^-1) == conj(value(g)), signed zeros as given."""
 
     values: dict[int, complex]
 
@@ -290,17 +291,6 @@ def is_positive_definite_on(
     return partially_positive(kernel, tol)[0]
 
 
-def _hermitian(g: FiniteGroup, vals: dict[int, complex]) -> GroupFunction:
-    """vals made Hermitian-symmetric: conjugates at the larger index of each inverse pair."""
-    for x in range(g.order):
-        xi = g.inverse[x]
-        if x < xi:
-            vals[xi] = vals[x].conjugate()
-        elif x == xi:
-            vals[x] = complex(vals[x].real, 0.0)
-    return GroupFunction(vals)
-
-
 def invariant_kernel(g: FiniteGroup, f: GroupFunction) -> np.ndarray:
     """Kernel K(s, t) = f(t s^{-1}) of a function defined on all of G."""
     if f.domain() != frozenset(range(g.order)):
@@ -320,20 +310,20 @@ def positive_definite_extension(
     for bit, so both decide alike. A failure names the first right
     coset, the first clique of the pattern; all blocks fail together.
     That coset is H s for the least element s = 0, which lies in it.
-    The extension is u extended by zero, with each conjugate written at
-    the larger index of its inverse pair, which is bit for bit what
+    The extension is u extended by zero, which is bit for bit what
     completing the kernel along its clique tree and averaging the
-    completion over right translations gives. It restricts to u exactly
-    and has a PSD kernel.
+    completion over right translations gives: it restricts to u bit for
+    bit and is +0j off H, whatever the labelling, and has a PSD kernel.
     """
     if not is_chordal_subset(g, e):
         raise NotChordalSubset("subset does not induce a chordal pattern")
     _check_domain(e, u)
     members = sorted(e.members)
-    block = _lookup(g, u)[_quotient(g, members)]
+    values = _lookup(g, u)
+    block = values[_quotient(g, members)]
     upper = np.triu(np.ones(block.shape, dtype=bool))
     # the lower triangle mirrors the upper one, as completion.expand builds it
     if not is_psd(np.where(upper, block, block.conj().T)[None], tol)[0]:
         coset = tuple(sorted(g.table_array[members, 0].tolist()))
         raise NotPositiveDefinite(f"kernel fails: clique {coset} has a non-PSD block")
-    return _hermitian(g, {x: u.values.get(x, 0j) for x in range(g.order)})
+    return GroupFunction(dict(enumerate(values.tolist())))

@@ -13,10 +13,11 @@ checks put them in the pattern's pair order as one stack. Any block
 list that a check refuses is read again one item at a time, which
 raises the error of its first bad item (see `partial_from_json`).
 
-Emission goes through a small dumper that writes floats as %.17g, so
-that every finite float except -0.0 round-trips bit-faithfully (-0.0 is
-written "-0", which JSON readers take for the integer 0). A value takes
-one of four paths, and all four give the same bytes:
+Emission goes through a small dumper that writes floats as %.17g and
+-0.0 as "-0.0" (%.17g writes "-0", which JSON readers take for the
+integer 0), so that every finite float, -0.0 included, round-trips
+bit-faithfully. A value takes one of four paths, and all four give the
+same bytes:
 
 - A list whose items are all exact ints is one % over a template made
   for it; %d writes an int as str(int) does, beyond int64 too.
@@ -38,18 +39,19 @@ one of four paths, and all four give the same bytes:
   tables, int tuples from their texts made once per table, and floats
   take `_format_17g`: the numpy kernel below writes a chunk's column,
   zeros included, when it holds `_KERNEL_MIN_ROWS` nonzero values or
-  more; otherwise zeros are written as 0 or -0 and the other values by
+  more; otherwise zeros are written as 0 or -0.0 and the other values by
   one padded % call, since the kernel's cost per call outweighs what it
   saves on few values. Dropping the NUL bytes turns the buffer into the
   chunk's text; no Python string is made per value.
 - Everything else is walked value by value.
 
-The kernel writes exactly what format(x, ".17g") writes. That text is
-fixed by three things: D = round(|x| 10^s) with s = 16 - k, the 17-digit
-integer in [10^16, 10^17) with ties to even; the exponent k; and C's %g
-layout. The layout is fixed notation for -4 <= k < 17 and d.ddde+XX
-otherwise, with trailing zeros dropped after the point, and the point
-too when nothing follows it. The kernel reproduces all three:
+The kernel writes exactly what format(x, ".17g") writes, but "-0.0" for
+-0.0. That text is fixed by three things: D = round(|x| 10^s) with
+s = 16 - k, the 17-digit integer in [10^16, 10^17) with ties to even;
+the exponent k; and C's %g layout. The layout is fixed notation for
+-4 <= k < 17 and d.ddde+XX otherwise, with trailing zeros dropped after
+the point, and the point too when nothing follows it. The kernel
+reproduces all three:
 
 - k starts as floor(log10 |x|) and moves by one where D falls outside
   [10^16, 10^17).
@@ -71,7 +73,8 @@ too when nothing follows it. The kernel reproduces all three:
 - For 1 <= k <= 16 the words of k = 0 are shifted down by one byte
   over the k digits that go before the point, which are made digits
   again where they were trimmed, and the point goes behind them when a
-  digit follows. A zero is written with the digits of 0 and k = 0.
+  digit follows. A zero is written with the digits of 0 and k = 0, and
+  the text of -0.0 is then made "-0.0".
 - format(x, ".17g") is used instead, by one padded % call, where the
   fraction of e + a lo lies within 2^-30 of 1/2, or D lies within 1 of
   10^16 or 10^17. Only there could the 2^-47 error change the rounding
@@ -252,7 +255,7 @@ def _emit(value, out: list[str], indent: int | None) -> None:
         x = float(value)
         if math.isnan(x) or math.isinf(x):
             raise ValueError("non-finite numbers are not serializable")
-        out.append(format(x, ".17g"))
+        out.append("-0.0" if x == 0 and math.copysign(1, x) < 0 else format(x, ".17g"))
     elif isinstance(value, dict):
         _emit_items(value.items(), out, indent, "{", "}", key=True)
     elif isinstance(value, (list, tuple)):
@@ -523,16 +526,16 @@ _S_MIN = -300  # the scales s of finite doubles lie in [-293, 341]
 _SCALES = np.zeros((650, 4))  # row s - _S_MIN: 5^s as hi_hi + hi_lo + lo, then 2^s
 _SCALES_MADE = np.zeros(len(_SCALES), dtype=bool)
 _TEXT_WIDTH = 24  # the longest text: -1.2345678901234567e-308
-_MINUS_ZERO = int.from_bytes(b"-0", "little")
+_MINUS_ZERO = int.from_bytes(b"-0.0", "little")
 
 
 def _format_17g(x: np.ndarray, text: np.ndarray) -> None:
-    """Write format(v, ".17g") of each v of a finite float array into its row of text.
+    """Write format(v, ".17g") of each v of a finite float array, -0.0 as "-0.0", into its row of text.
 
     text is a (len(x), _TEXT_WIDTH) uint8 array of NULs, and each text
     stays NUL-padded. The kernel writes the chunk when it holds
     _KERNEL_MIN_ROWS nonzero values or more. Otherwise zeros are written
-    as 0 and -0, and the other values go through one "%-24.17g" % call,
+    as 0 and -0.0, and the other values go through one "%-24.17g" % call,
     whose space padding becomes NUL: on few values the kernel's cost per
     call outweighs what it saves.
     """
@@ -541,7 +544,7 @@ def _format_17g(x: np.ndarray, text: np.ndarray) -> None:
         text[:] = _format_nonzero(x)
         return
     if len(nonzero) < len(x):  # the rows of nonzero values are overwritten below
-        text.view("<u2")[:, 0] = np.where(np.signbit(x), _MINUS_ZERO, ord("0"))
+        text.view("<u4")[:, 0] = np.where(np.signbit(x), _MINUS_ZERO, ord("0"))
     rows = slice(None) if len(nonzero) == len(x) else nonzero  # a slice copies, an index gathers
     if len(nonzero):
         values = x[rows].tolist()
@@ -552,8 +555,8 @@ def _format_17g(x: np.ndarray, text: np.ndarray) -> None:
 def _format_nonzero(x: np.ndarray) -> np.ndarray:
     """The kernel: format(v, ".17g") of each v of a finite float array, as NUL-padded byte rows.
 
-    Zeros are written too. Each row is written as three little-endian
-    uint64 words (see the module docstring).
+    Zeros are written too, -0.0 as "-0.0". Each row is written as three
+    little-endian uint64 words (see the module docstring).
     """
     padded, _, _ = _digit_tables()
     trimmed, layouts, shifts = _kernel_tables()
@@ -616,6 +619,7 @@ def _format_nonzero(x: np.ndarray) -> np.ndarray:
         kept |= dots.take(row + 16 * point, axis=0).ravel()
         rows[fixed] = kept.view(_ROW)
 
+    words.view("<u4")[zeros[np.signbit(x[zeros])], 0] = _MINUS_ZERO  # written "-0" above
     near = np.flatnonzero(near)
     if len(near):  # one padded % call, its spaces made NUL
         values = x[near].tolist()

@@ -631,12 +631,6 @@ def ref_invariantize(g: FiniteGroup, m: np.ndarray) -> dict[int, complex]:
             vals[x] = first
         else:
             vals[x] = sum(terms) / g.order
-    for x in range(g.order):
-        xi = g.inverse[x]
-        if x < xi:
-            vals[xi] = vals[x].conjugate()
-        elif x == xi:
-            vals[x] = complex(vals[x].real, 0.0)
     return vals
 
 
@@ -836,7 +830,7 @@ def _ref_emit(value, out: list[str], indent) -> None:
         x = float(value)
         if math.isnan(x) or math.isinf(x):
             raise ValueError("non-finite numbers are not serializable")
-        out.append(format(x, ".17g"))
+        out.append(ref_float_text(x))
     elif isinstance(value, dict):
         _ref_emit_items(value.items(), out, indent, "{", "}", key=True)
     elif isinstance(value, (list, tuple)):
@@ -848,6 +842,11 @@ def _ref_emit(value, out: list[str], indent) -> None:
         _ref_emit([flat[a:b] for a, b in zip(ptr, ptr[1:])], out, indent)
     else:
         raise TypeError(f"cannot serialize value of type {type(value).__name__}")
+
+
+def ref_float_text(x: float) -> str:
+    """A float as dumps writes it: %.17g, but -0.0 (which %.17g writes "-0") as "-0.0"."""
+    return "-0.0" if x == 0 and math.copysign(1.0, x) < 0 else format(x, ".17g")
 
 
 def _ref_pad(indent, depth: int) -> str:

@@ -361,6 +361,57 @@ def test_malformed_functions_and_subsets_exit_2_naming_the_value_and_field(
     assert (code, captured.out, captured.err) == (2, "", f"error: InputError: {err}\n")
 
 
+def _values(*triples) -> dict:
+    return {"values": [{"g": g, "re": re, "im": im} for g, re, im in triples]}
+
+
+_PD_CHECK = ("pd-check", "group_z4.json", "subset_z4_02.json", None)
+_BAND09_N4 = {**json.loads((FIXTURES / "partial_band09_n3.json").read_text()), "n": 4}
+
+
+@pytest.mark.parametrize(
+    "argv, doc, err",
+    [
+        (("star-pattern", "group_z4.json", None), {"members": [0, 99]}, "DomainMismatch: subset members outside [0,4)"),
+        (("star-pattern", "group_z4.json", None), {"members": [1, 3]}, "InputError: subset must contain the identity"),
+        (("star-pattern", "group_z4.json", None), {"members": [0, 1]}, "InputError: subset must be closed under inverses"),
+        (_PD_CHECK, _values((0, 1, 0), (2, 0.5, 0.1)), "InputError: function is not Hermitian-symmetric at element 2"),
+        (_PD_CHECK, _values((0, 1, 0), (0, 1, 0), (2, 0.5, 0)), "InputError: duplicate value for element 0"),
+        (_PD_CHECK, _function(9), "DomainMismatch: function arguments outside [0,4)"),
+        (("cb-norm", None), {"n": -1, "entries": []}, "InputError: matrix dimension must be nonnegative, got -1"),
+        (
+            ("cb-norm", "matrix_identity4.json", "--block-size", "3"), None,
+            "DimensionMismatch: dimension 4 is not a multiple of block size 3",
+        ),
+        (
+            ("apply-mult", "partial_band09_n3.json", "matrix_identity4.json"), None,
+            "DimensionMismatch: matrix has shape (4, 4), expected (3, 3)",
+        ),
+        (
+            ("verify", "partial_band09_n3.json", "matrix_identity4.json"), None,
+            "DimensionMismatch: matrix has shape (4, 4), expected (3, 3)",
+        ),
+        (("complete", None), _BAND09_N4, "InputError: n = 4 disagrees with the pattern's 3"),
+    ],
+    ids=[
+        "member-99", "no-identity", "not-inverse-closed", "not-hermitian", "duplicate-g", "g-9",
+        "negative-n", "block-size-3", "apply-mult-shape", "verify-shape", "n-disagrees",
+    ],
+)
+def test_invalid_subsets_functions_and_dimensions_exit_2_naming_the_fault(tmp_path, capsys, argv, doc, err):
+    """The library's own checks of valid JSON; None in argv is the file holding doc."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    args = [str(path) if a is None else fx(a) if a.endswith(".json") else a for a in argv[1:]]
+    code = main([argv[0], *args])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"error: {err}\n")
+
+
+def test_cb_norm_takes_a_block_size_that_divides_the_dimension(capsys):
+    assert run_cli(capsys, "cb-norm", fx("matrix_identity4.json"), "--block-size", "2") == (0, '{"cb_norm":1}\n')
+
+
 def test_apply_mult_overflow_exits_2(tmp_path):
     """1e200 * 1e200 overflows: one error line, no warning and no traceback."""
     big = {"re": 1e200, "im": 0}

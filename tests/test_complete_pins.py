@@ -60,8 +60,8 @@ INPUTS = {
 
 SHA256 = {
     "band2-n200": "3d73c18cffe3a322c60a8cfdbe621e058fffd0bc7e5fee6afaa07e9f7afce6f0",
-    "components-d2": "eece4e469b41fba1fc825e1487a63316168077c473f021ab37f83c969051a7be",
-    "isolated": "815d5ce01575700bd9fa018e10c51e94d21fac010faa0c18becb463f14cd6524",
+    "components-d2": "f4c2d6e87b971589c0b4ad0fb70775d65e83d1130eb5d9532982b1afb1a65f11",
+    "isolated": "584635c7b3846dfccab1b341c756264ee80c262d67690f7ef580ee11e2fb8afd",
 }
 
 

@@ -27,6 +27,8 @@ CASES = ALL_COMMANDS + [
     ("clique-tree", "pattern_band2_n6.json"),
     ("clique-tree", "pattern_two_blocks.json"),
     ("complete", "partial_mixed_separators.json"),
+    # H = {0} in S3: zero off H, with no sign that depends on how S3 is labelled
+    ("group-extend", "group_s3.json", "subset_s3_identity.json", "fn_s3_identity.json"),
 ] + [
     (*argv, "--pretty")
     for argv in [

@@ -523,20 +523,13 @@ def _automorphism(data):
 
 @given(st.data())
 def test_extension_commutes_with_group_automorphisms(data):
-    """Extending u o phi^-1 on phi(H) gives v o phi^-1, and fails exactly when extending u fails.
-
-    On H the values agree bit for bit. Off H both are zero, but not
-    always of the same sign: the extension conjugates at the larger
-    index of each inverse pair, and phi can swap which one that is.
-    """
+    """Extending u o phi^-1 on phi(H) gives v o phi^-1 bit for bit, and fails exactly when extending u fails."""
     g, phi = _automorphism(data)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     for e in symmetric_subsets(g):
         if not is_chordal_subset(g, e):
             continue
         image = validate_subset(g, {phi[x] for x in e.members})
-        inside = sorted(e.members)
-        outside = sorted(set(range(g.order)) - e.members)
         for u in [random_pd_function(rng, g, e), _random_hermitian(rng, g, e)]:
             moved = group_function(g, {phi[x]: z for x, z in u.values.items()})
             try:
@@ -546,8 +539,20 @@ def test_extension_commutes_with_group_automorphisms(data):
                     positive_definite_extension(g, image, moved)
                 continue
             w = positive_definite_extension(g, image, moved)
-            assert bits([w(phi[x]) for x in inside]) == bits([v(x) for x in inside])
-            assert not any(w(phi[x]) for x in outside) and not any(v(x) for x in outside)
+            assert bits([w(phi[x]) for x in range(g.order)]) == bits([v(x) for x in range(g.order)])
+
+
+def test_extension_of_the_trivial_subgroup_is_the_same_under_relabelling():
+    """S3 with H = {0}: conjugation by the reflection 3 swaps the rotations 1 and 2 = 1^-1.
+
+    The extension is u on H and +0j elsewhere, so phi maps it to itself,
+    the signs of its zeros included.
+    """
+    g = ser.group_from_json(ser.load_json(S3_TABLE))
+    phi = [0, 2, 1, 3, 5, 4]
+    v = positive_definite_extension(g, validate_subset(g, {0}), group_function(g, {0: 1.0}))
+    assert bits([v(phi[x]) for x in range(g.order)]) == bits([v(x) for x in range(g.order)])
+    assert bits([v(x) for x in range(g.order)]) == bits([1.0] + [0j] * 5)
 
 
 @st.composite

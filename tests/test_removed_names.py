@@ -19,6 +19,7 @@ REMOVED = [
     ("posext.groupext", "_right_cosets"),
     ("posext.groupext", "word_chordality_oracle"),
     ("posext.groupext", "_WORD_ORACLE_CAP"),
+    ("posext.groupext", "_hermitian"),
     ("posext.linalg", "rank_one_factors"),
     ("posext.serialize", "partial_to_json"),
     ("posext.serialize", "group_to_json"),
