@@ -8,7 +8,11 @@ microseconds for four things:
 - per fill step: that call's time less the time of the same call with
   its fill steps cut to none, over the number of steps (197): the
   separators' pseudo-inverses, gathers, products and scatters;
-- dumps: `serialize.dumps` of the document that `complete` prints;
+- emit and write: what the CLI does with the document that `complete`
+  prints, written to a temporary file: `serialize.document_to_json`,
+  then `writelines` of its pieces, a newline and a flush. A checkout
+  whose serialize has no `document_to_json` writes the text of
+  `serialize.dumps` instead, as its CLI does;
 - decompose: one `rank_one_positive_decomposition` call on a sum of one
   random full-rank 3 x 3 PSD block per clique.
 
@@ -16,10 +20,10 @@ With the `src` directory of another checkout as argument, the same input
 goes through that checkout too, and the last column is the ratio of its
 time to this one's. Each side runs in its own interpreter, the two
 alternate for a number of rounds, and the least time of any round is
-reported. The dumps row moves by up to ~30% with the process's memory
-layout alone (identical sources have read 7.3 or 9.6 ms depending on the
-length of their path), so compare it only between checkouts whose paths
-have the same length. Run from the repository root:
+reported. The emit-and-write row moves by up to ~15% with the process's
+memory layout alone (identical sources have read 6.4 or 7.3 ms depending
+on the length of their path), so compare it only between checkouts whose
+paths have the same length. Run from the repository root:
 
     PYTHONPATH=src python scripts/complete_timing.py [OTHER_SRC] [--rounds 2]
 """
@@ -30,6 +34,7 @@ import argparse
 import json
 import subprocess
 import sys
+import tempfile
 import timeit
 from pathlib import Path
 from unittest import mock
@@ -37,7 +42,7 @@ from unittest import mock
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
-ROWS = ("completion", "per fill step", "dumps", "decompose")
+ROWS = ("completion", "per fill step", "emit and write", "decompose")
 
 
 def band_pattern(n: int):
@@ -93,7 +98,19 @@ def worker(src: str, seed: int, repeats: int) -> None:
 
     with mock.patch.object(completion, "_fill_steps", no_steps):
         times["per fill step"] = (times["completion"] - best(lambda: completion.positive_completion(m), 10)) / steps
-    times["dumps"] = best(lambda: serialize.dumps(doc), 2)
+    with tempfile.TemporaryFile("w", encoding="utf-8") as fh:
+
+        def emit_and_write():
+            if hasattr(serialize, "document_to_json"):
+                pieces = serialize.document_to_json(doc)
+            else:  # a checkout whose CLI writes the joined text
+                pieces = [serialize.dumps(doc)]
+            fh.seek(0)
+            fh.writelines(pieces)
+            fh.write("\n")
+            fh.flush()
+
+        times["emit and write"] = best(emit_and_write, 2)
     t, p = band_clique_sum(seed), band_pattern(200)
     times["decompose"] = best(lambda: completion.rank_one_positive_decomposition(t, p), 2)
     print(json.dumps(times))

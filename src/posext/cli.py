@@ -276,9 +276,9 @@ def main(argv=None) -> int:
     except (InputError, OSError, KeyError, TypeError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    text = ser.dumps(doc, pretty=args.pretty)
+    pieces = ser.document_to_json(doc, pretty=args.pretty)  # all of them before the first write
     try:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
         sys.stdout.write("\n")
         sys.stdout.flush()
     except OSError as exc:  # a reader that closed the pipe early, a full disk

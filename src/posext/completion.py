@@ -413,7 +413,9 @@ def rank_one_positive_decomposition(
     its largest diagonal entry)). Eigenvalues of a part that elimination error pushes
     below -tol give no factor, just as those in [-tol, tol] give none.
     NotPSD is raised when the input fails is_psd, or when a part had such
-    an eigenvalue and an entry of sum v v* - T exceeds 1e-5 max |T|.
+    an eigenvalue and an entry of sum v v* - T exceeds 1e-5 max |T|. A
+    part eigenvalue beyond the floating-point range raises InputError
+    naming the first non-finite entry of the factors, in output order.
     """
     t = np.array(t, dtype=complex)
     if t.shape != (p.n, p.n):
@@ -463,10 +465,14 @@ def rank_one_positive_decomposition(
         if w[0] < -part_tol:
             lowest = min(lowest, w[0])
         members = clique.tolist()
-        kept = linalg.eigen_factors(w, v, part_tol)
+        with np.errstate(invalid="ignore"):  # an eigenvalue beyond the float range; checked below
+            kept = linalg.eigen_factors(w, v, part_tol)
         for factor in kept:
             vec = np.zeros(p.n, dtype=complex)
             vec[clique] = factor.vector
+            if not np.isfinite(vec).all():
+                bad = np.flatnonzero(~np.isfinite(vec))
+                raise InputError(f"entry {bad[0]} of factor {len(factors)} overflows")
             factors.append(linalg.RankOneFactor(vec, tuple(members[a] for a in factor.support)))
         if kept:
             local = np.array([f.vector for f in kept])

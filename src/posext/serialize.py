@@ -45,6 +45,13 @@ same bytes:
   chunk's text; no Python string is made per value.
 - Everything else is walked value by value.
 
+The emitter appends the text to a list of pieces, one per chunk of a
+buffered list and one per short text between them. A chunk's buffer is
+a numpy view over a bytearray, so the NULs are dropped from the
+bytearray itself, with no copy first. `document_to_json` returns the
+pieces: the CLI builds them all, then writes them to stdout one after
+another and never joins them. `dumps` joins them for library callers.
+
 The kernel writes exactly what format(x, ".17g") writes, but "-0.0" for
 -0.0. That text is fixed by three things: D = round(|x| 10^s) with
 s = 16 - k, the 17-digit integer in [10^16, 10^17) with ties to even;
@@ -240,10 +247,19 @@ def _blank_item(compact: bytes) -> bool:
 
 
 def dumps(doc, pretty: bool = False) -> str:
-    """Serialize with floats at 17 significant digits."""
+    """Serialize with floats at 17 significant digits: the pieces of `document_to_json`, joined."""
+    return "".join(document_to_json(doc, pretty))
+
+
+def document_to_json(doc, pretty: bool = False) -> list[str]:
+    """The text of `dumps` as the pieces the emitter builds, for a writer to take in turn.
+
+    A large list gives one piece per chunk of `_CHUNK_ROWS` rows, so the
+    whole text is never held as one string.
+    """
     out: list[str] = []
     _emit(doc, out, 0 if pretty else None)
-    return "".join(out)
+    return out
 
 
 def _emit(value, out: list[str], indent: int | None) -> None:
@@ -369,7 +385,7 @@ def _emit_table(table: _Table, out: list[str], indent: int | None) -> None:
         row += text
     sep = "," + _pad(indent, 1)
     row = np.frombuffer(bytes(row + (_pad(indent, 1) + "}" + sep).encode()), dtype=np.uint8)
-    buf = np.empty((min(rows, _CHUNK_ROWS), len(row)), dtype=np.uint8)
+    raw, buf = _chunk_buffer(min(rows, _CHUNK_ROWS), len(row))
     out.append("[" + _pad(indent, 1))
     for start in range(0, rows, _CHUNK_ROWS):
         stop = min(start + _CHUNK_ROWS, rows)
@@ -379,8 +395,25 @@ def _emit_table(table: _Table, out: list[str], indent: int | None) -> None:
             fill(chunk[:, at : at + width], start, stop)
         if stop == rows:
             chunk[-1, -len(sep) :] = 0  # the last row takes no separator
-        out.append(chunk.tobytes().translate(None, b"\0").decode("ascii"))
+        out.append(_chunk_text(raw, chunk))
     out.append(_pad(indent, 0) + "]")
+
+
+def _chunk_buffer(rows: int, width: int) -> tuple[bytearray, np.ndarray]:
+    """A bytearray of rows x width bytes and a (rows, width) uint8 view of it."""
+    raw = bytearray(rows * width)
+    return raw, np.frombuffer(raw, dtype=np.uint8).reshape(rows, width)
+
+
+def _chunk_text(raw: bytearray, chunk: np.ndarray) -> str:
+    """The text of the leading rows of raw that chunk views: its bytes without the NULs.
+
+    The bytearray is translated in place of a copy; only a short last
+    chunk is sliced first.
+    """
+    if chunk.size < len(raw):
+        raw = raw[: chunk.size]
+    return raw.translate(None, b"\0").decode("ascii")
 
 
 def _column_slots(column, indent: int | None) -> tuple[bytes, list]:
@@ -494,7 +527,7 @@ def _emit_int_lists(lists: _IntLists, out: list[str], indent: int | None) -> Non
     left, right = max(map(len, opens)), max(map(len, closes))
     texts = [o.encode().ljust(left, b"\0") + bytes(width) + c.encode().rjust(right, b"\0") for o in opens for c in closes]
     texts = np.frombuffer(b"".join(texts), dtype=np.uint8).reshape(9, -1)
-    buf = np.empty((min(len(kind), _CHUNK_ROWS), texts.shape[1]), dtype=np.uint8)
+    raw, buf = _chunk_buffer(min(len(kind), _CHUNK_ROWS), texts.shape[1])
     out.append("[" + _pad(indent, 1))
     for start in range(0, len(kind), _CHUNK_ROWS):
         stop = min(start + _CHUNK_ROWS, len(kind))
@@ -505,7 +538,7 @@ def _emit_int_lists(lists: _IntLists, out: list[str], indent: int | None) -> Non
             chunk[kind[start:stop] == 8, left : left + width] = 0
         if stop == len(kind):
             chunk[-1, -len(sep) :] = 0  # the last list takes no separator; closes are right-aligned
-        out.append(chunk.tobytes().translate(None, b"\0").decode("ascii"))
+        out.append(_chunk_text(raw, chunk))
     out.append(_pad(indent, 0) + "]")
 
 

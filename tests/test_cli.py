@@ -11,8 +11,26 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import ROWS_FIELDS, malformed_documents, random_chordal_components, rows_document, tree_views
-from posext import Pattern, clique_tree, is_psd, maximal_cliques, validate_pattern, verify_extension
+from conftest import (
+    ROWS_FIELDS,
+    band_pattern,
+    malformed_documents,
+    partial_document,
+    random_chordal_components,
+    random_psd,
+    rows_document,
+    tree_views,
+)
+from posext import (
+    Pattern,
+    clique_tree,
+    is_psd,
+    maximal_cliques,
+    positive_completion,
+    restrict_to_pattern,
+    validate_pattern,
+    verify_extension,
+)
 from posext import cli
 from posext import serialize as ser
 from posext.cli import main
@@ -455,6 +473,17 @@ def test_complete_with_a_fill_beyond_the_float_range_exits_2(capsys):
     proc = _run_complete("partial_overflowing_fill.json")
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == "error: InputError: entry (0,2) of the completion overflows\n"
+
+
+def test_decompose_with_a_factor_beyond_the_float_range_exits_2():
+    """Positive definite, but its largest eigenvalue, ~2.9e308, overflows: one error line naming the entry, no warning and no traceback."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "posext", "decompose", fx("matrix_overflowing_factor.json"), fx("pattern_complete3.json")],
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: InputError: entry 0 of factor 1 overflows\n"
 
 
 def _assert_decompose_sums_back(capsys, matrix, pattern, rank):
@@ -1052,14 +1081,56 @@ def test_a_document_piped_to_stdin_is_read_once():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, b'{"chordal":true}\n', b"")
 
 
-def test_a_reader_that_closes_the_pipe_early_gets_one_error_line():
-    """Output beyond the pipe's buffer meets a closed pipe: exit 2 and one stderr line, no traceback."""
-    argv = ["decompose", fx("matrix_band2_n100_rank_deficient.json"), fx("pattern_band2_n100.json")]
+def _band2_n200_partial(tmp_path) -> str:
+    """The path of a band-2 n = 200 partial matrix, whose completion prints ~2 MB in many pieces."""
+    m = restrict_to_pattern(random_psd(np.random.default_rng(200), 200), band_pattern(200, 2))
+    path = tmp_path / "band2_n200.json"
+    path.write_text(json.dumps(partial_document(m)))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["decompose", "complete"])
+def test_a_reader_that_closes_the_pipe_early_gets_one_error_line(tmp_path, command):
+    """Output beyond the pipe's buffer meets a closed pipe: exit 2 and one stderr line, no traceback.
+
+    complete's output meets it in the middle of its pieces.
+    """
+    argv, head = {
+        "decompose": (
+            ["decompose", fx("matrix_band2_n100_rank_deficient.json"), fx("pattern_band2_n100.json")],
+            b'{"factors":[{"vector":',
+        ),
+        "complete": (["complete", _band2_n200_partial(tmp_path)], b'{"matrix":{"n":200,"entries":['),
+    }[command]
     with subprocess.Popen(
         [sys.executable, "-m", "posext", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE
     ) as proc:  # closes stderr on the way out
-        assert proc.stdout.read(100).startswith(b'{"factors":[{"vector":')
+        assert proc.stdout.read(100).startswith(head)
         proc.stdout.close()
         err = proc.stderr.read().decode()
         assert proc.wait() == 2
     assert err == "error: BrokenPipeError: [Errno 32] Broken pipe\n"
+
+
+class _RecordingStdout(io.StringIO):
+    """A stdout that keeps every text written to it, one item per write."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.writes: list[str] = []
+
+    def write(self, text: str) -> int:
+        self.writes.append(text)
+        return super().write(text)
+
+
+def test_complete_writes_the_document_in_pieces(tmp_path):
+    """The writes add up to dumps' text and a newline, and none of them holds the whole document."""
+    path = _band2_n200_partial(tmp_path)
+    out = _RecordingStdout()
+    with contextlib.redirect_stdout(out):
+        assert main(["complete", path]) == 0
+    result = positive_completion(ser.partial_from_json(ser.load_json(path)))
+    text = ser.dumps({"matrix": ser.matrix_to_json(result.matrix), "fill_log": ser.fill_log_to_json(result)})
+    assert "".join(out.writes) == text + "\n"
+    assert max(map(len, out.writes)) < len(text)
