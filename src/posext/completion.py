@@ -512,7 +512,9 @@ def cb_norm_positive(phi: np.ndarray, d: int = 1, tol: float | None = None) -> f
 
     For a PSD multiplier this equals the largest diagonal block norm
     (the largest diagonal entry when d = 1), read as 0 when roundoff
-    within the PSD tolerance leaves it below 0. Raises NotPSD otherwise.
+    within the PSD tolerance leaves it below 0. Raises NotPSD otherwise,
+    and InputError naming the first diagonal block whose norm is beyond
+    the floating-point range.
     """
     if d < 1:
         raise DimensionMismatch(f"block size must be positive, got {d}")
@@ -524,7 +526,10 @@ def cb_norm_positive(phi: np.ndarray, d: int = 1, tol: float | None = None) -> f
         raise DimensionMismatch(f"dimension {n} is not a multiple of block size {d}")
     k = np.arange(n // d)
     blocks = phi.reshape(len(k), d, len(k), d)[k, :, k]
-    return max([0.0, *np.linalg.eigvalsh(blocks)[:, -1].tolist()])
+    norms = np.linalg.eigvalsh(blocks)[:, -1]
+    if not np.isfinite(norms).all():
+        raise InputError(f"the norm of diagonal block {np.flatnonzero(~np.isfinite(norms))[0]} overflows")
+    return max([0.0, *norms.tolist()])
 
 
 def verify_extension(

@@ -13,11 +13,16 @@ its elimination order and recognises chordality; on chordal patterns the
 same search also yields the maximal cliques and a clique tree with the
 running intersection property (Tarjan & Yannakakis 1984; Blair & Peyton
 1993). The search visits the unvisited vertex of most visited
-neighbours, the highest index among equals. Its heap holds one int per
-entry, -(w n + v) for vertex v at weight w: as 0 <= v < n, w n + v
-orders by w first and by v second, exactly as the pair (w, v) does, and
-no two entries are equal, so the visit order is the one the pair keys
-gave. Non-chordal patterns fall back to Bron-Kerbosch for their cliques.
+neighbours, the highest index among equals. Each vertex holds its
+weight, the count of its visited neighbours, as a plain int, and each
+weight has its own heap of -v: a vertex is pushed onto the heap of every
+weight it reaches, and the search pops from the top non-empty heap,
+skipping the entries of vertices visited since. The top heap holds the
+vertices of the top weight, and pops the highest of them first, so the
+visit order is that of the pairs (w, v).
+Everything after the search is read off the visit positions of each
+edge's endpoints with array operations. Non-chordal patterns fall back
+to Bron-Kerbosch for their cliques.
 """
 
 from __future__ import annotations
@@ -82,7 +87,7 @@ class Pattern:
         indices = np.empty(2 * len(i), dtype=np.int64)
         k = np.arange(len(i))
         indices[k + np.cumsum(lower)[i]] = j
-        by_j = np.argsort(j, kind="stable")
+        by_j = np.argsort(j * self.n + i)  # by (j, i): distinct keys, so no stable sort is needed
         indices[k + (np.cumsum(upper) - upper)[j[by_j]]] = i[by_j]
         indptr.flags.writeable = indices.flags.writeable = False
         return indptr, indices
@@ -226,77 +231,56 @@ def _checked_edges(n: int, edge_list: list) -> list[tuple[int, int]]:
 def _chordal_structure(p: Pattern) -> ChordalStructure:
     """One maximum cardinality search and everything read off its visit order.
 
-    The search repeatedly visits the unvisited vertex with the most
-    visited neighbours, breaking ties towards the highest index so that
-    the reversed order starts from low indices. Each vertex's follower is
-    its most recently visited earlier neighbour; the reversed order is a
-    perfect elimination order iff every vertex's other earlier neighbours
-    are earlier neighbours of its follower (Tarjan-Yannakakis). On a
-    chordal pattern a vertex with no more earlier neighbours than its
-    predecessor opens a new maximal clique, which joins the clique of its
-    follower through those neighbours (Blair-Peyton).
+    Each vertex's follower is its most recently visited earlier
+    neighbour; the reversed order is a perfect elimination order iff
+    every vertex's other earlier neighbours are earlier neighbours of
+    its follower (Tarjan-Yannakakis). On a chordal pattern a vertex with
+    no more earlier neighbours than its predecessor opens a new maximal
+    clique, which joins the clique of its follower through those
+    neighbours (Blair-Peyton).
     """
     n = p.n
-    ptr, nbr = p.indptr.tolist(), p.indices.tolist()
-    key = list(range(n))  # w * n + v while v is unvisited at weight w, -1 once visited
-    follower = [-1] * n
-    pop, push = heapq.heappop, heapq.heappush
-    visit: list[int] = []
-    for root in range(n - 1, -1, -1):
-        # With the heap empty every unvisited vertex has weight 0, and the
-        # search takes the highest: the next root of this downward scan.
-        if key[root] < 0:
-            continue
-        heap = [-root]
-        while heap:
-            x = -pop(heap)
-            v = x % n
-            if key[v] != x:
-                continue
-            key[v] = -1
-            visit.append(v)
-            for u in nbr[ptr[v] : ptr[v + 1]]:
-                x = key[u]
-                if x >= 0:
-                    key[u] = x = x + n
-                    follower[u] = v  # the last such v before u is visited is its follower
-                    push(heap, -x)
-    visit = np.array(visit, dtype=np.int64)
+    visit = np.array(_search(p), dtype=np.int64)
     visit.flags.writeable = False  # so order, its reversed view, is read-only too
     order = visit[::-1]
 
-    # Each edge (i, j) seen from its later endpoint: u is an earlier neighbour
-    # of later. u was visited no later than the follower f of later, so u is
-    # an earlier neighbour of f exactly when it is f or adjacent to f.
+    # Each edge as the visit positions lo < hi of its endpoints. The
+    # follower of position hi is the greatest lo among its edges; each
+    # other lo is earlier than that follower, so it is an earlier
+    # neighbour of the follower exactly when it is adjacent to it.
     at = np.empty(n, dtype=np.int64)
     at[visit] = np.arange(n)
     i, j = p.edge_array.T
-    later = np.where(at[i] > at[j], i, j)
-    u = i + j - later
-    follower_of = np.array(follower, dtype=np.int64)
-    if not _are_pairs(p, u, follower_of[later]).all():
+    ends = at[i], at[j]
+    hi = np.maximum(*ends)
+    lo = ends[0] + ends[1] - hi
+    follower = np.full(n, -1, dtype=np.int64)
+    np.maximum.at(follower, hi, lo)
+    f = follower[hi]
+    other = lo != f
+    if not _are_pairs(p, visit[lo[other]], visit[f[other]]).all():
         return ChordalStructure(order, False, None)
 
     # Blair-Peyton, by visit position k: k opens a clique unless it has more
-    # earlier neighbours than k - 1; the clique of an opener v is its earlier
-    # neighbours, v and the vertices visited after v up to the next opener.
-    # Cliques are numbered by visit here, and held as members sorted by
-    # (clique, vertex) with pointers.
-    size = np.bincount(later, minlength=n)[visit]
+    # earlier neighbours than k - 1; the clique of an opener is its earlier
+    # neighbours, the opener and the positions after it up to the next
+    # opener. Cliques are numbered by visit here, and held as members sorted
+    # by (clique, vertex) with pointers.
+    size = np.bincount(hi, minlength=n)
     opens = np.ones(n, dtype=bool)
     opens[1:] = size[1:] <= size[:-1]
     start = np.flatnonzero(opens)
     clique_at = np.cumsum(opens) - 1
-    clique_of = clique_at[at]
-    from_opener = opens[at[later]]
-    member_clique = np.concatenate((clique_of[later[from_opener]], clique_at))
-    member = np.concatenate((u[from_opener], visit))
+    from_opener = opens[hi]
+    member_clique = np.concatenate((clique_at[hi[from_opener]], clique_at))
+    member_at = np.concatenate((lo[from_opener], np.arange(n)))
+    member = visit[member_at]
     by_clique = np.argsort(member_clique * n + member)
     member, member_clique = member[by_clique], member_clique[by_clique]
-    clique_ptr = _pointers(np.bincount(member_clique, minlength=len(start)))
+    clique_ptr = _pointers(size[start] + np.diff(start, append=n))
     # The separator of a clique with its parent is its opener's earlier
     # neighbours: its members visited before the opener, size[start] of them.
-    separator_members = member[at[member] < start[member_clique]]
+    separator_members = member[member_at[by_clique] < start[member_clique]]
     separator_ptr = _pointers(size[start])
 
     rank = _lexicographic_order(member, clique_ptr)
@@ -304,19 +288,23 @@ def _chordal_structure(p: Pattern) -> ChordalStructure:
     index[rank] = np.arange(len(rank))
 
     # Each clique but the first of its component joins the clique of its
-    # opener's follower through the opener's earlier neighbours; the other
-    # components join clique 0 through their lowest clique and no separator.
-    parent = follower_of[visit[start]]
+    # opener's follower through the opener's earlier neighbours. The cliques
+    # of a component are consecutive; each further component joins clique 0
+    # through its lowest clique and no separator.
+    parent = follower[start]
     child = np.flatnonzero(parent >= 0)
-    a, b = index[child], index[clique_of[parent[child]]]
-    component = np.cumsum(parent < 0)[rank]
-    joins = np.sort(np.unique(component, return_index=True)[1])[1:]
-    low = np.concatenate((np.minimum(a, b), np.zeros_like(joins)))
+    a, b = index[child], index[clique_at[parent[child]]]
+    lowest = np.minimum.reduceat(index, np.flatnonzero(parent < 0))
+    joins = lowest[lowest > 0]
+    none = np.zeros_like(joins)
+    low = np.concatenate((np.minimum(a, b), none))
     high = np.concatenate((np.maximum(a, b), joins))
-    sep_of = np.concatenate((child, np.zeros_like(joins)))
-    sep_size = np.concatenate((size[start[child]], np.zeros_like(joins)))
+    sep_of = np.concatenate((child, none))
+    sep_size = np.concatenate((size[start[child]], none))
+    # Edges by decreasing separator size, then by (low, high): by the key
+    # (position in (low, high) order) - (separator size) (edge count).
     by_edge = np.argsort(low * len(rank) + high)
-    by_edge = by_edge[np.argsort(-sep_size[by_edge], kind="stable")]
+    by_edge = by_edge[np.argsort(np.arange(len(by_edge)) - sep_size[by_edge] * len(by_edge))]
     tree = CliqueTree(
         *_gather(member, clique_ptr[rank], np.diff(clique_ptr)[rank]),
         np.stack((low[by_edge], high[by_edge]), axis=1),
@@ -325,35 +313,96 @@ def _chordal_structure(p: Pattern) -> ChordalStructure:
     return ChordalStructure(order, True, tree)
 
 
+def _search(p: Pattern) -> list[int]:
+    """The visit order of the maximum cardinality search.
+
+    It repeatedly visits the unvisited vertex with the most visited
+    neighbours, breaking ties towards the highest index so that the
+    reversed order starts from low indices. Each weight w has its own
+    heap of -v, one entry for each vertex v whose weight reached w; the
+    search pops from the top non-empty heap and skips stale entries. An
+    entry goes stale when its vertex moves up to the next heap; the
+    search comes back down to it only once every vertex above is
+    visited, so a stale entry is always that of a visited vertex.
+    """
+    ptr, nbr = p.indptr.tolist(), p.indices.tolist()
+    weight = [0] * p.n  # visited neighbours while unvisited, -1 once visited
+    buckets: list[list[int]] = [[], []]  # always one beyond the top weight
+    pop, push = heapq.heappop, heapq.heappush
+    visit: list[int] = []
+    for root in range(p.n - 1, -1, -1):
+        # With every bucket empty each unvisited vertex has weight 0, and
+        # the search takes the highest: the next root of this downward scan.
+        if weight[root] < 0:
+            continue
+        top, bucket = 0, [-root]
+        while True:
+            while bucket:
+                v = -pop(bucket)
+                if weight[v] == top:
+                    break
+            else:
+                if not top:
+                    break
+                top -= 1
+                bucket = buckets[top]
+                continue
+            weight[v] = -1
+            visit.append(v)
+            for u in nbr[ptr[v] : ptr[v + 1]]:
+                w = weight[u]
+                if w >= 0:  # at most top, as v had the top weight
+                    weight[u] = w = w + 1
+                    push(buckets[w], -u)
+            if buckets[top + 1]:
+                top += 1
+                bucket = buckets[top]
+                if top + 1 == len(buckets):
+                    buckets.append([])
+    return visit
+
+
 def _lexicographic_order(flat: np.ndarray, ptr: np.ndarray) -> np.ndarray:
     """The k that sort the distinct sequences flat[ptr[k]:ptr[k + 1]] lexicographically.
 
-    Prefix doubling: while step is below the longest length, rank holds
-    at each position whose offset in its sequence is a multiple of step
-    the rank of the piece of the sequence that starts there and is step
-    long (shorter at the sequence's end; a proper prefix ranks first).
-    A piece of twice the length ranks as the pair (rank here, 1 + rank
-    step further, or 0 past the end), and only the positions at
-    multiples of twice the step are ranked again: memory stays
-    O(len(flat)), and the round at step s sorts at most one key per
-    sequence plus len(flat) / (2 s). Ranks stay below N = max(n,
-    len(flat)) and keys below (N + 1)^2, which fits in int64.
+    Each round packs k pieces into one int64 key. At its start rank
+    holds, at each position whose offset in its sequence is a multiple
+    of step, the rank (at most top) of the piece of the sequence that
+    starts there and is step long (shorter at the sequence's end; a
+    proper prefix ranks first). A piece k times as long ranks as the
+    tuple of the rank here and, for t = 1..k-1, 1 + the rank t steps
+    further, or 0 past the end: in base top + 2 that is a key below
+    (top + 1) (top + 2)^(k - 1), and k is the most that keeps it within
+    2^63, capped at the pieces the longest sequence still needs. The
+    round that covers the longest sequence sorts one key per sequence;
+    the others rank the keys at multiples of k steps. Ranks stay below
+    N = max(n, len(flat)), so k >= 2 while N <= MAX_VERTICES.
     """
     lengths = np.diff(ptr)
-    offset = np.arange(len(flat)) - np.repeat(ptr[:-1], lengths)
-    room = np.repeat(lengths, lengths) - offset  # the length of the sequence from here on
+    longest = int(lengths.max(initial=0))
     rank, top, step = flat, int(flat.max(initial=0)), 1
     while True:
-        last = 2 * step >= lengths.max(initial=0)
-        at = ptr[:-1] if last else np.flatnonzero(offset % (2 * step) == 0)
-        more = room[at] > step
-        key = rank[at] * (top + 2)
-        key[more] += rank[at[more] + step] + 1
+        k, reach = 1, top + 1
+        while k * step < longest and reach * (top + 2) <= 2**63:
+            k, reach = k + 1, reach * (top + 2)
+        last = k * step >= longest
         if last:
-            return np.argsort(key, kind="stable")
+            at, room = ptr[:-1], lengths
+        else:
+            offset = np.arange(len(flat)) - np.repeat(ptr[:-1], lengths)
+            at = np.flatnonzero(offset % (k * step) == 0)
+            room = (np.repeat(lengths, lengths) - offset)[at]  # the length of the sequence from at on
+        key = rank[at]
+        for t in range(step, k * step, step):
+            more = room > t
+            piece = np.zeros_like(key)
+            piece[more] = rank[at[more] + t] + 1
+            key = key * (top + 2) + piece
+        if last:
+            return np.argsort(key)
         rank = np.empty_like(flat)
         rank[at] = _dense_rank(key)
-        top, step = len(at) - 1, 2 * step
+        top, step = len(at) - 1, k * step
 
 
 def _dense_rank(key: np.ndarray) -> np.ndarray:
@@ -374,13 +423,18 @@ def _gather(flat: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> tuple[
 def _are_pairs(p: Pattern, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Whether each (a[k], b[k]) of vertices is a pair of the support: equal, or an edge.
 
-    Edges are found by one binary search among the sorted edge keys i n + j,
-    closed by n n, which is above every key of two vertices and fits in int64.
+    Edges are found by one binary search of the sought keys min n + max,
+    sorted, among the sorted edge keys i n + j, closed by n n, which is
+    above every key of two vertices and fits in int64.
     """
     n, (i, j) = p.n, p.edge_array.T
     have = np.append(i * n + j, n * n)
     sought = np.minimum(a, b) * n + np.maximum(a, b)
-    return (a == b) | (have[np.searchsorted(have, sought)] == sought)
+    by_key = np.argsort(sought)
+    sought = sought[by_key]
+    found = np.empty(len(sought), dtype=bool)
+    found[by_key] = have[np.searchsorted(have, sought)] == sought
+    return (a == b) | found
 
 
 def is_chordal(p: Pattern) -> bool:

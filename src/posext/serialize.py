@@ -780,9 +780,16 @@ def pattern_to_json(p: Pattern) -> dict:
     return {"n": p.n, "edges": _IntLists.of_rows(p.edge_array)}
 
 
-def pattern_from_json(doc) -> Pattern:
-    (n,) = _integers([doc["n"]])
-    return validate_pattern(n, doc["edges"])
+def pattern_from_json(doc, where: str = "a pattern") -> Pattern:
+    """The pattern of a document {"n": ..., "edges": [[i, j], ...]}; InputError naming where and the field at fault.
+
+    The edges may already be the int64 array that `_read_rows` made of them.
+    """
+    (n,) = _integers([_field(doc, "n", where)])
+    edges = _field(doc, "edges", where)
+    if type(edges) is not list and not isinstance(edges, np.ndarray):
+        raise InputError(f'the "edges" of {where} must be a list of vertex pairs, got {type(edges).__name__}')
+    return validate_pattern(n, edges)
 
 
 def clique_tree_to_json(t: CliqueTree) -> dict:
@@ -872,7 +879,7 @@ def partial_from_json(doc) -> PartialHermitianMatrix:
     error of the first bad item, and the mapping constructor checks
     them against the pattern.
     """
-    p = pattern_from_json(doc["pattern"])
+    p = pattern_from_json(doc["pattern"], "the pattern of a partial matrix")
     (n, d) = _integers((doc["n"], doc["d"]))
     if n != p.n:
         raise InputError(f"n = {doc['n']} disagrees with the pattern's {p.n}")

@@ -144,6 +144,35 @@ def test_malformed_input_exits_2(tmp_path, capsys):
     assert run_cli(capsys, "chordal", str(wrong))[0] == 2
 
 
+@pytest.mark.parametrize("command", ["chordal", "peo", "cliques", "clique-tree", "square-partition"])
+@pytest.mark.parametrize(
+    "text, err",
+    [
+        ('{"edges": [[0, 1]]}', 'a pattern has no "n"'),
+        ('{"n": 3}', 'a pattern has no "edges"'),
+        ('{"n": 3, "edges": 5}', 'the "edges" of a pattern must be a list of vertex pairs, got int'),
+        ('{"n": 3, "edges": {"0": 1}}', 'the "edges" of a pattern must be a list of vertex pairs, got dict'),
+        ("[1, 2]", "a pattern must be an object, got list"),
+    ],
+    ids=["no-n", "no-edges", "edges-int", "edges-object", "list"],
+)
+def test_malformed_pattern_documents_exit_2_naming_the_document_and_field(tmp_path, capsys, command, text, err):
+    """Reading a field with [] or iterating an int once gave each of these a KeyError or TypeError line."""
+    path = tmp_path / "pattern.json"
+    path.write_text(text)
+    code = main([command, str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"error: InputError: {err}\n")
+
+
+def test_the_pattern_of_a_partial_matrix_is_named_as_such(tmp_path, capsys):
+    path = tmp_path / "partial.json"
+    path.write_text(json.dumps({**_partial(), "pattern": {"n": 2}}))
+    code = main(["partially-positive", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (2, 'error: InputError: the pattern of a partial matrix has no "edges"\n')
+
+
 def _partial(n=2, d=1, i=1, j=1) -> dict:
     """A 2 x 2 diagonal partial matrix with one field replaced."""
     one = [[{"re": 1, "im": 0}]]
@@ -484,6 +513,17 @@ def test_decompose_with_a_factor_beyond_the_float_range_exits_2():
     )
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == "error: InputError: entry 0 of factor 1 overflows\n"
+
+
+def test_cb_norm_of_a_block_beyond_the_float_range_exits_2():
+    """A PSD 2 x 2 block whose norm, ~2.9e308, overflows: one error line naming the block, no traceback."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "posext", "cb-norm", "--block-size", "2", fx("matrix_overflowing_block_norm.json")],
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: InputError: the norm of diagonal block 0 overflows\n"
 
 
 def _assert_decompose_sums_back(capsys, matrix, pattern, rank):

@@ -1,3 +1,4 @@
+import functools
 import time
 
 import numpy as np
@@ -247,24 +248,46 @@ def test_clique_tree_running_intersection_random(seed):
 
 @st.composite
 def distinct_sorted_sequences(draw):
-    """Distinct sorted int sequences, many sharing long prefixes, shuffled."""
-    stems = draw(st.lists(st.lists(st.integers(0, 60), max_size=40), min_size=1, max_size=4))
+    """Distinct sorted int sequences, many sharing long prefixes, shuffled.
+
+    Their values lie in [base, base + 90], base 0 or just below
+    MAX_VERTICES, where one int64 key packs only two ranks; sequences run
+    up to ~70 long, so the order takes one round or several.
+    """
+    base = draw(st.sampled_from([0, MAX_VERTICES - 91]))
+    value = st.integers(0, 90).map(base.__add__)
+    stems = draw(st.lists(st.lists(value, max_size=80), min_size=1, max_size=4))
     seqs = set()
     for _ in range(draw(st.integers(0, 30))):
         stem = sorted(set(draw(st.sampled_from(stems))))
-        tail = draw(st.lists(st.integers(0, 60), max_size=5))
+        tail = draw(st.lists(value, max_size=5))
         seq = tuple(sorted(set(stem[: draw(st.integers(0, len(stem)))] + tail)))
         if seq:
             seqs.add(seq)
     return draw(st.permutations(sorted(seqs)))
 
 
-@given(distinct_sorted_sequences())
-def test_lexicographic_order_matches_sorted(seqs):
+def _assert_lexicographic_order(seqs):
     flat = np.array([v for s in seqs for v in s], dtype=np.int64)
     ptr = np.concatenate(([0], np.cumsum([len(s) for s in seqs], dtype=np.int64)))
     got = _lexicographic_order(flat, ptr).tolist()
     assert got == sorted(range(len(seqs)), key=seqs.__getitem__)
+
+
+@given(distinct_sorted_sequences())
+def test_lexicographic_order_matches_sorted(seqs):
+    _assert_lexicographic_order(seqs)
+
+
+@pytest.mark.parametrize("base", [0, 1000, MAX_VERTICES - 71])
+@pytest.mark.parametrize("length", [1, 2, 4, 5, 33, 70])
+def test_lexicographic_order_of_prefixes_and_their_neighbours(base, length):
+    """All prefixes of one long run and each prefix with its last value raised, shuffled."""
+    run = list(range(base, base + length))
+    seqs = {tuple(run[:k]) for k in range(1, length + 1)}
+    seqs |= {tuple(run[: k - 1]) + (base + 70,) for k in range(1, length)}
+    ordered = sorted(seqs)
+    _assert_lexicographic_order([ordered[k] for k in np.random.default_rng(length).permutation(len(ordered))])
 
 
 def test_clique_tree_arrays_are_read_only_and_back_the_tuple_views():
@@ -347,6 +370,49 @@ def test_structure_matches_the_reference_search(seed):
         assert _fields(p.structure) == _fields(ref_chordal_structure(p))
         chordal += p.structure.chordal
     assert 0 < chordal < 50
+
+
+def _grown_chordal(rng, n: int, max_clique: int) -> list[tuple[int, int]]:
+    """A random chordal edge list grown vertex by vertex, relabelled at random.
+
+    Vertex v joins a random earlier vertex u and a random part of the
+    earlier neighbours u joined, which form a clique with u: so the
+    reversed growth order eliminates perfectly. Cliques have at most
+    max_clique vertices.
+    """
+    earlier: list[list[int]] = [[]]
+    for v in range(1, n):
+        u = int(rng.integers(v))
+        keep = int(rng.integers(0, min(len(earlier[u]), max_clique - 2) + 1))
+        earlier.append([u, *rng.permutation(earlier[u])[:keep].tolist()])
+    label = rng.permutation(n).tolist()
+    return [(label[u], label[v]) for v in range(n) for u in earlier[v]]
+
+
+@functools.cache
+def _shapes():
+    rng = np.random.default_rng(32)
+    pairs = [(i, j) for i in range(60) for j in range(i + 1, 60)]
+    wheel = [(30, v) for v in range(30)] + [(v, (v + 1) % 30) for v in range(30)]
+    return {
+        "random-chordal-1200": validate_pattern(1200, _grown_chordal(rng, 1200, 6)),
+        "star-2000": validate_pattern(2000, [(0, v) for v in range(1, 2000)]),
+        "complete-60": complete_pattern(60),
+        "wheel-30": validate_pattern(31, wheel),
+        "band3-500": band_pattern(500, 3),
+        "dense-60-1000": validate_pattern(60, [pairs[k] for k in rng.choice(len(pairs), 1000, replace=False)]),
+        "components-400": random_chordal_components(rng, 400, 25, density=0.04),
+    }
+
+
+@pytest.mark.parametrize("shape", list(_shapes()))
+def test_structure_matches_the_reference_search_on_large_shapes(shape):
+    """Many weights at once, long cliques, a hub, a non-chordal wheel, and isolated vertices."""
+    p = _shapes()[shape]
+    assert _fields(p.structure) == _fields(ref_chordal_structure(p))
+    assert p.structure.chordal == (shape not in ("wheel-30", "dense-60-1000"))
+    if shape == "components-400":
+        assert (np.diff(p.indptr) == 0).sum() > 5  # isolated vertices
 
 
 @st.composite
